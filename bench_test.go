@@ -35,13 +35,13 @@ func benchMethod(b *testing.B, metric mc.Metric, method Method, k, n int) {
 		rng := rand.New(rand.NewSource(int64(i) + 1))
 		switch method {
 		case MIS:
-			r, err := baselines.MIS(counter, baselines.MISOptions{Stage1: k, N: n}, rng)
+			r, err := baselines.MISContext(context.Background(), counter, baselines.MISOptions{Stage1: k, N: n}, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
 			pf = r.Pf
 		case MNIS:
-			r, err := baselines.MNIS(counter, baselines.MNISOptions{
+			r, err := baselines.MNISContext(context.Background(), counter, baselines.MNISOptions{
 				Start: &model.StartOptions{TrainN: k}, N: n,
 			}, rng)
 			if err != nil {
@@ -53,7 +53,7 @@ func benchMethod(b *testing.B, metric mc.Metric, method Method, k, n int) {
 			if method == GS {
 				coord = gibbs.Spherical
 			}
-			r, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+			r, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 				Coord: coord, K: 1 << 20, Stage1Budget: int64(k), N: n,
 			}, rng)
 			if err != nil {
@@ -98,7 +98,7 @@ func BenchmarkTable2(b *testing.B) {
 	// speedup claim) rather than the estimate itself.
 	b.Run("brute-force-mc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mc.ParallelMC(metric, 100000, int64(i)+1, 0); err != nil {
+			if _, err := mc.ParallelMCContext(context.Background(), metric, 100000, int64(i)+1, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -141,7 +141,7 @@ func BenchmarkFig7(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.ImportanceSample(mc.NewEvaluator(lin, 0), g, 1000, rng, mc.TraceEvery(100)); err != nil {
+		if _, err := mc.ImportanceSampleContext(context.Background(), mc.NewEvaluator(lin, 0), g, 1000, rng, mc.TraceEvery(100)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func BenchmarkFig8to11(b *testing.B) {
 	metric := sram.ReadCurrentWorkload()
 	counter := mc.NewCounter(metric)
 	rng := rand.New(rand.NewSource(1))
-	res, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+	res, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 		Coord: gibbs.Spherical, K: 200, N: 10,
 	}, rng)
 	if err != nil {
@@ -250,7 +250,7 @@ func BenchmarkAblationCovariance(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			r, err := mc.ImportanceSample(mc.NewEvaluator(counter, 0), g, 3000, rng, 0)
+			r, err := mc.ImportanceSampleContext(context.Background(), mc.NewEvaluator(counter, 0), g, 3000, rng, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func BenchmarkAblationStart(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+			res, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 				Coord: gibbs.Spherical, K: 300, N: 2000, StartPoint: start,
 			}, rng)
 			if err != nil {
@@ -322,7 +322,7 @@ func BenchmarkAblationBisections(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				counter := mc.NewCounter(sh)
 				rng := rand.New(rand.NewSource(int64(i) + 1))
-				res, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+				res, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 					Coord: gibbs.Spherical, K: 300, N: 2000,
 					Chain: &gibbs.Options{Bisections: bis},
 				}, rng)
@@ -352,7 +352,7 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				counter := mc.NewCounter(arc)
 				rng := rand.New(rand.NewSource(int64(i) + 1))
-				res, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+				res, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 					Coord: gibbs.Spherical, K: 400, N: 3000,
 					StartPoint: start,
 					Chain:      &gibbs.Options{Epsilon: eps},
@@ -390,7 +390,7 @@ func BenchmarkStage2Workers(b *testing.B) {
 	metric := sram.ReadCurrentWorkload()
 	counter := mc.NewCounter(metric)
 	setup := rand.New(rand.NewSource(1))
-	fit, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+	fit, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 		Coord: gibbs.Spherical, K: 200, N: 10,
 	}, setup)
 	if err != nil {
@@ -405,7 +405,7 @@ func BenchmarkStage2Workers(b *testing.B) {
 			var pf float64
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(7))
-				r, err := mc.ImportanceSample(ev, g, 2000, rng, 0)
+				r, err := mc.ImportanceSampleContext(context.Background(), ev, g, 2000, rng, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -435,7 +435,7 @@ func BenchmarkEvaluatorOverhead(b *testing.B) {
 			ev := mc.NewEvaluator(lin, workers)
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.ImportanceSample(ev, g, 1000, rng, 0); err != nil {
+				if _, err := mc.ImportanceSampleContext(context.Background(), ev, g, 1000, rng, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -463,7 +463,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			// Fresh seed each iteration so the final Pf is independent of
 			// b.N and the bare/instrumented comparison below is exact.
 			rng := rand.New(rand.NewSource(7))
-			r, err := mc.ImportanceSample(ev, g, 1000, rng, 0)
+			r, err := mc.ImportanceSampleContext(context.Background(), ev, g, 1000, rng, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

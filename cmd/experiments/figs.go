@@ -53,7 +53,7 @@ func runFig3(ctx context.Context, cfg config) error {
 func traceFig(ctx context.Context, cfg config, metric mc.Metric, tag string, n int) error {
 	b := defaultBudgets(cfg)
 	for _, name := range methodNames {
-		r, err := runMethod(ctx, name, metric, b, n, mc.TraceEvery(b.traceEvery), cfg.seed)
+		r, err := runMethod(ctx, name, metric, b, n, 0, mc.TraceEvery(b.traceEvery), cfg.seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -124,7 +124,7 @@ func runFig8to11(ctx context.Context, cfg config) error {
 			// Build the method's distortion with a minimal second stage,
 			// then draw a fresh labeled scatter from it (distributionally
 			// identical to the stage-2 stream).
-			r, err := runMethod(ctx, name, p.metric, b, 10, 0, cfg.seed)
+			r, err := runMethod(ctx, name, p.metric, b, 10, 0, 0, cfg.seed)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", name, mname, err)
 			}
@@ -196,7 +196,7 @@ func runFig13(ctx context.Context, cfg config) error {
 	b := defaultBudgets(cfg)
 	nScatter := c2(cfg.quick, 200, 1000)
 	for _, name := range methodNames {
-		r, err := runMethod(ctx, name, metric, b, 10, 0, cfg.seed)
+		r, err := runMethod(ctx, name, metric, b, 10, 0, 0, cfg.seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

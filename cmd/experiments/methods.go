@@ -92,15 +92,17 @@ func newMixing(reg *telemetry.Registry, updates0, resampled0 int64, samples [][]
 	return m
 }
 
-// runMethod executes one method with fixed second-stage size n.
-func runMethod(ctx context.Context, name string, metric mc.Metric, b budgets, n int, traceEvery mc.TraceEvery, seed int64) (*methodRun, error) {
+// runMethod executes one method with second-stage size n — or, when
+// target is positive, until the 99% relative error reaches target with n
+// as the cap (Table I style).
+func runMethod(ctx context.Context, name string, metric mc.Metric, b budgets, n int, target float64, traceEvery mc.TraceEvery, seed int64) (*methodRun, error) {
 	counter := mc.NewCounter(metric)
 	rng := rand.New(rand.NewSource(seed))
 	out := &methodRun{name: name}
 	switch name {
 	case "MIS":
 		r, err := baselines.MISContext(ctx, counter, baselines.MISOptions{
-			Stage1: b.misStage1, N: n, TraceEvery: traceEvery, Workers: b.workers,
+			Stage1: b.misStage1, N: n, Target: target, TraceEvery: traceEvery, Workers: b.workers,
 			Telemetry: b.tele,
 		}, rng)
 		if err != nil {
@@ -112,7 +114,7 @@ func runMethod(ctx context.Context, name string, metric mc.Metric, b budgets, n 
 	case "MNIS":
 		r, err := baselines.MNISContext(ctx, counter, baselines.MNISOptions{
 			Start: &model.StartOptions{TrainN: b.mnisTrainN},
-			N:     n, TraceEvery: traceEvery, Workers: b.workers,
+			N:     n, Target: target, TraceEvery: traceEvery, Workers: b.workers,
 			Telemetry: b.tele,
 		}, rng)
 		if err != nil {
@@ -136,7 +138,7 @@ func runMethod(ctx context.Context, name string, metric mc.Metric, b budgets, n 
 		u0, r0 := chainCounterValues(reg)
 		r, err := gibbs.TwoStageContext(ctx, counter, gibbs.TwoStageOptions{
 			Coord: coord, K: b.gibbsKCap, Stage1Budget: b.gibbsSims,
-			N: n, TraceEvery: traceEvery, Workers: b.workers,
+			N: n, Target: target, TraceEvery: traceEvery, Workers: b.workers,
 			Telemetry: reg,
 		}, rng)
 		if err != nil {
@@ -145,62 +147,6 @@ func runMethod(ctx context.Context, name string, metric mc.Metric, b budgets, n 
 		out.pf, out.relErr = r.Pf, r.RelErr99
 		out.stage1, out.stage2 = r.Stage1Sims, r.Stage2Sims
 		out.trace, out.distortion = r.Trace, r.GNor
-		out.gibbs = r.Samples
-		out.mix = newMixing(reg, u0, r0, r.Samples)
-	default:
-		return nil, fmt.Errorf("unknown method %q", name)
-	}
-	return out, nil
-}
-
-// runMethodUntil executes one method with a convergence-target second
-// stage (Table I style).
-func runMethodUntil(ctx context.Context, name string, metric mc.Metric, b budgets, target float64, seed int64) (*methodRun, error) {
-	counter := mc.NewCounter(metric)
-	rng := rand.New(rand.NewSource(seed))
-	out := &methodRun{name: name}
-	const minN = 500
-	switch name {
-	case "MIS":
-		r, err := baselines.MISUntilContext(ctx, counter, baselines.MISOptions{Stage1: b.misStage1, Workers: b.workers, Telemetry: b.tele},
-			target, minN, b.stage2Max, rng)
-		if err != nil {
-			return nil, err
-		}
-		out.pf, out.relErr = r.Pf, r.RelErr99
-		out.stage1, out.stage2 = r.Stage1Sims, r.Stage2Sims
-		out.distortion = r.GNor
-	case "MNIS":
-		r, err := baselines.MNISUntilContext(ctx, counter, baselines.MNISOptions{
-			Start: &model.StartOptions{TrainN: b.mnisTrainN}, Workers: b.workers,
-			Telemetry: b.tele,
-		}, target, minN, b.stage2Max, rng)
-		if err != nil {
-			return nil, err
-		}
-		out.pf, out.relErr = r.Pf, r.RelErr99
-		out.stage1, out.stage2 = r.Stage1Sims, r.Stage2Sims
-		out.distortion = r.GNor
-	case "G-C", "G-S":
-		coord := gibbs.Cartesian
-		if name == "G-S" {
-			coord = gibbs.Spherical
-		}
-		reg := b.tele
-		if reg == nil {
-			reg = telemetry.New()
-		}
-		u0, r0 := chainCounterValues(reg)
-		r, err := gibbs.TwoStageUntilContext(ctx, counter, gibbs.TwoStageOptions{
-			Coord: coord, K: b.gibbsKCap, Stage1Budget: b.gibbsSims, Workers: b.workers,
-			Telemetry: reg,
-		}, target, minN, b.stage2Max, rng)
-		if err != nil {
-			return nil, err
-		}
-		out.pf, out.relErr = r.Pf, r.RelErr99
-		out.stage1, out.stage2 = r.Stage1Sims, r.Stage2Sims
-		out.distortion = r.GNor
 		out.gibbs = r.Samples
 		out.mix = newMixing(reg, u0, r0, r.Samples)
 	default:

@@ -31,7 +31,7 @@ func runTable1(ctx context.Context, cfg config) error {
 	for _, name := range methodNames {
 		rows[name] = &row{second: map[string]int64{}, tot: map[string]int64{}, mix: map[string]*mixing{}}
 		for _, mname := range []string{"RNM", "WNM"} {
-			r, err := runMethodUntil(ctx, name, metrics[mname], b, target, cfg.seed)
+			r, err := runMethod(ctx, name, metrics[mname], b, b.stage2Max, target, 0, cfg.seed)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", name, mname, err)
 			}
@@ -115,7 +115,7 @@ func runTable2(ctx context.Context, cfg config) error {
 		"", "First Stage", "Second Stage", "Failure Rate", "Rel. Error")
 	var csvRows [][]string
 	for _, name := range methodNames {
-		r, err := runMethod(ctx, name, sram.DualReadCurrentWorkload(), b, n, 0, cfg.seed)
+		r, err := runMethod(ctx, name, sram.DualReadCurrentWorkload(), b, n, 0, 0, cfg.seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -104,11 +104,6 @@ func TestEstimateContextDeterminism(t *testing.T) {
 			opts.K = 500 // particles; the ladder needs p0·K ≥ 2
 		}
 		workerSets := []int{1, 3}
-		if m == MC {
-			// MC switches algorithm (sequential vs parallel) at
-			// Workers == 1 by design; compare inside the parallel family.
-			workerSets = []int{2, 3}
-		}
 		opts.Workers = workerSets[0]
 		base, err := Estimate(lin, opts)
 		if err != nil {
@@ -159,6 +154,18 @@ func TestOptionsValidateAllAtOnce(t *testing.T) {
 	}
 	if _, err := Estimate(&surrogate.Linear{W: []float64{1}, B: 3}, Options{K: -1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("Estimate must reject invalid options: %v", err)
+	}
+}
+
+// Subset simulation has no sampling stage to stop early, so a Target is
+// a field error rather than a silently ignored option.
+func TestOptionsValidateSubsetTarget(t *testing.T) {
+	err := Options{Method: Subset, Target: 0.1}.Validate()
+	if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "Target:") {
+		t.Fatalf("subset with a target must fail on the Target field: %v", err)
+	}
+	if err := (Options{Method: Subset}).Validate(); err != nil {
+		t.Fatalf("subset without a target must validate: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,7 +38,7 @@ func main() {
 			Which: []int{sram.M3, sram.M4}, Scale: 1e6,
 		}
 		counter := mc.NewCounter(metric)
-		res, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+		res, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 			Coord: gibbs.Spherical, K: 800, N: 4000,
 		}, rand.New(rand.NewSource(*seed)))
 		totalSims += counter.Count()

@@ -6,6 +6,7 @@ package repro
 // `go test .` stays fast; -short skips the slowest ones.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,7 +75,7 @@ func TestIntegrationGibbsSamplesFail(t *testing.T) {
 	metric := sram.ReadCurrentWorkload()
 	counter := mc.NewCounter(metric)
 	rng := rand.New(rand.NewSource(4))
-	res, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+	res, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 		Coord: gibbs.Spherical, K: 120, N: 10,
 	}, rng)
 	if err != nil {
@@ -143,7 +144,7 @@ func TestIntegrationBlockadeVsGS(t *testing.T) {
 		Which: []int{sram.M1, sram.M3}, Scale: 1e6,
 	}
 	counter := mc.NewCounter(metric)
-	bl, err := baselines.Blockade(counter, baselines.BlockadeOptions{
+	bl, err := baselines.BlockadeContext(context.Background(), counter, baselines.BlockadeOptions{
 		Train: 600, N: 150000, TrainScale: 1.3,
 	}, rand.New(rand.NewSource(5)))
 	if err != nil {
@@ -206,13 +207,12 @@ func TestIntegrationISIdentityOnCircuit(t *testing.T) {
 		Cell: cell, Kind: sram.ReadCurrent, Spec: 45e-6,
 		Which: []int{sram.M1, sram.M3}, Scale: 1e6,
 	} // Pf ~ 1e-3: plain MC feasible
-	rng := rand.New(rand.NewSource(6))
-	plain, err := mc.PlainMC(metric, 40000, rng, 0)
+	plain, err := mc.ParallelMCContext(context.Background(), metric, 40000, 6, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counter := mc.NewCounter(metric)
-	res, err := gibbs.TwoStage(counter, gibbs.TwoStageOptions{
+	res, err := gibbs.TwoStageContext(context.Background(), counter, gibbs.TwoStageOptions{
 		Coord: gibbs.Spherical, K: 300, N: 4000,
 	}, rand.New(rand.NewSource(7)))
 	if err != nil {

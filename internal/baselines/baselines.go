@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/mc"
@@ -44,9 +43,17 @@ type Result struct {
 	GNor *stat.MVNormal
 	// Stage1Sims and Stage2Sims split the simulation cost.
 	Stage1Sims, Stage2Sims int64
-	// Stage1Seconds and Stage2Seconds split the wall time the same way
-	// (for the run-report; no statistical meaning).
-	Stage1Seconds, Stage2Seconds float64
+}
+
+// runStage2 runs the importance-sampling stage behind res and records
+// its cost.
+func (res *Result) runStage2(ctx context.Context, counter *mc.Counter, st *mc.Stage, target float64, trace mc.TraceEvery) error {
+	var err error
+	if res.Result, err = st.Run(ctx, target, trace); err != nil {
+		return err
+	}
+	res.Stage2Sims = counter.Count() - res.Stage1Sims
+	return nil
 }
 
 // MISOptions configures mixture importance sampling.
@@ -54,8 +61,12 @@ type MISOptions struct {
 	// Stage1 is the number of exploratory simulations (paper Table I:
 	// 5000).
 	Stage1 int
-	// N is the number of second-stage importance samples.
+	// N is the number of second-stage importance samples, or their cap
+	// when Target is set.
 	N int
+	// Target, when positive, stops the second stage at the first chunk
+	// boundary where the 99% relative error reaches it (Table I).
+	Target float64
 	// Spread scales the exploration distribution: stage-1 samples are
 	// drawn from N(0, Spread²·I) ∪ U(−URange, URange) as a 50/50
 	// mixture (default Spread 3, URange 6).
@@ -81,34 +92,18 @@ func (o *MISOptions) defaults() MISOptions {
 	return d
 }
 
-// MIS runs mixture importance sampling: explore, take the f-weighted
-// centroid of the failing samples as the distortion mean, and run the
-// second importance-sampling stage with unit covariance.
-func MIS(counter *mc.Counter, opts MISOptions, rng *rand.Rand) (*Result, error) {
-	return MISContext(context.Background(), counter, opts, rng)
-}
-
-// MISContext is MIS with cancellation: ctx is polled once per evaluation
-// chunk in both the exploration and the importance-sampling stage, so a
-// cancel aborts within one chunk while an uncancelled run stays
-// bit-identical to MIS for every worker count.
+// MISContext runs mixture importance sampling: explore, take the
+// f-weighted centroid of the failing samples as the distortion mean, and
+// run the second importance-sampling stage with unit covariance. ctx is
+// polled once per evaluation chunk in both stages, so a cancel aborts
+// within one chunk while an uncancelled run stays bit-identical for
+// every worker count.
 func MISContext(ctx context.Context, counter *mc.Counter, opts MISOptions, rng *rand.Rand) (*Result, error) {
-	o := opts.defaults()
-	if o.N <= 0 {
-		return nil, errors.New("baselines: MIS sample count must be positive")
-	}
-	res, err := misExplore(ctx, counter, &o, rng)
+	res, st, err := MISPrefix(ctx, counter, opts, rng)
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	res.Result, err = mc.ImportanceSampleContext(ctx, mc.NewEvaluator(counter, o.Workers).WithTelemetry(o.Telemetry), res.GNor, o.N, rng, o.TraceEvery)
-	if err != nil {
-		return nil, err
-	}
-	res.Stage2Seconds = time.Since(t0).Seconds()
-	res.Stage2Sims = counter.Count() - res.Stage1Sims
-	return res, nil
+	return res, res.runStage2(ctx, counter, st, opts.Target, opts.TraceEvery)
 }
 
 // MNISOptions configures minimum-norm importance sampling.
@@ -116,8 +111,12 @@ type MNISOptions struct {
 	// Start tunes the model-based norm minimization; its TrainN is the
 	// stage-1 budget (paper Table I: 1000).
 	Start *model.StartOptions
-	// N is the number of second-stage importance samples.
+	// N is the number of second-stage importance samples, or their cap
+	// when Target is set.
 	N int
+	// Target, when positive, stops the second stage at the first chunk
+	// boundary where the 99% relative error reaches it (Table I).
+	Target float64
 	// TraceEvery records second-stage convergence snapshots (0 off).
 	TraceEvery mc.TraceEvery
 	// Workers sizes the second-stage evaluation pool (0 = GOMAXPROCS);
@@ -128,39 +127,27 @@ type MNISOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-// MNIS runs minimum-norm importance sampling: find the minimum-norm
-// failure point with a fitted performance model (plus simulation-verified
-// ray refinement), then run the mean-shifted unit-covariance second
-// stage.
-func MNIS(counter *mc.Counter, opts MNISOptions, rng *rand.Rand) (*Result, error) {
-	return MNISContext(context.Background(), counter, opts, rng)
-}
-
-// MNISContext is MNIS with cancellation: ctx is polled between
-// norm-minimization training simulations and once per second-stage
-// evaluation chunk. Uncancelled runs are bit-identical to MNIS.
+// MNISContext runs minimum-norm importance sampling: find the
+// minimum-norm failure point with a fitted performance model (plus
+// simulation-verified ray refinement), then run the mean-shifted
+// unit-covariance second stage. ctx is polled between norm-minimization
+// training simulations and once per second-stage evaluation chunk.
 func MNISContext(ctx context.Context, counter *mc.Counter, opts MNISOptions, rng *rand.Rand) (*Result, error) {
-	if opts.N <= 0 {
-		return nil, errors.New("baselines: MNIS sample count must be positive")
-	}
-	res, err := mnisStage1(ctx, counter, &opts, rng)
+	res, st, err := MNISPrefix(ctx, counter, opts, rng)
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	res.Result, err = mc.ImportanceSampleContext(ctx, mc.NewEvaluator(counter, opts.Workers).WithTelemetry(opts.Telemetry), res.GNor, opts.N, rng, opts.TraceEvery)
-	if err != nil {
-		return nil, err
-	}
-	res.Stage2Seconds = time.Since(t0).Seconds()
-	res.Stage2Sims = counter.Count() - res.Stage1Sims
-	return res, nil
+	return res, res.runStage2(ctx, counter, st, opts.Target, opts.TraceEvery)
 }
 
-// mnisStage1 runs the model-based norm minimization (the MNIS first
-// stage) under a "stage1" span and reports its cost.
-func mnisStage1(ctx context.Context, counter *mc.Counter, opts *MNISOptions, rng *rand.Rand) (*Result, error) {
-	t0 := time.Now()
+// MNISPrefix runs the MNIS first stage — the model-based norm
+// minimization, under a "stage1" span — and returns it with the
+// importance-sampling second stage ready to run. It is the replicated
+// prefix of a distributed run; MNISContext runs the stage on top of it.
+func MNISPrefix(ctx context.Context, counter *mc.Counter, opts MNISOptions, rng *rand.Rand) (*Result, *mc.Stage, error) {
+	if opts.N <= 0 {
+		return nil, nil, errors.New("baselines: MNIS sample count must be positive")
+	}
 	spanCtx, span := telemetry.StartSpan(ctx, opts.Telemetry, "stage1")
 	span.SetAttr("method", "mnis")
 	mean, err := model.FindFailurePointContext(spanCtx, counter, opts.Start, rng)
@@ -168,78 +155,43 @@ func mnisStage1(ctx context.Context, counter *mc.Counter, opts *MNISOptions, rng
 	span.End()
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return nil, fmt.Errorf("baselines: MNIS norm minimization: %w", err)
+		return nil, nil, fmt.Errorf("baselines: MNIS norm minimization: %w", err)
 	}
+	return shiftedStage(counter, mc.NewEvaluator(counter, opts.Workers).WithTelemetry(opts.Telemetry), mean, opts.N, rng)
+}
+
+// shiftedStage closes a baseline's first stage around the
+// unit-covariance distortion N(mean, I) both baselines sample from, and
+// builds the n-sample importance-sampling stage over it on ev.
+func shiftedStage(counter *mc.Counter, ev *mc.Evaluator, mean []float64, n int, rng *rand.Rand) (*Result, *mc.Stage, error) {
 	gnor, err := stat.NewMVNormal(mean, linalg.Identity(len(mean)))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Result{
-		Mean: mean, GNor: gnor,
-		Stage1Sims: counter.Count(), Stage1Seconds: time.Since(t0).Seconds(),
-	}, nil
+	st, err := mc.ImportanceStage(ev, gnor, n, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Mean: mean, GNor: gnor, Stage1Sims: counter.Count()}, st, nil
 }
 
-// MISUntil is MIS with a convergence-target second stage (Table I).
-func MISUntil(counter *mc.Counter, opts MISOptions, target float64, minN, maxN int, rng *rand.Rand) (*Result, error) {
-	return MISUntilContext(context.Background(), counter, opts, target, minN, maxN, rng)
-}
-
-// MISUntilContext is MISUntil with cancellation, checked at the same
-// chunk boundaries as MISContext.
-func MISUntilContext(ctx context.Context, counter *mc.Counter, opts MISOptions, target float64, minN, maxN int, rng *rand.Rand) (*Result, error) {
+// MISPrefix runs the MIS exploration stage and returns it with the
+// importance-sampling second stage ready to run. The exploratory
+// simulations run on the evaluation pool in ChunkSize dispatches — ctx
+// is polled between chunks, never inside — and the f-weighted centroid
+// is accumulated in sample-index order, so it is bit-identical for every
+// worker count and for any chunking. It is the replicated prefix of a
+// distributed run; MISContext runs the stage on top of it.
+func MISPrefix(ctx context.Context, counter *mc.Counter, opts MISOptions, rng *rand.Rand) (*Result, *mc.Stage, error) {
 	o := opts.defaults()
-	o.N = 1
-	// Run the exploration exactly as MIS does, then substitute the
-	// until-target second stage.
-	res, err := misExplore(ctx, counter, &o, rng)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	res.Result, err = mc.ImportanceSampleUntilContext(ctx, mc.NewEvaluator(counter, o.Workers).WithTelemetry(o.Telemetry), res.GNor, target, minN, maxN, rng)
-	if err != nil {
-		return nil, err
-	}
-	res.Stage2Seconds = time.Since(t0).Seconds()
-	res.Stage2Sims = counter.Count() - res.Stage1Sims
-	return res, nil
-}
-
-// MNISUntil is MNIS with a convergence-target second stage (Table I).
-func MNISUntil(counter *mc.Counter, opts MNISOptions, target float64, minN, maxN int, rng *rand.Rand) (*Result, error) {
-	return MNISUntilContext(context.Background(), counter, opts, target, minN, maxN, rng)
-}
-
-// MNISUntilContext is MNISUntil with cancellation, checked at the same
-// boundaries as MNISContext.
-func MNISUntilContext(ctx context.Context, counter *mc.Counter, opts MNISOptions, target float64, minN, maxN int, rng *rand.Rand) (*Result, error) {
-	res, err := mnisStage1(ctx, counter, &opts, rng)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	res.Result, err = mc.ImportanceSampleUntilContext(ctx, mc.NewEvaluator(counter, opts.Workers).WithTelemetry(opts.Telemetry), res.GNor, target, minN, maxN, rng)
-	if err != nil {
-		return nil, err
-	}
-	res.Stage2Seconds = time.Since(t0).Seconds()
-	res.Stage2Sims = counter.Count() - res.Stage1Sims
-	return res, nil
-}
-
-// misExplore factors the MIS first stage for reuse by MISUntil. The
-// exploratory simulations run on the evaluation pool in ChunkSize
-// dispatches — ctx is polled between chunks, never inside — and the
-// f-weighted centroid is accumulated in sample-index order, so it is
-// bit-identical for every worker count and for any chunking.
-func misExplore(ctx context.Context, counter *mc.Counter, o *MISOptions, rng *rand.Rand) (*Result, error) {
 	if o.Stage1 <= 0 {
-		return nil, errors.New("baselines: MIS stage sizes must be positive")
+		return nil, nil, errors.New("baselines: MIS stage sizes must be positive")
 	}
-	t0 := time.Now()
+	if o.N <= 0 {
+		return nil, nil, errors.New("baselines: MIS sample count must be positive")
+	}
 	ctx, span := telemetry.StartSpan(ctx, o.Telemetry, "stage1")
 	defer span.End()
 	span.SetAttr("method", "mis")
@@ -264,7 +216,7 @@ func misExplore(ctx context.Context, counter *mc.Counter, o *MISOptions, rng *ra
 	wsum := 0.0
 	for start := 0; start < o.Stage1; start += mc.ChunkSize {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		count := min(mc.ChunkSize, o.Stage1-start)
 		for _, s := range ev.Batch(seed, start, count, draw) {
@@ -277,18 +229,11 @@ func misExplore(ctx context.Context, counter *mc.Counter, o *MISOptions, rng *ra
 			}
 		}
 	}
+	span.SetAttr("sims", counter.Count())
 	//reprolint:ignore floateq wsum is exactly 0 iff no failing sample contributed a weight; sentinel for "no failures seen"
 	if wsum == 0 {
-		return nil, ErrNoFailures
+		return nil, nil, ErrNoFailures
 	}
 	linalg.Scale(mean, 1/wsum)
-	gnor, err := stat.NewMVNormal(mean, linalg.Identity(dim))
-	if err != nil {
-		return nil, err
-	}
-	span.SetAttr("sims", counter.Count())
-	return &Result{
-		Mean: mean, GNor: gnor,
-		Stage1Sims: counter.Count(), Stage1Seconds: time.Since(t0).Seconds(),
-	}, nil
+	return shiftedStage(counter, ev, mean, o.N, rng)
 }

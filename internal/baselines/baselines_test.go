@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ func TestMISOnLinearMetric(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6} // Pf = Φ(−6/√2) ≈ 1.10e-5
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(1))
-	res, err := MIS(counter, MISOptions{Stage1: 3000, N: 30000}, rng)
+	res, err := MISContext(context.Background(), counter, MISOptions{Stage1: 3000, N: 30000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestMNISOnLinearMetric(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{2, 1}, B: 9} // boundary at 9/√5 ≈ 4.02σ
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(2))
-	res, err := MNIS(counter, MNISOptions{N: 30000}, rng)
+	res, err := MNISContext(context.Background(), counter, MNISOptions{N: 30000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestMISNoFailures(t *testing.T) {
 	never := mc.MetricFunc{M: 2, F: func([]float64) float64 { return 1 }}
 	counter := mc.NewCounter(never)
 	rng := rand.New(rand.NewSource(3))
-	if _, err := MIS(counter, MISOptions{Stage1: 200, N: 100}, rng); err != ErrNoFailures {
+	if _, err := MISContext(context.Background(), counter, MISOptions{Stage1: 200, N: 100}, rng); err != ErrNoFailures {
 		t.Fatalf("want ErrNoFailures, got %v", err)
 	}
 }
@@ -62,13 +63,13 @@ func TestMISValidation(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(4))
-	if _, err := MIS(counter, MISOptions{Stage1: 0, N: 10}, rng); err == nil {
+	if _, err := MISContext(context.Background(), counter, MISOptions{Stage1: 0, N: 10}, rng); err == nil {
 		t.Fatal("expected stage1 validation error")
 	}
-	if _, err := MIS(counter, MISOptions{Stage1: 10, N: 0}, rng); err == nil {
+	if _, err := MISContext(context.Background(), counter, MISOptions{Stage1: 10, N: 0}, rng); err == nil {
 		t.Fatal("expected N validation error")
 	}
-	if _, err := MNIS(counter, MNISOptions{N: 0}, rng); err == nil {
+	if _, err := MNISContext(context.Background(), counter, MNISOptions{N: 0}, rng); err == nil {
 		t.Fatal("expected MNIS N validation error")
 	}
 }
@@ -77,7 +78,7 @@ func TestMISUntilTarget(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 4.2}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(5))
-	res, err := MISUntil(counter, MISOptions{Stage1: 2000}, 0.10, 500, 500000, rng)
+	res, err := MISContext(context.Background(), counter, MISOptions{Stage1: 2000, Target: 0.10, N: 500000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestMNISUntilTarget(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0.5}, B: 5}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(6))
-	res, err := MNISUntil(counter, MNISOptions{}, 0.10, 500, 500000, rng)
+	res, err := MNISContext(context.Background(), counter, MNISOptions{Target: 0.10, N: 500000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestMNISUnderestimatesOnArc(t *testing.T) {
 	for s := int64(0); s < nSeeds; s++ {
 		counter := mc.NewCounter(arc)
 		rng := rand.New(rand.NewSource(50 + s))
-		res, err := MNIS(counter, MNISOptions{N: 8000}, rng)
+		res, err := MNISContext(context.Background(), counter, MNISOptions{N: 8000}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,8 +32,11 @@ type BlockadeOptions struct {
 	Train int
 	// N is the number of Monte Carlo candidates streamed through the
 	// classifier (classifier evaluations are free; only unblocked
-	// candidates cost a simulation).
+	// candidates cost a simulation), or their cap when Target is set.
 	N int
+	// Target, when positive, stops the candidate stream at the first
+	// chunk boundary where the 99% relative error reaches it.
+	Target float64
 	// GuardSigmas widens the classification threshold: a candidate is
 	// simulated when its predicted margin is below GuardSigmas times the
 	// training residual σ (default 3).
@@ -63,39 +66,25 @@ type BlockadeResult struct {
 	ResidualSigma float64
 }
 
-// Blockade runs the method against a metric.
-func Blockade(counter *mc.Counter, opts BlockadeOptions, rng *rand.Rand) (*BlockadeResult, error) {
-	return BlockadeContext(context.Background(), counter, opts, rng)
-}
-
 // blockadeChunk bounds one candidate-stream dispatch: the stream runs
 // millions of classifier-filtered candidates, so it is tallied chunk by
 // chunk with a cancellation check between chunks.
 const blockadeChunk = 1 << 16
 
-// blockadePlan is the deterministic prefix of a blockade run: the
-// trained classifier folded into the candidate predicate, the seeded
-// stream, and the result shell with the training cost filled in. Both
-// the full run and the distributed partials build on it, so the
-// candidate stream they filter is the same stream bit for bit.
-type blockadePlan struct {
-	res        *BlockadeResult
-	ev         *mc.Evaluator
-	candidate  func(rng *rand.Rand, i int) bool
-	streamSeed int64
-	n          int
-}
-
-// blockadeTrain runs the training stage and classifier fit, consuming
-// rng exactly as BlockadeContext always has (train seed, then stream
-// seed), and returns the plan for the candidate stream.
-func blockadeTrain(ctx context.Context, counter *mc.Counter, opts BlockadeOptions, rng *rand.Rand) (*blockadePlan, error) {
+// BlockadePrefix runs the training stage and classifier fit, consuming
+// rng in a fixed order (train seed, then stream seed), and returns them
+// with the candidate stream ready to run. The stream is the replicated
+// prefix's terminal stage: classifier evaluations are free and happen
+// for every candidate, only unblocked candidates cost a simulation, and
+// each candidate draws from its own indexed generator, so a range's
+// outcome — including its simulation count — is deterministic.
+func BlockadePrefix(ctx context.Context, counter *mc.Counter, opts BlockadeOptions, rng *rand.Rand) (*BlockadeResult, *mc.Stage, error) {
 	train := opts.Train
 	if train <= 0 {
 		train = 1000
 	}
 	if opts.N <= 0 {
-		return nil, errors.New("baselines: blockade needs a positive candidate count")
+		return nil, nil, errors.New("baselines: blockade needs a positive candidate count")
 	}
 	guard := opts.GuardSigmas
 	if guard <= 0 {
@@ -122,7 +111,7 @@ func blockadeTrain(ctx context.Context, counter *mc.Counter, opts BlockadeOption
 	ys := make([]float64, 0, train)
 	for start := 0; start < train; start += mc.ChunkSize {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		count := min(mc.ChunkSize, train-start)
 		for _, s := range ev.Batch(trainSeed, start, count, trainDraw) {
@@ -132,7 +121,7 @@ func blockadeTrain(ctx context.Context, counter *mc.Counter, opts BlockadeOption
 	}
 	lin, err := model.FitLinear(xs, ys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Residual spread sets the guard band.
 	var resid stat.Running
@@ -152,46 +141,30 @@ func blockadeTrain(ctx context.Context, counter *mc.Counter, opts BlockadeOption
 		// Unblocked: needs a real simulation.
 		return lin.Eval(x) < band && counter.Value(x) < 0
 	}
-	return &blockadePlan{res: res, ev: ev, candidate: candidate, streamSeed: streamSeed, n: opts.N}, nil
+	eval := func(lo, hi int) mc.Partial {
+		before := counter.Count()
+		p := mc.FailPartial(lo, mc.Map(ev, streamSeed, lo, hi-lo, candidate))
+		p.Sims = counter.Count() - before
+		return p
+	}
+	return res, &mc.Stage{Fold: mc.FoldTally, N: opts.N, Chunk: blockadeChunk, Eval: eval}, nil
 }
 
-// BlockadeContext is Blockade with cancellation: ctx is polled between
-// training chunks and between candidate-stream chunks, so a cancel
-// aborts within one chunk while an uncancelled run stays bit-identical
-// to Blockade for every worker count.
+// BlockadeContext runs statistical blockade against a metric: the
+// training prefix, then the candidate stream folded as a plain Monte
+// Carlo tally with blocked candidates counted as passes. ctx is polled
+// between training chunks and between candidate-stream chunks, so a
+// cancel aborts within one chunk while an uncancelled run stays
+// bit-identical for every worker count.
 func BlockadeContext(ctx context.Context, counter *mc.Counter, opts BlockadeOptions, rng *rand.Rand) (*BlockadeResult, error) {
-	plan, err := blockadeTrain(ctx, counter, opts, rng)
+	res, st, err := BlockadePrefix(ctx, counter, opts, rng)
 	if err != nil {
 		return nil, err
 	}
-	res := plan.res
-
-	// Candidate stream: classifier evaluations are free and happen for
-	// every candidate; only unblocked candidates cost a simulation. The
-	// stream runs on the pool in blockadeChunk dispatches — each
-	// candidate draws from its own indexed generator — and the tally
-	// folds in index order, so chunking never changes the estimate.
-	var tally stat.Running
-	failures := 0
-	for start := 0; start < plan.n; start += blockadeChunk {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		count := min(blockadeChunk, plan.n-start)
-		for _, fail := range mc.Map(plan.ev, plan.streamSeed, start, count, plan.candidate) {
-			ind := 0.0
-			if fail {
-				ind = 1
-				failures++
-			}
-			tally.Push(ind)
-		}
+	if res.Result, err = st.Run(ctx, opts.Target, 0); err != nil {
+		return nil, err
 	}
 	res.TailSims = counter.Count() - res.TrainSims
-	res.Result = mc.Result{
-		Pf: tally.Mean(), StdErr: tally.StdErr(), RelErr99: tally.RelErr99(),
-		N: tally.N(), Failures: failures,
-	}
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ func TestBlockadeOnLinearMetric(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 3.5 * math.Sqrt2}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(1))
-	res, err := Blockade(counter, BlockadeOptions{Train: 800, N: 400000}, rng)
+	res, err := BlockadeContext(context.Background(), counter, BlockadeOptions{Train: 800, N: 400000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +41,12 @@ func TestBlockadeExactClassifierStillUnbiased(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{2, -1}, B: 7}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(2))
-	res, err := Blockade(counter, BlockadeOptions{Train: 500, N: 300000, GuardSigmas: 5}, rng)
+	res, err := BlockadeContext(context.Background(), counter, BlockadeOptions{Train: 500, N: 300000, GuardSigmas: 5}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cross-check against plain MC with the same stream size.
-	rng2 := rand.New(rand.NewSource(2))
-	plain, err := mc.PlainMC(lin, 300000, rng2, 0)
+	plain, err := mc.ParallelMCContext(context.Background(), lin, 300000, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBlockadeValidation(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 3}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(3))
-	if _, err := Blockade(counter, BlockadeOptions{Train: 100, N: 0}, rng); err == nil {
+	if _, err := BlockadeContext(context.Background(), counter, BlockadeOptions{Train: 100, N: 0}, rng); err == nil {
 		t.Fatal("expected N validation error")
 	}
 }
@@ -74,7 +74,7 @@ func TestBlockadeReportsResidual(t *testing.T) {
 	sh := &surrogate.Shell{M: 2, R: 2.5}
 	counter := mc.NewCounter(sh)
 	rng := rand.New(rand.NewSource(4))
-	res, err := Blockade(counter, BlockadeOptions{Train: 500, N: 50000}, rng)
+	res, err := BlockadeContext(context.Background(), counter, BlockadeOptions{Train: 500, N: 50000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

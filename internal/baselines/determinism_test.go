@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -20,7 +21,7 @@ func TestMISWorkerCountInvariant(t *testing.T) {
 		lin := &surrogate.Linear{W: []float64{1, 1}, B: 6}
 		counter := mc.NewCounter(lin)
 		rng := rand.New(rand.NewSource(41))
-		res, err := MIS(counter, MISOptions{Stage1: 2000, N: 20000, Workers: workers}, rng)
+		res, err := MISContext(context.Background(), counter, MISOptions{Stage1: 2000, N: 20000, Workers: workers}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestSubsetWorkerCountInvariant(t *testing.T) {
 		lin := &surrogate.Linear{W: []float64{1, 1}, B: 6}
 		counter := mc.NewCounter(lin)
 		rng := rand.New(rand.NewSource(42))
-		res, err := Subset(counter, SubsetOptions{Particles: 400, Workers: workers}, rng)
+		res, err := SubsetContext(context.Background(), counter, SubsetOptions{Particles: 400, Workers: workers}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestBlockadeWorkerCountInvariant(t *testing.T) {
 		lin := &surrogate.Linear{W: []float64{1, 1}, B: 3}
 		counter := mc.NewCounter(lin)
 		rng := rand.New(rand.NewSource(43))
-		res, err := Blockade(counter, BlockadeOptions{Train: 500, N: 20000, Workers: workers}, rng)
+		res, err := BlockadeContext(context.Background(), counter, BlockadeOptions{Train: 500, N: 20000, Workers: workers}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,11 +57,6 @@ type particle struct {
 	m float64 // cached margin
 }
 
-// Subset runs subset simulation on the metric.
-func Subset(counter *mc.Counter, opts SubsetOptions, rng *rand.Rand) (*SubsetResult, error) {
-	return SubsetContext(context.Background(), counter, opts, rng)
-}
-
 // subsetChunk bounds one population dispatch: the stage-0 population
 // and each level's chain fan-out run chunk by chunk with a cancellation
 // check between chunks. Chunking never changes the populations because
@@ -69,10 +64,10 @@ func Subset(counter *mc.Counter, opts SubsetOptions, rng *rand.Rand) (*SubsetRes
 // index.
 const subsetChunk = 1 << 12
 
-// SubsetContext is Subset with cancellation: ctx is polled between
-// population chunks and between chain-dispatch chunks, so a cancel
-// aborts within one chunk while an uncancelled ladder stays
-// bit-identical to Subset for every worker count.
+// SubsetContext runs subset simulation on the metric. ctx is polled
+// between population chunks and between chain-dispatch chunks, so a
+// cancel aborts within one chunk while an uncancelled ladder stays
+// bit-identical for every worker count.
 func SubsetContext(ctx context.Context, counter *mc.Counter, opts SubsetOptions, rng *rand.Rand) (*SubsetResult, error) {
 	n := opts.Particles
 	if n <= 0 {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestSubsetOnLinearMetric(t *testing.T) {
 	for s := int64(0); s < runs; s++ {
 		counter := mc.NewCounter(lin)
 		rng := rand.New(rand.NewSource(100 + s))
-		res, err := Subset(counter, SubsetOptions{Particles: 800}, rng)
+		res, err := SubsetContext(context.Background(), counter, SubsetOptions{Particles: 800}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func TestSubsetLadderDescends(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 5}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(1))
-	res, err := Subset(counter, SubsetOptions{Particles: 600}, rng)
+	res, err := SubsetContext(context.Background(), counter, SubsetOptions{Particles: 600}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSubsetModerateProbabilityShortLadder(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 1}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(2))
-	res, err := Subset(counter, SubsetOptions{Particles: 500}, rng)
+	res, err := SubsetContext(context.Background(), counter, SubsetOptions{Particles: 500}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +74,14 @@ func TestSubsetValidation(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 3}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(3))
-	if _, err := Subset(counter, SubsetOptions{Particles: 5, P0: 0.1}, rng); err == nil {
+	if _, err := SubsetContext(context.Background(), counter, SubsetOptions{Particles: 5, P0: 0.1}, rng); err == nil {
 		t.Fatal("expected keep<2 validation error")
 	}
 	// A region that is unreachable within the stage cap must error, not
 	// loop forever.
 	never := mc.MetricFunc{M: 2, F: func(x []float64) float64 { return 1 + x[0]*0 }}
 	counterN := mc.NewCounter(never)
-	if _, err := Subset(counterN, SubsetOptions{Particles: 100, MaxStages: 3}, rng); err == nil {
+	if _, err := SubsetContext(context.Background(), counterN, SubsetOptions{Particles: 100, MaxStages: 3}, rng); err == nil {
 		t.Fatal("expected ladder-exhaustion error")
 	}
 }
@@ -91,7 +92,7 @@ func TestSubsetSimBudget(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1, 1}, B: 8} // Pf ≈ 1.9e-6
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(4))
-	res, err := Subset(counter, SubsetOptions{Particles: 600}, rng)
+	res, err := SubsetContext(context.Background(), counter, SubsetOptions{Particles: 600}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,7 +222,7 @@ func TestTwoStageOnLinearMetric(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1, 1}, B: 7} // Pf = Φ(−7/√3) ≈ 2.66e-5
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(10))
-	res, err := TwoStage(counter, TwoStageOptions{Coord: Cartesian, K: 400, N: 4000}, rng)
+	res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{Coord: Cartesian, K: 400, N: 4000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestTwoStageSphericalOnLinearMetric(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{2, -1}, B: 9} // Pf = Φ(−9/√5) ≈ 2.86e-5
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(11))
-	res, err := TwoStage(counter, TwoStageOptions{Coord: Spherical, K: 400, N: 4000}, rng)
+	res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{Coord: Spherical, K: 400, N: 4000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestArcRegionGSBeatsGC(t *testing.T) {
 	run := func(coord Coord, seed int64) float64 {
 		counter := mc.NewCounter(arc)
 		rng := rand.New(rand.NewSource(seed))
-		res, err := TwoStage(counter, TwoStageOptions{
+		res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{
 			Coord: coord, K: 500, N: 6000, StartPoint: start,
 		}, rng)
 		if err != nil {
@@ -288,7 +289,7 @@ func TestTwoStageUntilReachesTarget(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(12))
-	res, err := TwoStageUntil(counter, TwoStageOptions{Coord: Spherical, K: 300}, 0.05, 200, 200000, rng)
+	res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{Coord: Spherical, K: 300, Target: 0.05, N: 200000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +306,13 @@ func TestTwoStageValidation(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(13))
-	if _, err := TwoStage(counter, TwoStageOptions{K: 0, N: 10}, rng); err == nil {
+	if _, err := TwoStageContext(context.Background(), counter, TwoStageOptions{K: 0, N: 10}, rng); err == nil {
 		t.Fatal("expected K validation error")
 	}
-	if _, err := TwoStage(counter, TwoStageOptions{K: 10, N: 0}, rng); err == nil {
+	if _, err := TwoStageContext(context.Background(), counter, TwoStageOptions{K: 10, N: 0}, rng); err == nil {
 		t.Fatal("expected N validation error")
 	}
-	if _, err := TwoStage(counter, TwoStageOptions{K: 10, N: 10, Coord: Coord(9)}, rng); err == nil {
+	if _, err := TwoStageContext(context.Background(), counter, TwoStageOptions{K: 10, N: 10, Coord: Coord(9)}, rng); err == nil {
 		t.Fatal("expected coord validation error")
 	}
 }

@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,7 +22,7 @@ func runTwoStage(t *testing.T, workers int) *TwoStageResult {
 	lin := &surrogate.Linear{W: []float64{1, 1, 1}, B: 7}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(31))
-	res, err := TwoStage(counter, TwoStageOptions{
+	res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{
 		Coord: Spherical, K: 300, N: 3000, Workers: workers,
 	}, rng)
 	if err != nil {
@@ -53,9 +54,9 @@ func runTwoStageUntil(t *testing.T, workers int) *TwoStageResult {
 	lin := &surrogate.Linear{W: []float64{1, 1, 1}, B: 7}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(32))
-	res, err := TwoStageUntil(counter, TwoStageOptions{
-		Coord: Spherical, K: 300, Workers: workers,
-	}, 0.05, 200, 200000, rng)
+	res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{
+		Coord: Spherical, K: 300, Workers: workers, Target: 0.05, N: 200000,
+	}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

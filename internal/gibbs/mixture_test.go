@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func TestMixtureDistortionOnTwoLobes(t *testing.T) {
 	run := func(mixture int, seed int64) (pf, relerr float64) {
 		counter := mc.NewCounter(region)
 		rng := rand.New(rand.NewSource(seed))
-		res, err := TwoStage(counter, TwoStageOptions{
+		res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{
 			Coord: Spherical, K: 1200, N: 8000, Mixture: mixture,
 		}, rng)
 		if err != nil {
@@ -59,7 +60,7 @@ func TestMixtureValidation(t *testing.T) {
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(1))
 	// Mixture with too few samples for the requested components errors.
-	_, err := TwoStage(counter, TwoStageOptions{
+	_, err := TwoStageContext(context.Background(), counter, TwoStageOptions{
 		Coord: Cartesian, K: 3, N: 100, Mixture: 2,
 	}, rng)
 	if err == nil {
@@ -71,7 +72,7 @@ func TestMixtureSingleComponentDegenerates(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(2))
-	res, err := TwoStage(counter, TwoStageOptions{
+	res, err := TwoStageContext(context.Background(), counter, TwoStageOptions{
 		Coord: Spherical, K: 300, N: 3000, Mixture: 1,
 	}, rng)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/mc"
@@ -43,8 +42,13 @@ type TwoStageOptions struct {
 	// K is the number of first-stage Gibbs samples (paper: 1e2–1e3).
 	K int
 	// N is the number of second-stage importance-sampling simulations
-	// (paper: 1e3–1e4). Ignored by TwoStageUntil.
+	// (paper: 1e3–1e4), or their cap when Target is set.
 	N int
+	// Target, when positive, replaces the fixed N with a convergence
+	// target: the second stage stops at the first chunk boundary where
+	// the 99% relative error reaches Target, which regenerates the paper's
+	// Table I ("number of simulations to achieve 5% error").
+	Target float64
 	// Stage1Budget, when positive, caps the whole first stage (starting
 	// point search + Gibbs chain) at this many simulations, the way the
 	// paper sizes its comparisons; K then acts as an upper bound on the
@@ -97,9 +101,6 @@ type TwoStageResult struct {
 	// 1 covers the starting-point search plus the Gibbs chain; stage 2
 	// is the importance-sampling run.
 	Stage1Sims, Stage2Sims int64
-	// Stage1Seconds and Stage2Seconds split the wall time the same way
-	// (for the run-report; they carry no statistical meaning).
-	Stage1Seconds, Stage2Seconds float64
 }
 
 // firstStage runs Algorithm 4 (unless a start point is given), the chosen
@@ -110,12 +111,8 @@ func firstStage(ctx context.Context, counter *mc.Counter, opts *TwoStageOptions,
 	}
 	res := &TwoStageResult{}
 
-	t0 := time.Now()
 	ctx, span := telemetry.StartSpan(ctx, opts.Telemetry, "stage1")
-	defer func() {
-		res.Stage1Seconds = time.Since(t0).Seconds()
-		span.End()
-	}()
+	defer span.End()
 	span.SetAttr("coord", opts.Coord.String())
 	span.SetAttr("k", opts.K)
 	opts.Telemetry.Emit(wire.EvStage1Start, map[string]any{
@@ -201,74 +198,60 @@ func (r *TwoStageResult) distortion() mc.Distortion {
 	return r.GNor
 }
 
-// TwoStage runs the paper's Algorithm 5 end to end:
+// TwoStagePrefix runs the first stage of the paper's Algorithm 5 and
+// returns it with the second stage ready to run:
 //
 //  1. Algorithm 4: model-based starting-point selection (skipped when
 //     StartPoint is given).
 //  2. Algorithm 1 or 2 (+3): generate K Gibbs samples in the failure
 //     region.
 //  3. Fit the multivariate Normal g^NOR from the samples' mean and
-//     covariance.
-//  4. Draw N samples from g^NOR and estimate P_f by eq. (33).
+//     covariance (or the Gaussian mixture when Mixture ≥ 2).
 //
-// The metric must be wrapped in a Counter so the stage costs can be
-// reported the way the paper reports them (Tables I and II).
-func TwoStage(counter *mc.Counter, opts TwoStageOptions, rng *rand.Rand) (*TwoStageResult, error) {
-	return TwoStageContext(context.Background(), counter, opts, rng)
-}
-
-// TwoStageContext is TwoStage with cancellation threaded through every
-// stage: the Algorithm 4 starting-point search, the Gibbs chain (checked
-// per coordinate update) and the second-stage sampling loop (checked per
-// evaluation chunk). A cancel returns the context's error; an
-// uncancelled run is bit-identical to TwoStage for every worker count.
-func TwoStageContext(ctx context.Context, counter *mc.Counter, opts TwoStageOptions, rng *rand.Rand) (*TwoStageResult, error) {
+// The returned stage is step 4, importance sampling from the fitted
+// distortion (eq. 33). The prefix is sequential and seeded, so every node
+// that replays it arrives at the same distortion and the same stage-2
+// sample stream — the replicated prefix of a distributed run.
+func TwoStagePrefix(ctx context.Context, counter *mc.Counter, opts TwoStageOptions, rng *rand.Rand) (*TwoStageResult, *mc.Stage, error) {
 	if opts.N <= 0 {
-		return nil, errors.New("gibbs: N must be positive")
+		return nil, nil, errors.New("gibbs: N must be positive")
 	}
 	res, err := firstStage(ctx, counter, &opts, rng)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ev := mc.NewEvaluator(counter, opts.Workers).WithTelemetry(opts.Telemetry)
-	opts.Telemetry.Emit(wire.EvStage2Start, map[string]any{
-		"n": opts.N, "workers": ev.Workers(), "mixture": opts.Mixture,
-	})
-	t0 := time.Now()
-	res.Result, err = mc.ImportanceSampleContext(ctx, ev, res.distortion(), opts.N, rng, opts.TraceEvery)
-	if err != nil {
-		return nil, err
+	start := map[string]any{"n": opts.N, "workers": ev.Workers(), "mixture": opts.Mixture}
+	if opts.Target > 0 {
+		start = map[string]any{
+			"target": opts.Target, "min_n": mc.MinTargetN, "max_n": opts.N,
+			"workers": ev.Workers(), "mixture": opts.Mixture,
+		}
 	}
-	res.Stage2Seconds = time.Since(t0).Seconds()
-	res.Stage2Sims = counter.Count() - res.Stage1Sims
-	return res, nil
+	opts.Telemetry.Emit(wire.EvStage2Start, start)
+	st, err := mc.ImportanceStage(ev, res.distortion(), opts.N, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, st, nil
 }
 
-// TwoStageUntil runs the same flow but replaces the fixed N with a
-// convergence target: the second stage stops as soon as the 99% relative
-// error reaches target (or maxN simulations). This regenerates the
-// paper's Table I ("number of simulations to achieve 5% error").
-func TwoStageUntil(counter *mc.Counter, opts TwoStageOptions, target float64, minN, maxN int, rng *rand.Rand) (*TwoStageResult, error) {
-	return TwoStageUntilContext(context.Background(), counter, opts, target, minN, maxN, rng)
-}
-
-// TwoStageUntilContext is TwoStageUntil with cancellation threaded
-// through both stages the same way as TwoStageContext.
-func TwoStageUntilContext(ctx context.Context, counter *mc.Counter, opts TwoStageOptions, target float64, minN, maxN int, rng *rand.Rand) (*TwoStageResult, error) {
-	res, err := firstStage(ctx, counter, &opts, rng)
+// TwoStageContext runs the paper's Algorithm 5 end to end: TwoStagePrefix
+// and then its importance-sampling stage, N samples or until Target. The
+// metric must be wrapped in a Counter so the stage costs can be reported
+// the way the paper reports them (Tables I and II). Cancellation is
+// threaded through every stage — the starting-point search, the Gibbs
+// chain (checked per coordinate update) and the second stage (checked
+// per evaluation chunk); an uncancelled run is bit-identical for every
+// worker count.
+func TwoStageContext(ctx context.Context, counter *mc.Counter, opts TwoStageOptions, rng *rand.Rand) (*TwoStageResult, error) {
+	res, st, err := TwoStagePrefix(ctx, counter, opts, rng)
 	if err != nil {
 		return nil, err
 	}
-	ev := mc.NewEvaluator(counter, opts.Workers).WithTelemetry(opts.Telemetry)
-	opts.Telemetry.Emit(wire.EvStage2Start, map[string]any{
-		"target": target, "min_n": minN, "max_n": maxN, "workers": ev.Workers(), "mixture": opts.Mixture,
-	})
-	t0 := time.Now()
-	res.Result, err = mc.ImportanceSampleUntilContext(ctx, ev, res.distortion(), target, minN, maxN, rng)
-	if err != nil {
+	if res.Result, err = st.Run(ctx, opts.Target, opts.TraceEvery); err != nil {
 		return nil, err
 	}
-	res.Stage2Seconds = time.Since(t0).Seconds()
 	res.Stage2Sims = counter.Count() - res.Stage1Sims
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -28,7 +29,7 @@ func TestImportanceSampleWorkerCountInvariant(t *testing.T) {
 	var ref Result
 	for k, workers := range workerCounts() {
 		rng := rand.New(rand.NewSource(21))
-		res, err := ImportanceSample(NewEvaluator(lin, workers), g, 5000, rng, TraceEvery(500))
+		res, err := ImportanceSampleContext(context.Background(), NewEvaluator(lin, workers), g, 5000, rng, TraceEvery(500))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestImportanceSampleUntilWorkerCountInvariant(t *testing.T) {
 	var ref Result
 	for k, workers := range workerCounts() {
 		rng := rand.New(rand.NewSource(22))
-		res, err := ImportanceSampleUntil(NewEvaluator(lin, workers), g, 0.05, 100, 1000000, rng)
+		res, err := ImportanceSampleUntilContext(context.Background(), NewEvaluator(lin, workers), g, 0.05, 100, 1000000, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestImportanceSampleUntilChunkAccounting(t *testing.T) {
 	}
 	c := NewCounter(lin)
 	rng := rand.New(rand.NewSource(23))
-	res, err := ImportanceSampleUntil(NewEvaluator(c, 4), g, 0.05, 100, 1000000, rng)
+	res, err := ImportanceSampleUntilContext(context.Background(), NewEvaluator(c, 4), g, 0.05, 100, 1000000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/stat"
-	"repro/internal/telemetry"
 )
 
 // ErrBadSampleCount is returned when an estimator is asked for a
@@ -58,78 +56,9 @@ type Result struct {
 	Trace []TracePoint
 }
 
-// resultFrom finalizes a Result from a Running accumulator. The weight
-// ESS is reconstructed from the tracked moments: Σw = n·mean and
-// Σw² = (n−1)·var + n·mean².
-func resultFrom(r *stat.Running, failures int, trace []TracePoint) Result {
-	n := float64(r.N())
-	sumW := n * r.Mean()
-	sumW2 := (n-1)*r.Var() + n*r.Mean()*r.Mean()
-	ess := 0.0
-	if sumW2 > 0 {
-		ess = sumW * sumW / sumW2
-	}
-	return Result{
-		Pf:        r.Mean(),
-		StdErr:    r.StdErr(),
-		RelErr99:  r.RelErr99(),
-		N:         r.N(),
-		Failures:  failures,
-		WeightESS: ess,
-		Trace:     trace,
-	}
-}
-
 // TraceEvery returns a trace-recording stride: 0 disables tracing,
 // otherwise a snapshot is stored every stride samples.
 type TraceEvery int
-
-// PlainMC estimates Pf by direct Monte Carlo from the process-variation
-// distribution f(x) = N(0, I) (paper eq. 5). This is the brute-force
-// golden engine of Table II.
-func PlainMC(metric Metric, n int, rng *rand.Rand, traceEvery TraceEvery) (Result, error) {
-	return PlainMCContext(context.Background(), metric, n, rng, traceEvery)
-}
-
-// PlainMCContext is PlainMC with cancellation: ctx is polled every
-// ChunkSize samples, so a cancel (or deadline) aborts within one chunk
-// with the context's error. An uncancelled run is bit-identical to
-// PlainMC — the check never touches the random stream.
-func PlainMCContext(ctx context.Context, metric Metric, n int, rng *rand.Rand, traceEvery TraceEvery) (Result, error) {
-	if n <= 0 {
-		return Result{}, ErrBadSampleCount
-	}
-	// Sequential golden engine: the stage span comes from the context
-	// (the estimate root) when tracing is on.
-	ctx, span := telemetry.StartSpan(ctx, nil, "stage2")
-	defer span.End()
-	span.SetAttr("n", n)
-	dim := metric.Dim()
-	var run stat.Running
-	failures := 0
-	var trace []TracePoint
-	x := make([]float64, dim)
-	for i := 0; i < n; i++ {
-		if i%ChunkSize == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		ind := 0.0
-		if metric.Value(x) < 0 {
-			ind = 1
-			failures++
-		}
-		run.Push(ind)
-		if traceEvery > 0 && (i+1)%int(traceEvery) == 0 {
-			trace = append(trace, TracePoint{N: i + 1, Estimate: run.Mean(), RelErr99: run.RelErr99()})
-		}
-	}
-	return resultFrom(&run, failures, trace), nil
-}
 
 // Distortion is a sampling distribution usable as the importance
 // distribution g(x): the Normal g^NOR of Algorithm 5, or richer families
@@ -142,34 +71,12 @@ type Distortion interface {
 	Sample(rng *rand.Rand) []float64
 }
 
-// isWeight is one importance sample reduced to what the estimate needs.
-type isWeight struct {
-	w    float64
-	fail bool
-}
-
-// isJob builds the draw/reduce pair of the importance-sampling stage for
-// MapBatch: draw from g, simulate (scalar or batched — the dispatcher
-// decides), and weight failures by f(x)/g(x). The weight is computed in
-// log space: the ratio of a deep tail density to a shifted density
-// overflows naive division.
-func isJob(g Distortion) (draw func(rng *rand.Rand, i int) []float64, post func(i int, x []float64, v float64) isWeight) {
-	draw = func(rng *rand.Rand, _ int) []float64 { return g.Sample(rng) }
-	post = func(_ int, x []float64, v float64) isWeight {
-		if v < 0 {
-			return isWeight{w: math.Exp(stat.StdNormLogPDF(x) - g.LogPDF(x)), fail: true}
-		}
-		return isWeight{}
-	}
-	return draw, post
-}
-
 // maxTopWeights bounds how many of the largest weights the estimator
 // keeps for the run-report's tail diagnostics.
 const maxTopWeights = 32
 
 // topWeights tracks the largest nonzero importance weights seen, in
-// descending order. Weights arrive in index order (pushWeights), so the
+// descending order. Weights arrive in index order (the stage fold), so the
 // tracked set — like everything else in the reduction — is identical for
 // every worker count.
 type topWeights struct {
@@ -203,132 +110,78 @@ func (t *topWeights) max() float64 {
 	return t.w[0]
 }
 
-// pushWeights folds a batch of weights into the accumulator in index
-// order (so the floating-point reduction never depends on worker
-// scheduling), recording trace snapshots and tail weights on the way.
-func pushWeights(run *stat.Running, batch []isWeight, failures *int, tw *topWeights, traceEvery TraceEvery, trace []TracePoint) []TracePoint {
-	for _, s := range batch {
-		if s.fail {
-			*failures++
-		}
-		run.Push(s.w)
-		tw.push(s.w)
-		if traceEvery > 0 && run.N()%int(traceEvery) == 0 {
-			trace = append(trace, TracePoint{N: run.N(), Estimate: run.Mean(), RelErr99: run.RelErr99()})
-		}
-	}
-	return trace
-}
-
-// ImportanceSample estimates Pf by sampling the distorted distribution g
-// and averaging the weights I(x)·f(x)/g(x) (paper eqs. 7 and 33); f is
-// the standard Normal of eq. (1). The simulations run on ev's worker
-// pool; the estimate is identical for every worker count (the caller's
-// rng only contributes the batch seed).
-func ImportanceSample(ev *Evaluator, g Distortion, n int, rng *rand.Rand, traceEvery TraceEvery) (Result, error) {
-	return ImportanceSampleContext(context.Background(), ev, g, n, rng, traceEvery)
-}
-
-// ImportanceSampleContext is ImportanceSample with cancellation: ctx is
-// polled once per dispatched chunk (never inside the hot sample loop),
-// so a cancel aborts within one chunk of ChunkSize simulations and an
-// uncancelled run stays bit-identical for every worker count.
-func ImportanceSampleContext(ctx context.Context, ev *Evaluator, g Distortion, n int, rng *rand.Rand, traceEvery TraceEvery) (Result, error) {
+// ImportanceStage builds the importance-sampling stage of n samples from
+// the distorted distribution g: each failure is weighted by f(x)/g(x)
+// (paper eqs. 7 and 33), f being the standard Normal of eq. (1). The
+// weight is computed in log space — the ratio of a deep tail density to
+// a shifted density overflows naive division. The simulations run on
+// ev's pool, scalar or batched as the dispatcher decides. The stage
+// consumes exactly one seed draw from rng, so a caller that replays the
+// preceding pipeline (chain, fits, exploration) sees the identical
+// per-sample stream.
+func ImportanceStage(ev *Evaluator, g Distortion, n int, rng *rand.Rand) (*Stage, error) {
 	if ev == nil {
-		return Result{}, errors.New("mc: nil evaluator")
+		return nil, errors.New("mc: nil evaluator")
 	}
 	if n <= 0 {
-		return Result{}, ErrBadSampleCount
+		return nil, ErrBadSampleCount
 	}
 	if g.Dim() != ev.Dim() {
-		return Result{}, errors.New("mc: distortion dimensionality does not match metric")
+		return nil, errors.New("mc: distortion dimensionality does not match metric")
 	}
-	ctx, span := telemetry.StartSpan(ctx, ev.Telemetry(), "stage2")
-	defer span.End()
-	span.SetAttr("n", n)
-	span.SetAttr("workers", ev.Workers())
-	chunkAgg := span.Agg("chunk")
-	draw, post := isJob(g)
 	seed := rng.Int63()
-	prog := newStageProgress(ev.Telemetry(), "stage2", n)
-	var run stat.Running
-	failures := 0
-	var tw topWeights
-	var trace []TracePoint
-	for start := 0; start < n; start += ChunkSize {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		count := min(ChunkSize, n-start)
-		t0 := time.Now()
-		batch := MapBatch(ev, seed, start, count, draw, post)
-		chunkAgg.Observe(time.Since(t0).Seconds())
-		trace = pushWeights(&run, batch, &failures, &tw, traceEvery, trace)
-		prog.publishRun(&run, failures, &tw)
+	draw := func(rng *rand.Rand, _ int) []float64 { return g.Sample(rng) }
+	type outcome struct {
+		w    float64
+		fail bool
 	}
-	res := resultFrom(&run, failures, trace)
-	res.MaxWeight, res.TopWeights = tw.max(), tw.w
-	span.SetAttr("failures", res.Failures)
-	prog.done(&res)
-	return res, nil
+	post := func(_ int, x []float64, v float64) outcome {
+		if v < 0 {
+			return outcome{w: math.Exp(stat.StdNormLogPDF(x) - g.LogPDF(x)), fail: true}
+		}
+		return outcome{}
+	}
+	eval := func(lo, hi int) Partial {
+		p := Partial{Start: lo, Count: hi - lo, Sims: int64(hi - lo)}
+		for j, s := range MapBatch(ev, seed, lo, hi-lo, draw, post) {
+			if s.fail {
+				p.FailIdx = append(p.FailIdx, lo+j)
+				p.W = append(p.W, s.w)
+			}
+		}
+		return p
+	}
+	return &Stage{Fold: FoldWeights, N: n, Chunk: ChunkSize, Eval: eval, Progress: ev.Telemetry()}, nil
 }
 
-// ImportanceSampleUntil draws samples from g until the 99% relative error
-// drops to target or n reaches maxN, returning the result. It implements
-// the paper's "number of simulations to reach 5% error" experiments
-// (Table I) without fixing N in advance. minN guards against spuriously
-// early convergence claims from the first few weights.
-//
-// Samples are dispatched to ev's pool in chunks of ChunkSize and the
-// convergence test runs between chunks, so the stopping point — and with
-// it Pf, N and Failures — is the same for every worker count.
-func ImportanceSampleUntil(ev *Evaluator, g Distortion, target float64, minN, maxN int, rng *rand.Rand) (Result, error) {
-	return ImportanceSampleUntilContext(context.Background(), ev, g, target, minN, maxN, rng)
+// ImportanceSampleContext estimates Pf by importance sampling n draws
+// from g (see ImportanceStage). The estimate is identical for every
+// worker count; ctx is polled once per dispatched chunk, never inside
+// the hot sample loop, so a cancel aborts within one chunk of ChunkSize
+// simulations.
+func ImportanceSampleContext(ctx context.Context, ev *Evaluator, g Distortion, n int, rng *rand.Rand, traceEvery TraceEvery) (Result, error) {
+	st, err := ImportanceStage(ev, g, n, rng)
+	if err != nil {
+		return Result{}, err
+	}
+	return st.Run(ctx, 0, traceEvery)
 }
 
-// ImportanceSampleUntilContext is ImportanceSampleUntil with
-// cancellation, polled at the same chunk boundaries as the convergence
-// test: a cancel aborts within one chunk, an uncancelled run stops at
-// the same sample index — and the same estimate — as the plain variant.
+// ImportanceSampleUntilContext draws samples from g until the 99%
+// relative error drops to target or maxN samples are spent — the paper's
+// "number of simulations to reach 5% error" experiments (Table I)
+// without fixing N in advance. minN guards against spuriously early
+// convergence claims from the first few weights. The convergence test
+// runs at chunk boundaries, so the stopping point — and with it Pf, N
+// and Failures — is the same for every worker count, and the result is
+// bit-identical to a fixed run of that many samples.
 func ImportanceSampleUntilContext(ctx context.Context, ev *Evaluator, g Distortion, target float64, minN, maxN int, rng *rand.Rand) (Result, error) {
-	if ev == nil {
-		return Result{}, errors.New("mc: nil evaluator")
-	}
-	if maxN <= 0 || minN < 0 {
+	if minN < 0 {
 		return Result{}, ErrBadSampleCount
 	}
-	if g.Dim() != ev.Dim() {
-		return Result{}, errors.New("mc: distortion dimensionality does not match metric")
+	st, err := ImportanceStage(ev, g, maxN, rng)
+	if err != nil {
+		return Result{}, err
 	}
-	ctx, span := telemetry.StartSpan(ctx, ev.Telemetry(), "stage2")
-	defer span.End()
-	span.SetAttr("target", target)
-	span.SetAttr("max_n", maxN)
-	span.SetAttr("workers", ev.Workers())
-	chunkAgg := span.Agg("chunk")
-	draw, post := isJob(g)
-	seed := rng.Int63()
-	prog := newStageProgress(ev.Telemetry(), "stage2", maxN)
-	var run stat.Running
-	failures := 0
-	var tw topWeights
-	for start := 0; start < maxN; start += ChunkSize {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		count := min(ChunkSize, maxN-start)
-		t0 := time.Now()
-		batch := MapBatch(ev, seed, start, count, draw, post)
-		chunkAgg.Observe(time.Since(t0).Seconds())
-		pushWeights(&run, batch, &failures, &tw, 0, nil)
-		prog.publishRun(&run, failures, &tw)
-		if run.N() >= minN && run.RelErr99() <= target {
-			break
-		}
-	}
-	res := resultFrom(&run, failures, nil)
-	res.MaxWeight, res.TopWeights = tw.max(), tw.w
-	span.SetAttr("failures", res.Failures)
-	prog.done(&res)
-	return res, nil
+	return st.run(ctx, target, minN, 0)
 }

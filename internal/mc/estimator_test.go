@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,8 +38,7 @@ func TestFailHelper(t *testing.T) {
 func TestPlainMCOnKnownProbability(t *testing.T) {
 	// Fail when x₀ < −1: Pf = Φ(−1) ≈ 0.1587.
 	m := MetricFunc{M: 1, F: func(x []float64) float64 { return x[0] + 1 }}
-	rng := rand.New(rand.NewSource(1))
-	res, err := PlainMC(m, 200000, rng, 0)
+	res, err := ParallelMCContext(context.Background(), m, 200000, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +53,14 @@ func TestPlainMCOnKnownProbability(t *testing.T) {
 
 func TestPlainMCValidation(t *testing.T) {
 	m := MetricFunc{M: 1, F: func(x []float64) float64 { return 1 }}
-	rng := rand.New(rand.NewSource(2))
-	if _, err := PlainMC(m, 0, rng, 0); err != ErrBadSampleCount {
+	if _, err := ParallelMCContext(context.Background(), m, 0, 2, 0, nil); err != ErrBadSampleCount {
 		t.Fatal("want ErrBadSampleCount")
 	}
 }
 
 func TestPlainMCTrace(t *testing.T) {
 	m := MetricFunc{M: 1, F: func(x []float64) float64 { return x[0] }}
-	rng := rand.New(rand.NewSource(3))
-	res, err := PlainMC(m, 1000, rng, TraceEvery(100))
+	res, err := BruteForceStage(NewEvaluator(m, 0), 1000, 3).Run(context.Background(), 0, TraceEvery(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +86,7 @@ func TestImportanceSampleExactOnLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	res, err := ImportanceSample(NewEvaluator(lin, 0), g, 100000, rng, 0)
+	res, err := ImportanceSampleContext(context.Background(), NewEvaluator(lin, 0), g, 100000, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +103,10 @@ func TestImportanceSampleDimMismatch(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 4}
 	g := stat.StandardMVNormal(3)
 	rng := rand.New(rand.NewSource(5))
-	if _, err := ImportanceSample(NewEvaluator(lin, 0), g, 100, rng, 0); err == nil {
+	if _, err := ImportanceSampleContext(context.Background(), NewEvaluator(lin, 0), g, 100, rng, 0); err == nil {
 		t.Fatal("expected dim mismatch error")
 	}
-	if _, err := ImportanceSample(NewEvaluator(lin, 0), stat.StandardMVNormal(2), 0, rng, 0); err != ErrBadSampleCount {
+	if _, err := ImportanceSampleContext(context.Background(), NewEvaluator(lin, 0), stat.StandardMVNormal(2), 0, rng, 0); err != ErrBadSampleCount {
 		t.Fatal("want ErrBadSampleCount")
 	}
 }
@@ -119,7 +117,7 @@ func TestImportanceSampleWithIdentityDistortion(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 1} // Pf = Φ(−1)
 	g := stat.StandardMVNormal(2)
 	rng := rand.New(rand.NewSource(6))
-	res, err := ImportanceSample(NewEvaluator(lin, 0), g, 100000, rng, 0)
+	res, err := ImportanceSampleContext(context.Background(), NewEvaluator(lin, 0), g, 100000, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +135,7 @@ func TestImportanceSampleUntil(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 4}
 	g, _ := stat.NewMVNormal([]float64{4, 0}, linalg.Identity(2))
 	rng := rand.New(rand.NewSource(7))
-	res, err := ImportanceSampleUntil(NewEvaluator(lin, 0), g, 0.05, 100, 1000000, rng)
+	res, err := ImportanceSampleUntilContext(context.Background(), NewEvaluator(lin, 0), g, 0.05, 100, 1000000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +156,7 @@ func TestImportanceSampleUntilRespectsMaxN(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 6}
 	g := stat.StandardMVNormal(2) // plain MC on a 1e-9 event: never converges
 	rng := rand.New(rand.NewSource(8))
-	res, err := ImportanceSampleUntil(NewEvaluator(lin, 0), g, 0.05, 10, 2000, rng)
+	res, err := ImportanceSampleUntilContext(context.Background(), NewEvaluator(lin, 0), g, 0.05, 10, 2000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +168,7 @@ func TestImportanceSampleUntilRespectsMaxN(t *testing.T) {
 func TestWeightESSPlainMC(t *testing.T) {
 	// For indicator weights (0/1), Kish ESS equals the failure count.
 	m := MetricFunc{M: 1, F: func(x []float64) float64 { return x[0] }}
-	rng := rand.New(rand.NewSource(9))
-	res, err := PlainMC(m, 10000, rng, 0)
+	res, err := ParallelMCContext(context.Background(), m, 10000, 9, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +182,11 @@ func TestWeightESSFlagsBadDistortion(t *testing.T) {
 	good, _ := stat.NewMVNormal([]float64{4.3, 0}, linalg.Identity(2))
 	bad, _ := stat.NewMVNormal([]float64{8, 0}, linalg.Identity(2)) // overshoots the boundary
 	rng := rand.New(rand.NewSource(10))
-	rGood, err := ImportanceSample(NewEvaluator(lin, 0), good, 20000, rng, 0)
+	rGood, err := ImportanceSampleContext(context.Background(), NewEvaluator(lin, 0), good, 20000, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rBad, err := ImportanceSample(NewEvaluator(lin, 0), bad, 20000, rng, 0)
+	rBad, err := ImportanceSampleContext(context.Background(), NewEvaluator(lin, 0), bad, 20000, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

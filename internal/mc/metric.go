@@ -1,8 +1,9 @@
 // Package mc provides the Monte Carlo foundations shared by every
 // estimator in the library: the Metric/indicator abstraction with
-// simulation counting, the plain Monte Carlo engine, and the
-// importance-sampling estimator with 99%-confidence-interval convergence
-// traces (the paper's accuracy figure of merit).
+// simulation counting, the parallel evaluation engine, and the stage
+// driver behind brute-force Monte Carlo, importance sampling and the
+// blockade stream, with 99%-confidence-interval convergence traces (the
+// paper's accuracy figure of merit).
 package mc
 
 import "sync/atomic"

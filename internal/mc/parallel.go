@@ -2,11 +2,8 @@ package mc
 
 import (
 	"context"
-	"math"
 	"math/rand"
-	"time"
 
-	"repro/internal/stat"
 	"repro/internal/telemetry"
 )
 
@@ -15,39 +12,14 @@ import (
 // chunk by chunk instead of being held all at once.
 const mcChunk = 1 << 16
 
-// ParallelMC runs brute-force Monte Carlo on the batch-evaluation engine
-// (workers 0 = GOMAXPROCS). It powers the Table II golden reference (the
-// paper's 8.7-million-sample run), which would otherwise dominate
-// wall-clock time. The metric must be safe for concurrent use; each
-// sample gets an independent generator seeded from (seed, index), so the
-// tally is bit-identical for every worker count.
-func ParallelMC(metric Metric, n int, seed int64, workers int) (Result, error) {
-	return ParallelMCContext(context.Background(), metric, n, seed, workers, nil)
-}
-
-// ParallelMCTelemetry is ParallelMC with a telemetry registry attached
-// to the evaluation pool: throughput counters, chunk latencies and
-// running-tally progress events, with the tally itself untouched.
-func ParallelMCTelemetry(metric Metric, n int, seed int64, workers int, reg *telemetry.Registry) (Result, error) {
-	return ParallelMCContext(context.Background(), metric, n, seed, workers, reg)
-}
-
-// ParallelMCContext is the primary brute-force engine: ParallelMC with
-// an optional telemetry registry and cancellation. ctx is polled once
-// per dispatched chunk (64k samples), so a cancel aborts within one
-// chunk while an uncancelled tally stays bit-identical for every worker
+// BruteForceStage builds the brute-force Monte Carlo stage of n samples
+// from the process-variation distribution f(x) = N(0, I) (paper eq. 5):
+// sample i draws from a generator seeded by (seed, i) on ev's pool, and
+// the tally is the closed-form Bernoulli fold. The metric must be safe
+// for concurrent use; the estimate is bit-identical for every worker
 // count.
-func ParallelMCContext(ctx context.Context, metric Metric, n int, seed int64, workers int, reg *telemetry.Registry) (Result, error) {
-	if n <= 0 {
-		return Result{}, ErrBadSampleCount
-	}
-	ev := NewEvaluator(metric, workers).WithTelemetry(reg)
-	ctx, span := telemetry.StartSpan(ctx, reg, "stage2")
-	defer span.End()
-	span.SetAttr("n", n)
-	span.SetAttr("workers", ev.Workers())
-	chunkAgg := span.Agg("chunk")
-	dim := metric.Dim()
+func BruteForceStage(ev *Evaluator, n int, seed int64) *Stage {
+	dim := ev.Dim()
 	draw := func(rng *rand.Rand, _ int) []float64 {
 		x := make([]float64, dim)
 		for j := range x {
@@ -56,48 +28,19 @@ func ParallelMCContext(ctx context.Context, metric Metric, n int, seed int64, wo
 		return x
 	}
 	post := func(_ int, _ []float64, v float64) bool { return v < 0 }
-	prog := newStageProgress(reg, "stage2", n)
-	failures := 0
-	done := 0
-	for start := 0; start < n; start += mcChunk {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		count := min(mcChunk, n-start)
-		t0 := time.Now()
-		batch := MapBatch(ev, seed, start, count, draw, post)
-		chunkAgg.Observe(time.Since(t0).Seconds())
-		for _, fail := range batch {
-			if fail {
-				failures++
-			}
-		}
-		done += count
-		pf := float64(failures) / float64(done)
-		relerr := math.Inf(1)
-		if failures > 0 && done > 1 {
-			relerr = stat.Z99 * sqrt(pf*(1-pf)/float64(done)) / pf
-		}
-		prog.publish(done, failures, pf, relerr, 0)
+	eval := func(lo, hi int) Partial {
+		p := FailPartial(lo, MapBatch(ev, seed, lo, hi-lo, draw, post))
+		p.Sims = int64(hi - lo)
+		return p
 	}
-	// Bernoulli tally: mean p, variance p(1−p)/n.
-	p := float64(failures) / float64(n)
-	se := 0.0
-	if n > 1 {
-		se = sqrt(p * (1 - p) / float64(n))
-	}
-	rel := math.Inf(1)
-	if p > 0 {
-		rel = stat.Z99 * se / p
-	}
-	res := Result{Pf: p, StdErr: se, RelErr99: rel, N: n, Failures: failures, WeightESS: float64(failures)}
-	prog.done(&res)
-	return res, nil
+	return &Stage{Fold: FoldCount, N: n, Chunk: mcChunk, Eval: eval, Progress: ev.Telemetry()}
 }
 
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
+// ParallelMCContext runs brute-force Monte Carlo (BruteForceStage) on a
+// pool of the given size (workers 0 = GOMAXPROCS) with an optional
+// telemetry registry. It powers the Table II golden reference (the
+// paper's 8.7-million-sample run). ctx is polled once per dispatched
+// chunk (64k samples).
+func ParallelMCContext(ctx context.Context, metric Metric, n int, seed int64, workers int, reg *telemetry.Registry) (Result, error) {
+	return BruteForceStage(NewEvaluator(metric, workers).WithTelemetry(reg), n, seed).Run(ctx, 0, 0)
 }

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func TestParallelMCMatchesAnalytic(t *testing.T) {
 	m := MetricFunc{M: 2, F: func(x []float64) float64 { return x[0] + x[1] + 1 }}
-	res, err := ParallelMC(m, 400000, 42, 8)
+	res, err := ParallelMCContext(context.Background(), m, 400000, 42, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +27,10 @@ func TestParallelMCMatchesAnalytic(t *testing.T) {
 
 func TestParallelMCBadSampleCount(t *testing.T) {
 	m := MetricFunc{M: 2, F: func(x []float64) float64 { return 1 }}
-	if _, err := ParallelMC(m, 0, 1, 4); err != ErrBadSampleCount {
+	if _, err := ParallelMCContext(context.Background(), m, 0, 1, 4, nil); err != ErrBadSampleCount {
 		t.Fatal("want ErrBadSampleCount for n = 0")
 	}
-	if _, err := ParallelMC(m, -5, 1, 4); err != ErrBadSampleCount {
+	if _, err := ParallelMCContext(context.Background(), m, -5, 1, 4, nil); err != ErrBadSampleCount {
 		t.Fatal("want ErrBadSampleCount for n < 0")
 	}
 }
@@ -39,7 +40,7 @@ func TestParallelMCBadSampleCount(t *testing.T) {
 func TestParallelMCWorkerCountInvariant(t *testing.T) {
 	m := MetricFunc{M: 3, F: func(x []float64) float64 { return x[0] + 0.5*x[1] - 0.2*x[2] + 1.5 }}
 	const n = 1003 // prime-ish: n % workers != 0 for every tested pool
-	ref, err := ParallelMC(m, n, 7, 1)
+	ref, err := ParallelMCContext(context.Background(), m, n, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestParallelMCWorkerCountInvariant(t *testing.T) {
 		t.Fatalf("N = %d, want %d", ref.N, n)
 	}
 	for _, workers := range []int{2, 3, 7, 16, runtime.GOMAXPROCS(0)} {
-		res, err := ParallelMC(m, n, 7, workers)
+		res, err := ParallelMCContext(context.Background(), m, n, 7, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestParallelMCWorkerCountInvariant(t *testing.T) {
 // More workers than samples must clamp the pool, not break the tally.
 func TestParallelMCWorkersExceedSamples(t *testing.T) {
 	m := MetricFunc{M: 1, F: func(x []float64) float64 { return 1 }}
-	res, err := ParallelMC(m, 3, 7, 16)
+	res, err := ParallelMCContext(context.Background(), m, 3, 7, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +77,12 @@ func TestParallelMCWorkersExceedSamples(t *testing.T) {
 	}
 }
 
-// ParallelMC must agree with the serial PlainMC estimator on an analytic
-// linear metric (statistically — the engines use different streams).
+// Brute-force MC must agree with the analytic value on a linear metric
+// and account every simulation exactly through the pool.
 func TestParallelMCAgreesWithSerial(t *testing.T) {
 	m := MetricFunc{M: 1, F: func(x []float64) float64 { return x[0] + 1 }}
 	const n = 200000
-	par, err := ParallelMC(m, n, 11, 4)
+	par, err := ParallelMCContext(context.Background(), m, n, 11, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestParallelMCAgreesWithSerial(t *testing.T) {
 	}
 	// Exact simulation-count accounting survives the pool.
 	c := NewCounter(m)
-	if _, err := ParallelMC(c, n, 11, 4); err != nil {
+	if _, err := ParallelMCContext(context.Background(), c, n, 11, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Count() != n {

@@ -1,35 +1,19 @@
 package mc
 
-// Partial-statistics export and fold: the seam distributed serving is
-// built on.
+// Partial statistics: the seam the stage driver and distributed serving
+// are built on.
 //
-// Every terminal sampling stage in this library evaluates sample i with
-// a generator seeded from (seed, i) — never from the worker id or the
-// chunk it happened to ride in — so the outcome of each sample is a pure
-// function of (seed, absolute index, stage parameters). A Partial
-// captures the outcomes of one contiguous index range reduced to exactly
-// what the single-node fold consumes: which indices failed and, for
-// importance sampling, their weights. A Partial computed on any machine,
-// with any local worker count, therefore carries the same bits the
-// single-node loop would have produced for those indices.
-//
-// The Fold* functions reassemble a full run from partials by replaying
-// the single-node reduction — Welford moment pushes (including the zero
-// weight of every non-failure), top-weight tracking and trace snapshots
-// — in strict sample-index order. Floating-point addition is not
-// associative, so the replay is the correctness argument: the folded
-// Result is bit-identical to the corresponding single-node estimator,
-// not merely statistically equivalent.
+// A Partial captures the outcomes of one contiguous index range of a
+// terminal stage reduced to exactly what the fold consumes: which
+// indices failed and, for importance sampling, their weights. Because
+// every sample is seeded from (seed, absolute index), a Partial computed
+// on any machine, with any local worker count, carries the same bits the
+// single-node run produces for those indices.
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
-
-	"repro/internal/stat"
 )
 
 // Fold and range errors; test with errors.Is.
@@ -113,186 +97,14 @@ func checkCover(n int, parts []Partial, withWeights bool) ([]Partial, error) {
 	return sorted, nil
 }
 
-// ImportanceSamplePartial evaluates only the given index ranges of the
-// importance-sampling stage ImportanceSampleContext would run over
-// [0, n), returning one Partial per range. It consumes exactly one seed
-// draw from rng — the same single draw the full stage makes — so a
-// caller that replays the preceding pipeline (chain, fits, exploration)
-// and then calls this sees the identical per-sample stream. ctx is
-// polled once per ChunkSize dispatch.
-func ImportanceSamplePartial(ctx context.Context, ev *Evaluator, g Distortion, n int, rng *rand.Rand, ranges []Range) ([]Partial, error) {
-	if ev == nil {
-		return nil, errors.New("mc: nil evaluator")
-	}
-	if n <= 0 {
-		return nil, ErrBadSampleCount
-	}
-	if g.Dim() != ev.Dim() {
-		return nil, errors.New("mc: distortion dimensionality does not match metric")
-	}
-	if err := checkRanges(n, ranges); err != nil {
-		return nil, err
-	}
-	draw, post := isJob(g)
-	seed := rng.Int63()
-	out := make([]Partial, 0, len(ranges))
-	for _, r := range ranges {
-		p := Partial{Start: r.Lo, Count: r.Count(), Sims: int64(r.Count())}
-		for start := r.Lo; start < r.Hi; start += ChunkSize {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			count := min(ChunkSize, r.Hi-start)
-			for j, s := range MapBatch(ev, seed, start, count, draw, post) {
-				if s.fail {
-					p.FailIdx = append(p.FailIdx, start+j)
-					p.W = append(p.W, s.w)
-				}
-			}
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// FoldImportanceSample folds importance-sampling partials covering
-// [0, n) back into the Result ImportanceSampleContext would have
-// produced, by replaying the index-ordered reduction: every sample
-// pushes its weight (zero for non-failures) through the same Welford
-// accumulator, top-weight tracker and trace recorder.
-func FoldImportanceSample(n int, parts []Partial, traceEvery TraceEvery) (Result, error) {
-	if n <= 0 {
-		return Result{}, ErrBadSampleCount
-	}
-	sorted, err := checkCover(n, parts, true)
-	if err != nil {
-		return Result{}, err
-	}
-	var run stat.Running
-	failures := 0
-	var tw topWeights
-	var trace []TracePoint
-	batch := make([]isWeight, 0, ChunkSize)
-	for _, p := range sorted {
-		k := 0
-		for i := p.Start; i < p.Start+p.Count; i++ {
-			var s isWeight
-			if k < len(p.FailIdx) && p.FailIdx[k] == i {
-				s = isWeight{w: p.W[k], fail: true}
-				k++
-			}
-			batch = append(batch, s)
-			if len(batch) == ChunkSize {
-				trace = pushWeights(&run, batch, &failures, &tw, traceEvery, trace)
-				batch = batch[:0]
-			}
+// FailPartial builds the Partial of the range starting at lo from its
+// per-sample failure outcomes (Sims is left for the caller).
+func FailPartial(lo int, fail []bool) Partial {
+	p := Partial{Start: lo, Count: len(fail)}
+	for j, f := range fail {
+		if f {
+			p.FailIdx = append(p.FailIdx, lo+j)
 		}
 	}
-	trace = pushWeights(&run, batch, &failures, &tw, traceEvery, trace)
-	res := resultFrom(&run, failures, trace)
-	res.MaxWeight, res.TopWeights = tw.max(), tw.w
-	return res, nil
-}
-
-// ParallelMCPartial evaluates only the given index ranges of the
-// brute-force stream ParallelMCContext runs over [0, n): the same
-// standard-Normal draw per (seed, index), failure recorded when the
-// margin is negative. rng is not consumed — ParallelMC seeds the stream
-// from the run seed directly. ctx is polled once per dispatched chunk.
-func ParallelMCPartial(ctx context.Context, ev *Evaluator, n int, seed int64, ranges []Range) ([]Partial, error) {
-	if ev == nil {
-		return nil, errors.New("mc: nil evaluator")
-	}
-	if n <= 0 {
-		return nil, ErrBadSampleCount
-	}
-	if err := checkRanges(n, ranges); err != nil {
-		return nil, err
-	}
-	dim := ev.Dim()
-	draw := func(rng *rand.Rand, _ int) []float64 {
-		x := make([]float64, dim)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		return x
-	}
-	post := func(_ int, _ []float64, v float64) bool { return v < 0 }
-	out := make([]Partial, 0, len(ranges))
-	for _, r := range ranges {
-		p := Partial{Start: r.Lo, Count: r.Count(), Sims: int64(r.Count())}
-		for start := r.Lo; start < r.Hi; start += mcChunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			count := min(mcChunk, r.Hi-start)
-			for j, fail := range MapBatch(ev, seed, start, count, draw, post) {
-				if fail {
-					p.FailIdx = append(p.FailIdx, start+j)
-				}
-			}
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// FoldParallelMC folds brute-force partials covering [0, n) into the
-// Result ParallelMCContext would have produced. The Bernoulli tally is
-// pure integer counting, so only the final mean/stderr arithmetic — an
-// exact replica of the single-node formula — touches floats.
-func FoldParallelMC(n int, parts []Partial) (Result, error) {
-	if n <= 0 {
-		return Result{}, ErrBadSampleCount
-	}
-	sorted, err := checkCover(n, parts, false)
-	if err != nil {
-		return Result{}, err
-	}
-	failures := 0
-	for _, p := range sorted {
-		failures += len(p.FailIdx)
-	}
-	p := float64(failures) / float64(n)
-	se := 0.0
-	if n > 1 {
-		se = sqrt(p * (1 - p) / float64(n))
-	}
-	rel := math.Inf(1)
-	if p > 0 {
-		rel = stat.Z99 * se / p
-	}
-	return Result{Pf: p, StdErr: se, RelErr99: rel, N: n, Failures: failures, WeightESS: float64(failures)}, nil
-}
-
-// FoldBernoulli folds 0/1 indicator partials covering [0, n) through a
-// Welford accumulator in index order — the statistical-blockade tally,
-// which (unlike ParallelMC's closed-form Bernoulli) accumulates its
-// moments incrementally and is therefore order-dependent.
-func FoldBernoulli(n int, parts []Partial) (Result, error) {
-	if n <= 0 {
-		return Result{}, ErrBadSampleCount
-	}
-	sorted, err := checkCover(n, parts, false)
-	if err != nil {
-		return Result{}, err
-	}
-	var tally stat.Running
-	failures := 0
-	for _, p := range sorted {
-		k := 0
-		for i := p.Start; i < p.Start+p.Count; i++ {
-			ind := 0.0
-			if k < len(p.FailIdx) && p.FailIdx[k] == i {
-				ind = 1
-				failures++
-				k++
-			}
-			tally.Push(ind)
-		}
-	}
-	return Result{
-		Pf: tally.Mean(), StdErr: tally.StdErr(), RelErr99: tally.RelErr99(),
-		N: tally.N(), Failures: failures,
-	}, nil
+	return p
 }

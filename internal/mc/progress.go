@@ -3,7 +3,6 @@ package mc
 import (
 	"time"
 
-	"repro/internal/stat"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -100,19 +99,6 @@ func (p *stageProgress) publish(n, failures int, pf, relerr, maxWFrac float64) {
 		"max_weight_frac": maxWFrac,
 		"sims_per_sec":    rate, "eta_seconds": eta,
 	})
-}
-
-// publishRun is publish fed from a Running weight accumulator plus the
-// top-weight tracker — the importance-sampling stage shape.
-func (p *stageProgress) publishRun(run *stat.Running, failures int, tw *topWeights) {
-	if p == nil {
-		return
-	}
-	maxWFrac := 0.0
-	if wsum := run.Mean() * float64(run.N()); wsum > 0 && tw != nil {
-		maxWFrac = tw.max() / wsum
-	}
-	p.publish(run.N(), failures, run.Mean(), run.RelErr99(), maxWFrac)
 }
 
 // done zeroes the ETA (the stage finished — nothing remains) and emits

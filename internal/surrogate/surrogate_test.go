@@ -1,8 +1,8 @@
 package surrogate
 
 import (
+	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/mc"
@@ -23,8 +23,7 @@ var (
 // moderate probability levels.
 func mcCheck(t *testing.T, m mc.Metric, exact float64, n int, seed int64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	res, err := mc.PlainMC(m, n, rng, 0)
+	res, err := mc.ParallelMCContext(context.Background(), m, n, seed, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ type WatchdogConfig struct {
 	// MaxWeightFrac flags a second stage where one importance weight
 	// carries more than this fraction of the running estimate, once
 	// MinWeightSamples samples accumulated. Default 0.2 (the RunReport
-	// warning threshold) after 500 samples (the library's minStage2).
+	// warning threshold) after 500 samples (the library's mc.MinTargetN).
 	MaxWeightFrac    float64
 	MinWeightSamples int
 	// MaxFallbackRatio flags a solver where more than this fraction of

@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,8 +74,7 @@ func TestWhitenPreservesFailureProbability(t *testing.T) {
 	})
 	// wᵀΣw = 2 + 2·0.8·2 + 4 = 9.2; wᵀμ = 0.1.
 	exact := stat.NormSF((b - 0.1) / math.Sqrt(9.2))
-	rng := rand.New(rand.NewSource(2))
-	res, err := mc.PlainMC(metric, 300000, rng, 0)
+	res, err := mc.ParallelMCContext(context.Background(), metric, 300000, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,7 @@ func TestWhitenedRegionMCAgreement(t *testing.T) {
 	}
 	shell := &surrogate.Shell{M: 2, R: 3}
 	metric := m.Whiten(func(x []float64) float64 { return shell.Value(x) })
-	rng := rand.New(rand.NewSource(3))
-	res, err := mc.PlainMC(metric, 400000, rng, 0)
+	res, err := mc.ParallelMCContext(context.Background(), metric, 400000, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestWhitenedRegionMCAgreement(t *testing.T) {
 	// it is sane and reproducible against a second estimator: importance
 	// sampling with an identity distortion equals plain MC.
 	g := stat.StandardMVNormal(2)
-	res2, err := mc.ImportanceSample(mc.NewEvaluator(metric, 0), g, 400000, rng, 0)
+	res2, err := mc.ImportanceSampleContext(context.Background(), mc.NewEvaluator(metric, 0), g, 400000, rand.New(rand.NewSource(3)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

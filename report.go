@@ -101,6 +101,9 @@ func buildReport(res *Result, o Options, totalSeconds float64) *RunReport {
 	if res.Failures == 0 && res.N > 0 {
 		r.warn("no failures observed: the estimate is zero and its relative error unbounded")
 	}
+	if o.Target > 0 && res.N >= o.N && res.RelErr99 > o.Target {
+		r.warn(fmt.Sprintf("until-target run spent its cap of %d samples with relerr99 %.3g still above the target %.3g — raise N or check the distortion", o.N, res.RelErr99, o.Target))
+	}
 
 	if len(res.GibbsSamples) > 0 {
 		if rhat, err := gibbs.MaxSplitRHat(res.GibbsSamples); err != nil {

@@ -97,6 +97,32 @@ func TestRunReportNoFailures(t *testing.T) {
 	}
 }
 
+// An until-target run that spends its whole cap with the error bar still
+// above the target must say so instead of returning quietly.
+func TestRunReportWarnsOnTargetCap(t *testing.T) {
+	hard := &surrogate.Linear{W: []float64{1, 0}, B: 4} // Pf ≈ 3.2e-5: out of reach for 2000 MC samples
+	easy := &surrogate.Linear{W: []float64{1, 0}, B: 2}
+	capWarning := func(metric Metric, n int) bool {
+		t.Helper()
+		res, err := Estimate(metric, Options{Method: MC, Target: 0.1, N: n, Seed: 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range res.Report.Warnings {
+			if strings.Contains(w, "cap") {
+				return true
+			}
+		}
+		return false
+	}
+	if !capWarning(hard, 2000) {
+		t.Fatal("a run that hit its cap above the target must warn")
+	}
+	if capWarning(easy, 1<<20) {
+		t.Fatal("a run that reached its target must not warn about the cap")
+	}
+}
+
 // The deterministic part of the report must be byte-identical across
 // worker counts for a fixed seed — the property the bench harness and
 // the job service lean on.

@@ -173,8 +173,9 @@ type Options struct {
 	// Default 10000.
 	N int
 	// Target, when positive, replaces the fixed N with a convergence
-	// target: the second stage stops once the 99% relative error drops
-	// below Target (N then acts as the cap).
+	// target: the second stage stops at the first chunk boundary where
+	// the 99% relative error is at most Target (N then acts as the cap).
+	// Every method but Subset honours it.
 	Target float64
 	// Seed makes the run deterministic.
 	Seed int64
@@ -228,8 +229,9 @@ type Result struct {
 	// transistor-level simulations, split the way the paper's tables
 	// split them.
 	Stage1Sims, Stage2Sims, TotalSims int64
-	// Stage1Seconds and Stage2Seconds split the wall time the same way
-	// (zero for methods without a stage split; no statistical meaning).
+	// Stage1Seconds and Stage2Seconds split the wall time the same way:
+	// the replicated prefix and the terminal sampling stage (zero for
+	// subset simulation, which has no split; no statistical meaning).
 	Stage1Seconds, Stage2Seconds float64
 	// GibbsSamples holds the first-stage samples for G-C/G-S (nil for
 	// other methods) — the data behind the paper's scatter figures.
@@ -264,6 +266,8 @@ func (o Options) Validate() error {
 	}
 	if o.Target < 0 || math.IsNaN(o.Target) || math.IsInf(o.Target, 0) {
 		errs = append(errs, fmt.Errorf("Target: must be a finite value ≥ 0 (0 disables the convergence target), got %v", o.Target))
+	} else if o.Target > 0 && o.Method == Subset {
+		errs = append(errs, fmt.Errorf("Target: subset simulation has no sampling stage to stop early (leave it 0), got %v", o.Target))
 	}
 	if o.TraceEvery < 0 {
 		errs = append(errs, fmt.Errorf("TraceEvery: must be ≥ 0 (0 disables tracing), got %d", o.TraceEvery))
@@ -309,6 +313,15 @@ func (o Options) withDefaults() Options {
 // estimation — the property content-addressed result caches key on.
 func (o Options) Canonical() Options { return o.withDefaults() }
 
+// attachTelemetry threads reg down into the metric's transistor-level
+// solver when the metric exposes SetTelemetry (the built-in SRAM
+// workloads do).
+func attachTelemetry(metric Metric, reg *telemetry.Registry) {
+	if tm, ok := metric.(interface{ SetTelemetry(*telemetry.Registry) }); ok && reg != nil {
+		tm.SetTelemetry(reg)
+	}
+}
+
 // Estimate runs the selected estimator on the metric and reports the
 // failure probability with full cost accounting. It is a thin
 // context.Background() wrapper around EstimateContext, kept as the
@@ -342,10 +355,8 @@ func EstimateContext(ctx context.Context, metric Metric, opts Options) (*Result,
 		return nil, err
 	}
 	o := opts.withDefaults()
+	attachTelemetry(metric, o.Telemetry)
 	if o.Telemetry != nil {
-		if tm, ok := metric.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
-			tm.SetTelemetry(o.Telemetry)
-		}
 		o.Telemetry.Emit(wire.EvRunStart, map[string]any{
 			"method": string(o.Method), "k": o.K, "n": o.N, "target": o.Target,
 			"seed": o.Seed, "workers": o.Workers, "dim": metric.Dim(),
@@ -387,159 +398,129 @@ func EstimateContext(ctx context.Context, metric Metric, opts Options) (*Result,
 	return res, err
 }
 
-// estimate dispatches to the selected method with o fully defaulted.
+// estimate runs o's replicated prefix and then its terminal stage, one
+// chunk at a time, with o fully defaulted.
 func estimate(ctx context.Context, counter *mc.Counter, o Options) (*Result, error) {
-	rng := rand.New(rand.NewSource(o.Seed))
-	trace := mc.TraceEvery(o.TraceEvery)
+	t0 := time.Now()
+	p, st, err := runPrefix(ctx, counter, o)
+	if err != nil {
+		return nil, err
+	}
+	if st == nil {
+		return assemble(p, mc.Result{}, 0), nil
+	}
+	t1 := time.Now()
+	s, err := st.Run(ctx, o.Target, mc.TraceEvery(o.TraceEvery))
+	if err != nil {
+		return nil, err
+	}
+	res := assemble(p, s, counter.Count()-p.Stage1Sims)
+	res.Stage1Seconds, res.Stage2Seconds = t1.Sub(t0).Seconds(), time.Since(t1).Seconds()
+	return res, nil
+}
 
+// runPrefix is the library's one method dispatch. It runs o.Method's
+// replicated prefix — everything before the terminal sampling stage:
+// start-point search, Gibbs chain and fit, MIS exploration, MNIS search
+// or blockade training — and returns it with that stage ready to run.
+// Subset simulation is sequential by construction and runs whole here:
+// its Prefix carries the final estimate and the stage is nil.
+func runPrefix(ctx context.Context, counter *mc.Counter, o Options) (Prefix, *mc.Stage, error) {
+	rng := rand.New(rand.NewSource(o.Seed))
+	var (
+		p   Prefix
+		st  *mc.Stage
+		err error
+	)
 	switch o.Method {
 	case MC:
-		if o.Workers != 1 && o.TraceEvery == 0 {
-			res, err := mc.ParallelMCContext(ctx, counter, o.N, o.Seed, o.Workers, o.Telemetry)
-			if err != nil {
-				return nil, err
-			}
-			return fromMC(res, counter), nil
-		}
-		res, err := mc.PlainMCContext(ctx, counter, o.N, rng, trace)
-		if err != nil {
-			return nil, err
-		}
-		return fromMC(res, counter), nil
+		st = mc.BruteForceStage(mc.NewEvaluator(counter, o.Workers).WithTelemetry(o.Telemetry), o.N, o.Seed)
 
 	case MIS:
-		mo := baselines.MISOptions{Stage1: o.K, N: o.N, TraceEvery: trace, Workers: o.Workers, Telemetry: o.Telemetry}
-		var (
-			res *baselines.Result
-			err error
-		)
-		if o.Target > 0 {
-			res, err = baselines.MISUntilContext(ctx, counter, mo, o.Target, minStage2, o.N, rng)
-		} else {
-			res, err = baselines.MISContext(ctx, counter, mo, rng)
-		}
+		var r *baselines.Result
+		r, st, err = baselines.MISPrefix(ctx, counter, baselines.MISOptions{
+			Stage1: o.K, N: o.N, Workers: o.Workers, Telemetry: o.Telemetry,
+		}, rng)
 		if err != nil {
-			return nil, err
+			return Prefix{}, nil, err
 		}
-		return fromBaseline(res), nil
+		p = Prefix{Stage1Sims: r.Stage1Sims, DistortionMean: r.Mean}
 
 	case MNIS:
-		mo := baselines.MNISOptions{
+		var r *baselines.Result
+		r, st, err = baselines.MNISPrefix(ctx, counter, baselines.MNISOptions{
 			Start: &model.StartOptions{TrainN: o.K, UseQuadratic: o.Quadratic},
-			N:     o.N, TraceEvery: trace, Workers: o.Workers, Telemetry: o.Telemetry,
-		}
-		var (
-			res *baselines.Result
-			err error
-		)
-		if o.Target > 0 {
-			res, err = baselines.MNISUntilContext(ctx, counter, mo, o.Target, minStage2, o.N, rng)
-		} else {
-			res, err = baselines.MNISContext(ctx, counter, mo, rng)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return fromBaseline(res), nil
-
-	case Blockade:
-		res, err := baselines.BlockadeContext(ctx, counter, baselines.BlockadeOptions{
-			Train: o.K, N: o.N, Workers: o.Workers, Telemetry: o.Telemetry,
+			N:     o.N, Workers: o.Workers, Telemetry: o.Telemetry,
 		}, rng)
 		if err != nil {
-			return nil, err
+			return Prefix{}, nil, err
 		}
-		return &Result{
-			Pf: res.Pf, StdErr: res.StdErr, RelErr99: res.RelErr99,
-			N: res.N, Failures: res.Failures,
-			Stage1Sims: res.TrainSims, Stage2Sims: res.TailSims,
-			TotalSims: res.TrainSims + res.TailSims,
-		}, nil
-
-	case Subset:
-		res, err := baselines.SubsetContext(ctx, counter, baselines.SubsetOptions{
-			Particles: o.K, Workers: o.Workers, Telemetry: o.Telemetry,
-		}, rng)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Pf: res.Pf, StdErr: res.StdErr, RelErr99: res.RelErr99,
-			N: res.N, Stage2Sims: res.Sims, TotalSims: res.Sims,
-		}, nil
+		p = Prefix{Stage1Sims: r.Stage1Sims, DistortionMean: r.Mean}
 
 	case GC, GS:
 		coord := gibbs.Cartesian
 		if o.Method == GS {
 			coord = gibbs.Spherical
 		}
-		to := gibbs.TwoStageOptions{
-			Coord: coord, K: o.K, N: o.N,
+		var r *gibbs.TwoStageResult
+		r, st, err = gibbs.TwoStagePrefix(ctx, counter, gibbs.TwoStageOptions{
+			Coord: coord, K: o.K, N: o.N, Target: o.Target,
 			Start:      &model.StartOptions{UseQuadratic: o.Quadratic},
 			StartPoint: o.StartPoint,
 			Mixture:    o.Mixture,
-			TraceEvery: trace,
 			Workers:    o.Workers,
 			Telemetry:  o.Telemetry,
-		}
-		var (
-			res *gibbs.TwoStageResult
-			err error
-		)
-		if o.Target > 0 {
-			res, err = gibbs.TwoStageUntilContext(ctx, counter, to, o.Target, minStage2, o.N, rng)
-		} else {
-			res, err = gibbs.TwoStageContext(ctx, counter, to, rng)
-		}
+		}, rng)
 		if err != nil {
-			return nil, err
+			return Prefix{}, nil, err
 		}
-		return fromGibbs(res), nil
+		p = Prefix{Stage1Sims: r.Stage1Sims, GibbsSamples: r.Samples, DistortionMean: r.GNor.Mean}
+
+	case Blockade:
+		var r *baselines.BlockadeResult
+		r, st, err = baselines.BlockadePrefix(ctx, counter, baselines.BlockadeOptions{
+			Train: o.K, N: o.N, Workers: o.Workers, Telemetry: o.Telemetry,
+		}, rng)
+		if err != nil {
+			return Prefix{}, nil, err
+		}
+		p = Prefix{Stage1Sims: r.TrainSims}
+
+	case Subset:
+		r, err := baselines.SubsetContext(ctx, counter, baselines.SubsetOptions{
+			Particles: o.K, Workers: o.Workers, Telemetry: o.Telemetry,
+		}, rng)
+		if err != nil {
+			return Prefix{}, nil, err
+		}
+		return Prefix{Final: &Result{
+			Pf: r.Pf, StdErr: r.StdErr, RelErr99: r.RelErr99,
+			N: r.N, Stage2Sims: r.Sims, TotalSims: r.Sims,
+		}}, nil, nil
 
 	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, string(o.Method))
+		return Prefix{}, nil, fmt.Errorf("%w %q", ErrUnknownMethod, string(o.Method))
 	}
+	p.Fold = st.Fold
+	return p, st, nil
 }
 
-// minStage2 guards the until-target runs against declaring convergence
-// from the first handful of weights.
-const minStage2 = 500
-
-func fromMC(res mc.Result, counter *mc.Counter) *Result {
-	return &Result{
-		Pf: res.Pf, StdErr: res.StdErr, RelErr99: res.RelErr99,
-		N: res.N, Failures: res.Failures, WeightESS: res.WeightESS,
-		MaxWeight: res.MaxWeight, TopWeights: res.TopWeights,
-		Stage2Sims: int64(res.N), TotalSims: counter.Count(),
-		Trace: res.Trace,
+// assemble turns a prefix and its folded terminal stage, which cost
+// stage2Sims simulations, into a Result (a whole-job prefix already
+// carries it).
+func assemble(p Prefix, s mc.Result, stage2Sims int64) *Result {
+	if p.Final != nil {
+		r := *p.Final
+		return &r
 	}
-}
-
-func fromBaseline(res *baselines.Result) *Result {
 	return &Result{
-		Pf: res.Pf, StdErr: res.StdErr, RelErr99: res.RelErr99,
-		N: res.N, Failures: res.Failures, WeightESS: res.WeightESS,
-		MaxWeight: res.MaxWeight, TopWeights: res.TopWeights,
-		Stage1Sims: res.Stage1Sims, Stage2Sims: res.Stage2Sims,
-		TotalSims:      res.Stage1Sims + res.Stage2Sims,
-		Stage1Seconds:  res.Stage1Seconds,
-		Stage2Seconds:  res.Stage2Seconds,
-		DistortionMean: res.Mean,
-		Trace:          res.Trace,
-	}
-}
-
-func fromGibbs(res *gibbs.TwoStageResult) *Result {
-	return &Result{
-		Pf: res.Pf, StdErr: res.StdErr, RelErr99: res.RelErr99,
-		N: res.N, Failures: res.Failures, WeightESS: res.WeightESS,
-		MaxWeight: res.MaxWeight, TopWeights: res.TopWeights,
-		Stage1Sims: res.Stage1Sims, Stage2Sims: res.Stage2Sims,
-		TotalSims:      res.Stage1Sims + res.Stage2Sims,
-		Stage1Seconds:  res.Stage1Seconds,
-		Stage2Seconds:  res.Stage2Seconds,
-		GibbsSamples:   res.Samples,
-		DistortionMean: res.GNor.Mean,
-		Trace:          res.Trace,
+		Pf: s.Pf, StdErr: s.StdErr, RelErr99: s.RelErr99,
+		N: s.N, Failures: s.Failures, WeightESS: s.WeightESS,
+		MaxWeight: s.MaxWeight, TopWeights: s.TopWeights,
+		Stage1Sims: p.Stage1Sims, Stage2Sims: stage2Sims,
+		TotalSims:      p.Stage1Sims + stage2Sims,
+		GibbsSamples:   p.GibbsSamples,
+		DistortionMean: p.DistortionMean,
+		Trace:          s.Trace,
 	}
 }

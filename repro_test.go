@@ -72,6 +72,22 @@ func TestEstimateTargetMode(t *testing.T) {
 	if math.Abs(res.Pf-exact)/exact > 0.15 {
 		t.Fatalf("Pf %v vs %v", res.Pf, exact)
 	}
+
+	// The brute-force tallies honour Target through the same fold.
+	wide := &surrogate.Linear{W: []float64{1, 0}, B: 2.5} // Pf ≈ 6.2e-3
+	for _, m := range []Method{MC, Blockade} {
+		const limit = 1 << 22
+		res, err := Estimate(wide, Options{Method: m, K: 500, Target: 0.1, N: limit, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if res.RelErr99 > 0.1 || res.N >= limit {
+			t.Fatalf("%s: target ignored: relerr99 %v after %d samples", m, res.RelErr99, res.N)
+		}
+		if exact := wide.ExactPf(); math.Abs(res.Pf-exact)/exact > 0.15 {
+			t.Fatalf("%s: Pf %v vs %v", m, res.Pf, exact)
+		}
+	}
 }
 
 func TestEstimateGibbsExtras(t *testing.T) {

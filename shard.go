@@ -9,13 +9,8 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"math/rand"
 
-	"repro/internal/baselines"
-	"repro/internal/gibbs"
 	"repro/internal/mc"
-	"repro/internal/model"
-	"repro/internal/telemetry"
 )
 
 // Distributed estimation: the library splits a run into a deterministic
@@ -39,12 +34,15 @@ var ErrNotShardable = errors.New("repro: options not distributable")
 type ShardRange = mc.Range
 
 // Prefix carries the deterministic first-stage products a distributed
-// fold needs: the cost split and the fitted-distortion descriptors that
-// feed the Result and its RunReport. For whole-job methods (subset
-// simulation, which is sequential by construction) Final carries the
-// complete estimate instead. Every worker that replays a job's prefix
-// must arrive at these exact bytes — Digest is the cross-check.
+// fold needs: the terminal stage's reduction, the cost split and the
+// fitted-distortion descriptors that feed the Result and its RunReport.
+// For whole-job methods (subset simulation, which is sequential by
+// construction) Final carries the complete estimate instead. Every
+// worker that replays a job's prefix must arrive at these exact bytes —
+// Digest is the cross-check.
 type Prefix struct {
+	// Fold is the reduction the terminal stage's partials fold through.
+	Fold mc.FoldKind `json:"fold"`
 	// Stage1Sims is the simulation cost of the replicated prefix (as a
 	// single-node run would report it — replication across workers does
 	// not multiply it).
@@ -81,6 +79,7 @@ func (p *Prefix) Digest() string {
 			putFloat(x)
 		}
 	}
+	putInt(int64(p.Fold))
 	putInt(p.Stage1Sims)
 	putInt(int64(len(p.GibbsSamples)))
 	for _, row := range p.GibbsSamples {
@@ -121,9 +120,9 @@ type PartialRun struct {
 // ShardPlan validates that opts describes an estimation a distributed
 // run can reproduce bit-identically and returns the terminal-stage
 // sample count to shard (1 for whole-job methods). Until-target runs
-// (Target > 0) are rejected — the stop decision folds global state at
-// every chunk boundary — as is traced brute-force MC, whose sequential
-// engine draws from one generator stream.
+// (Target > 0) are rejected: the stop decision folds global state at
+// every chunk boundary, which a coordinator leasing ranges ahead does
+// not see.
 func ShardPlan(opts Options) (total int, err error) {
 	if err := opts.Validate(); err != nil {
 		return 0, err
@@ -132,20 +131,11 @@ func ShardPlan(opts Options) (total int, err error) {
 	if o.Target > 0 {
 		return 0, fmt.Errorf("%w: until-target runs (Target > 0) stop on a global convergence test", ErrNotShardable)
 	}
-	switch o.Method {
-	case Subset:
+	if o.Method == Subset {
 		// Sequential adaptive ladder: distributed as one whole-job range.
 		return 1, nil
-	case MC:
-		// Workers==1 (like tracing) selects the sequential single-stream
-		// engine, whose bits the index-seeded fold cannot reproduce.
-		if o.TraceEvery > 0 || o.Workers == 1 {
-			return 0, fmt.Errorf("%w: sequential-engine MC (TraceEvery > 0 or Workers == 1)", ErrNotShardable)
-		}
-		return o.N, nil
-	default:
-		return o.N, nil
 	}
+	return o.N, nil
 }
 
 // EstimatePartial runs opts' deterministic prefix in full and evaluates
@@ -157,100 +147,26 @@ func EstimatePartial(ctx context.Context, metric Metric, opts Options, ranges []
 	if metric == nil {
 		return nil, fmt.Errorf("%w: nil metric", ErrInvalidOptions)
 	}
-	total, err := ShardPlan(opts)
-	if err != nil {
+	if _, err := ShardPlan(opts); err != nil {
 		return nil, err
 	}
 	o := opts.withDefaults()
-	if o.Telemetry != nil {
-		if tm, ok := metric.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
-			tm.SetTelemetry(o.Telemetry)
-		}
+	attachTelemetry(metric, o.Telemetry)
+	p, st, err := runPrefix(ctx, mc.NewCounter(metric), o)
+	if err != nil {
+		return nil, err
 	}
-	counter := mc.NewCounter(metric)
-	rng := rand.New(rand.NewSource(o.Seed))
-	run := &PartialRun{}
-
-	switch o.Method {
-	case MC:
-		ev := mc.NewEvaluator(counter, o.Workers).WithTelemetry(o.Telemetry)
-		run.Chunks, err = mc.ParallelMCPartial(ctx, ev, o.N, o.Seed, ranges)
-		if err != nil {
-			return nil, err
-		}
-
-	case MIS:
-		mo := baselines.MISOptions{Stage1: o.K, N: o.N, Workers: o.Workers, Telemetry: o.Telemetry}
-		res, parts, err := baselines.MISPartial(ctx, counter, mo, rng, ranges)
-		if err != nil {
-			return nil, err
-		}
-		run.Prefix = Prefix{Stage1Sims: res.Stage1Sims, DistortionMean: res.Mean}
-		run.Chunks = parts
-
-	case MNIS:
-		mo := baselines.MNISOptions{
-			Start: &model.StartOptions{TrainN: o.K, UseQuadratic: o.Quadratic},
-			N:     o.N, Workers: o.Workers, Telemetry: o.Telemetry,
-		}
-		res, parts, err := baselines.MNISPartial(ctx, counter, mo, rng, ranges)
-		if err != nil {
-			return nil, err
-		}
-		run.Prefix = Prefix{Stage1Sims: res.Stage1Sims, DistortionMean: res.Mean}
-		run.Chunks = parts
-
-	case Blockade:
-		bo := baselines.BlockadeOptions{Train: o.K, N: o.N, Workers: o.Workers, Telemetry: o.Telemetry}
-		res, parts, err := baselines.BlockadePartial(ctx, counter, bo, rng, ranges)
-		if err != nil {
-			return nil, err
-		}
-		run.Prefix = Prefix{Stage1Sims: res.TrainSims}
-		run.Chunks = parts
-
-	case Subset:
+	run := &PartialRun{Prefix: p}
+	if st == nil {
 		// Whole-job: the single range [0,1) stands for the entire run.
 		if len(ranges) != 1 || ranges[0] != (ShardRange{Lo: 0, Hi: 1}) {
 			return nil, fmt.Errorf("%w: subset simulation runs as one whole-job range [0,1)", mc.ErrBadRange)
 		}
-		res, err := estimate(ctx, counter, o)
-		if err != nil {
-			return nil, err
-		}
-		// The wall-clock split is the only non-deterministic Result
-		// field; zero it so every worker's prefix digest agrees.
-		res.Stage1Seconds, res.Stage2Seconds = 0, 0
-		run.Prefix = Prefix{Final: res}
-
-	case GC, GS:
-		coord := gibbs.Cartesian
-		if o.Method == GS {
-			coord = gibbs.Spherical
-		}
-		to := gibbs.TwoStageOptions{
-			Coord: coord, K: o.K, N: o.N,
-			Start:      &model.StartOptions{UseQuadratic: o.Quadratic},
-			StartPoint: o.StartPoint,
-			Mixture:    o.Mixture,
-			Workers:    o.Workers,
-			Telemetry:  o.Telemetry,
-		}
-		res, parts, err := gibbs.TwoStagePartial(ctx, counter, to, rng, ranges)
-		if err != nil {
-			return nil, err
-		}
-		run.Prefix = Prefix{
-			Stage1Sims:     res.Stage1Sims,
-			GibbsSamples:   res.Samples,
-			DistortionMean: res.GNor.Mean,
-		}
-		run.Chunks = parts
-
-	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, string(o.Method))
+		return run, nil
 	}
-	_ = total
+	if run.Chunks, err = st.Partials(ctx, ranges); err != nil {
+		return nil, err
+	}
 	return run, nil
 }
 
@@ -262,70 +178,22 @@ func EstimatePartial(ctx context.Context, metric Metric, opts Options, ranges []
 // aside (the Seconds fields are zero here; totalSeconds only feeds the
 // report's TotalSeconds, which Deterministic() already excludes).
 func FoldPartials(opts Options, prefix Prefix, chunks []mc.Partial, totalSeconds float64) (*Result, error) {
-	if _, err := ShardPlan(opts); err != nil {
+	total, err := ShardPlan(opts)
+	if err != nil {
 		return nil, err
 	}
 	o := opts.withDefaults()
-	var res *Result
-
-	switch o.Method {
-	case Subset:
-		if prefix.Final == nil {
-			return nil, fmt.Errorf("%w: missing whole-job result in prefix", mc.ErrBadCover)
-		}
-		r := *prefix.Final
-		res = &r
-
-	case MC:
-		m, err := mc.FoldParallelMC(o.N, chunks)
-		if err != nil {
+	var s mc.Result
+	var stage2 int64
+	if prefix.Final == nil {
+		if s, err = mc.Fold(prefix.Fold, total, chunks, mc.TraceEvery(o.TraceEvery)); err != nil {
 			return nil, err
 		}
-		res = &Result{
-			Pf: m.Pf, StdErr: m.StdErr, RelErr99: m.RelErr99,
-			N: m.N, Failures: m.Failures, WeightESS: m.WeightESS,
-			Stage2Sims: int64(m.N), TotalSims: int64(m.N),
-		}
-
-	case Blockade:
-		m, err := mc.FoldBernoulli(o.N, chunks)
-		if err != nil {
-			return nil, err
-		}
-		stage2 := int64(0)
 		for _, c := range chunks {
 			stage2 += c.Sims
 		}
-		res = &Result{
-			Pf: m.Pf, StdErr: m.StdErr, RelErr99: m.RelErr99,
-			N: m.N, Failures: m.Failures,
-			Stage1Sims: prefix.Stage1Sims, Stage2Sims: stage2,
-			TotalSims: prefix.Stage1Sims + stage2,
-		}
-
-	case MIS, MNIS, GC, GS:
-		m, err := mc.FoldImportanceSample(o.N, chunks, mc.TraceEvery(o.TraceEvery))
-		if err != nil {
-			return nil, err
-		}
-		stage2 := int64(0)
-		for _, c := range chunks {
-			stage2 += c.Sims
-		}
-		res = &Result{
-			Pf: m.Pf, StdErr: m.StdErr, RelErr99: m.RelErr99,
-			N: m.N, Failures: m.Failures, WeightESS: m.WeightESS,
-			MaxWeight: m.MaxWeight, TopWeights: m.TopWeights,
-			Stage1Sims: prefix.Stage1Sims, Stage2Sims: stage2,
-			TotalSims:      prefix.Stage1Sims + stage2,
-			GibbsSamples:   prefix.GibbsSamples,
-			DistortionMean: prefix.DistortionMean,
-			Trace:          m.Trace,
-		}
-
-	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, string(o.Method))
 	}
+	res := assemble(prefix, s, stage2)
 	res.Report = buildReport(res, o, totalSeconds)
 	return res, nil
 }

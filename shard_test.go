@@ -122,11 +122,73 @@ func TestShardFoldWithTrace(t *testing.T) {
 	}
 }
 
+// An until-target run is a prefix of the fold: stopped at n samples, it
+// equals bit for bit the fixed n-sample run folded from partials.
+func TestUntilTargetIsFoldPrefix(t *testing.T) {
+	ctx := context.Background()
+	for _, method := range []Method{MIS, MNIS, GC, GS, MC, Blockade} {
+		t.Run(string(method), func(t *testing.T) {
+			t.Parallel()
+			b := 5.5
+			if method == MC || method == Blockade {
+				b = 2.5
+			}
+			lin := &surrogate.Linear{W: []float64{1, 1}, B: b}
+			const limit = 1 << 20
+			opts := Options{Method: method, Seed: 11, K: 300, N: limit, Target: 0.1}
+			want, err := EstimateContext(ctx, lin, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := want.N
+			if n >= limit || want.RelErr99 > opts.Target {
+				t.Fatalf("until-target run did not stop early: N=%d relerr99 %v", n, want.RelErr99)
+			}
+			fixed := opts
+			fixed.Target, fixed.N = 0, n
+			run, err := EstimatePartial(ctx, lin, fixed, []ShardRange{{Lo: 0, Hi: n}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := FoldPartials(fixed, run.Prefix, run.Chunks, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotJSON, wantJSON := canonical(t, got), canonical(t, want); gotJSON != wantJSON {
+				t.Fatalf("fold of [0,%d) differs from the until-target run\n got: %s\nwant: %s", n, gotJSON, wantJSON)
+			}
+		})
+	}
+}
+
+// Brute-force MC is one index-seeded engine: neither the worker count nor
+// a trace stride may change its estimate.
+func TestMCIndependentOfWorkersAndTrace(t *testing.T) {
+	lin := &surrogate.Linear{W: []float64{1, 1}, B: 2.5}
+	var want string
+	for _, workers := range []int{1, 4} {
+		for _, trace := range []int{0, 100} {
+			res, err := Estimate(lin, Options{Method: MC, Seed: 11, N: 3000, Workers: workers, TraceEvery: trace})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trace > 0 && len(res.Trace) != 30 {
+				t.Fatalf("workers=%d: %d trace points, want 30", workers, len(res.Trace))
+			}
+			res.Trace = nil
+			got := canonical(t, res)
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("workers=%d trace=%d changed the estimate\n got: %s\nwant: %s", workers, trace, got, want)
+			}
+		}
+	}
+}
+
 func TestShardPlanRejections(t *testing.T) {
 	cases := []Options{
-		{Method: GS, N: 1000, Target: 0.1},     // until-target
-		{Method: MC, N: 1000, TraceEvery: 100}, // sequential traced MC
-		{Method: MC, N: 1000, Workers: 1},      // sequential single-worker MC
+		{Method: GS, N: 1000, Target: 0.1}, // until-target
 	}
 	for _, opts := range cases {
 		if _, err := ShardPlan(opts); !errors.Is(err, ErrNotShardable) {
