@@ -169,8 +169,9 @@ func main() {
 	}
 }
 
-// startWatch installs a live event bus on reg and starts the terminal
-// renderer: each "progress" event overwrites one stderr status line.
+// startWatch subscribes to reg's event bus (the -telemetry log bus, or
+// a new one it installs) and starts the terminal renderer: each
+// "progress" event overwrites one stderr status line.
 // The returned stop function ends the stream, waits for the renderer,
 // and finishes the line so the result table starts on a fresh row.
 func startWatch(reg *telemetry.Registry) func() {
@@ -188,20 +189,7 @@ func startWatch(reg *telemetry.Registry) func() {
 			if ev.Name != wire.EvProgress {
 				continue
 			}
-			stage, _ := ev.Fields["stage"].(string)
-			n := watchNum(ev.Fields, "n")
-			total := watchNum(ev.Fields, "total")
-			line := fmt.Sprintf("%s %d/%d", stage, int(n), int(total))
-			if pf, ok := ev.Fields["pf"]; ok {
-				line += fmt.Sprintf("  pf %.3g", watchFloat(pf))
-				if re := watchNum(ev.Fields, "relerr99"); !math.IsInf(re, 0) && re > 0 {
-					line += fmt.Sprintf(" ±%.1f%%", 100*re)
-				}
-			}
-			line += fmt.Sprintf("  %.0f sims/s  eta %.1fs", watchNum(ev.Fields, "sims_per_sec"), watchNum(ev.Fields, "eta_seconds"))
-			// \r + clear-to-end keeps a shrinking line from leaving
-			// stale characters behind.
-			fmt.Fprintf(os.Stderr, "\r\x1b[K%s", line)
+			fmt.Fprint(os.Stderr, progressLine(ev.Fields))
 			wrote = true
 		}
 		if wrote {
@@ -214,21 +202,24 @@ func startWatch(reg *telemetry.Registry) func() {
 	}
 }
 
-// watchNum reads a numeric progress field (0 when absent).
-func watchNum(fields map[string]any, key string) float64 {
-	return watchFloat(fields[key])
-}
-
-func watchFloat(v any) float64 {
-	switch x := v.(type) {
-	case float64:
-		return x
-	case int:
-		return float64(x)
-	case int64:
-		return float64(x)
+// progressLine renders one "progress" event as the -watch status line:
+// stage, samples, running Pf with its 99% error once known, sims/s and
+// ETA. It starts with \r and clear-to-end, so each line overwrites the
+// last without leaving stale characters behind.
+func progressLine(fields map[string]any) string {
+	num := func(key string) float64 {
+		v, _ := telemetry.NumField(fields, key)
+		return v
 	}
-	return 0
+	stage, _ := fields["stage"].(string)
+	line := fmt.Sprintf("\r\x1b[K%s %d/%d", stage, int(num("n")), int(num("total")))
+	if pf, ok := telemetry.NumField(fields, "pf"); ok {
+		line += fmt.Sprintf("  pf %.3g", pf)
+		if re := num("relerr99"); !math.IsInf(re, 0) && re > 0 {
+			line += fmt.Sprintf(" ±%.1f%%", 100*re)
+		}
+	}
+	return line + fmt.Sprintf("  %.0f sims/s  eta %.1fs", num("sims_per_sec"), num("eta_seconds"))
 }
 
 func fatal(err error) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"time"
@@ -121,7 +120,7 @@ func printRemote(base string, snap jobs.Snapshot, elapsed time.Duration) {
 func watchRemote(ctx context.Context, c *client.Client, id string) {
 	wrote := false
 	err := c.Events(ctx, id, -1, func(ev client.Event) error {
-		if ev.Name == wire.EvJobDone || ev.Name == "job.failed" || ev.Name == "job.cancelled" {
+		if ev.Name == wire.EvJobDone {
 			return errWatchDone
 		}
 		if ev.Name != wire.EvProgress {
@@ -131,16 +130,7 @@ func watchRemote(ctx context.Context, c *client.Client, id string) {
 		if json.Unmarshal(ev.Data, &fields) != nil {
 			return nil
 		}
-		stage, _ := fields["stage"].(string)
-		line := fmt.Sprintf("%s %d/%d", stage, int(watchNum(fields, "n")), int(watchNum(fields, "total")))
-		if pf, ok := fields["pf"]; ok {
-			line += fmt.Sprintf("  pf %.3g", watchFloat(pf))
-			if re := watchNum(fields, "relerr99"); !math.IsInf(re, 0) && re > 0 {
-				line += fmt.Sprintf(" ±%.1f%%", 100*re)
-			}
-		}
-		line += fmt.Sprintf("  %.0f sims/s  eta %.1fs", watchNum(fields, "sims_per_sec"), watchNum(fields, "eta_seconds"))
-		fmt.Fprintf(os.Stderr, "\r\x1b[K%s", line)
+		fmt.Fprint(os.Stderr, progressLine(fields))
 		wrote = true
 		return nil
 	})

@@ -11,16 +11,16 @@
 //	curl -s localhost:8080/v1/jobs/j000001            # live progress
 //	curl -s -X DELETE localhost:8080/v1/jobs/j000001  # cancel
 //
-// The live observability plane is on by default (-event-ring 256): each
-// job carries a private event bus whose stream is served as Server-Sent
-// Events on /v1/jobs/{id}/events (all jobs merged: /v1/events), a
-// watchdog turns mid-run statistical pathologies into health.* events,
-// and the last -event-ring events per job form a flight recorder dumped
-// to -flight-dir on job failure, watchdog alert, or SIGQUIT. With
-// -alert-profile the first watchdog alert of each kind additionally
-// captures pprof CPU+heap profiles into -flight-dir. Logs are
-// structured (log/slog) with -log-format text|json and carry
-// job/lease/worker/trace correlation fields.
+// The live observability plane is on by default (-event-ring 256), and
+// always with -telemetry, whose event log is the global stream: each job
+// has an event bus served as Server-Sent Events on /v1/jobs/{id}/events
+// (all jobs merged: /v1/events), a watchdog turns mid-run statistical
+// pathologies into health.* events, and the last -event-ring events per
+// job form a flight recorder dumped to -flight-dir on job failure,
+// watchdog alert, or SIGQUIT. With -alert-profile the first watchdog
+// alert of each kind also captures pprof CPU+heap profiles into
+// -flight-dir. Logs are structured (log/slog) with -log-format
+// text|json and carry job/lease/worker/trace correlation fields.
 //
 // With -dist the server also acts as the distributed coordinator:
 // sramworkerd workers poll /v1/dist for chunk-range leases, and jobs
@@ -73,7 +73,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for running jobs on shutdown")
 	teleOut := flag.String("telemetry", "", "write structured run events (JSONL) to this file, flushed on drain")
 	traceOut := flag.String("trace", "", "write the server's span trace to this file on shutdown (Chrome trace JSON, or JSONL with a .jsonl suffix)")
-	eventRing := flag.Int("event-ring", 256, "per-job live-event ring size (SSE resume window and flight recorder; 0 disables event streaming)")
+	eventRing := flag.Int("event-ring", 256, "per-job live-event ring size (SSE resume window and flight recorder; 0 disables event streaming unless -telemetry is set)")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder dumps (JSONL) into this directory on job failure, watchdog alert, or SIGQUIT")
 	alertProfile := flag.Duration("alert-profile", 0, "capture pprof CPU (this long) + heap profiles into -flight-dir on the first watchdog alert of each kind (0 disables)")
 	retention := flag.Duration("retention", 0, "garbage-collect terminal jobs this long after they finish (0 = keep forever)")
@@ -123,8 +123,8 @@ func run(cfg serverConfig) error {
 		return err
 	}
 	log = log.With("service", "sramserverd")
-	// The CLI bundle owns the JSONL event sink and the span-trace file;
-	// closing it after the drain is what guarantees the flush.
+	// The CLI bundle owns the JSONL event-log bus and the span-trace
+	// file; closing it after the drain is what guarantees the flush.
 	cli, err := telemetry.StartCLI(cfg.teleOut, cfg.traceOut, "", false)
 	if err != nil {
 		return err
@@ -217,9 +217,9 @@ func run(cfg serverConfig) error {
 	// Drain order matters for clients that cross the shutdown boundary:
 	// first flip the manager to draining while the listener is still up,
 	// so new submissions get clean 503 problem+json rejections instead
-	// of connection errors; then wait for queued and running jobs (SSE
-	// streams end when the drain closes the bus); only then shut the
-	// HTTP server down.
+	// of connection errors; then wait for queued and running jobs (the
+	// global SSE streams end when the drain completes); only then shut
+	// the HTTP server down.
 	mgr.BeginDrain()
 	if err := mgr.Drain(drainCtx); err != nil {
 		log.Warn("drain deadline hit, running jobs cancelled")
@@ -229,7 +229,7 @@ func run(cfg serverConfig) error {
 		coord.Stop()
 	}
 	// Flush the event log and write the trace only after the drain: the
-	// last events of in-flight jobs land in the sink during Drain, and a
+	// last events of in-flight jobs land in the log during Drain, and a
 	// flush any earlier would lose them.
 	if err := cli.Close(); err != nil {
 		log.Warn("telemetry flush failed", "error", err.Error())

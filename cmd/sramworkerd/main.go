@@ -27,7 +27,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -46,7 +45,7 @@ func main() {
 	id := flag.String("id", "", "worker ID (default: hostname-pid)")
 	cores := flag.Int("cores", runtime.NumCPU(), "evaluation cores reported to the coordinator")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle delay between lease polls")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics (Prometheus text) on this address")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address")
 	eventRing := flag.Int("event-ring", 256, "flight-recorder ring size (retained worker events; 0 disables the event plane)")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder dumps (JSONL) into this directory on watchdog alert or SIGQUIT")
 	alertProfile := flag.Duration("alert-profile", 0, "capture pprof CPU (this long) + heap profiles into -flight-dir on the first watchdog alert of each kind (0 disables)")
@@ -92,13 +91,7 @@ func main() {
 		name := fmt.Sprintf("worker-%s-%s-%s.jsonl",
 			sanitize(*id), sanitize(reason), time.Now().UTC().Format("20060102T150405.000000000"))
 		path := filepath.Join(*flightDir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			log.Warn("flight dump failed", "error", err.Error())
-			return ""
-		}
-		defer f.Close()
-		if err := bus.WriteJSONL(f); err != nil {
+		if err := bus.DumpFile(path); err != nil {
 			log.Warn("flight dump failed", "error", err.Error())
 			return ""
 		}
@@ -126,15 +119,12 @@ func main() {
 	defer watchdog.Stop()
 
 	if *debugAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.MetricsHandler())
-		//reprolint:ignore goroutinelife debug listener lives for the process; ListenAndServe returns on process exit
-		go func() {
-			srv := &http.Server{Addr: *debugAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Warn("debug server failed", "error", err.Error())
-			}
-		}()
+		dbg, err := telemetry.ServeDebug(*debugAddr, reg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sramworkerd:", err)
+			os.Exit(1)
+		}
+		defer dbg.Close()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -25,7 +25,7 @@ import (
 //	GET    /v1/events           the server-global event stream (SSE)
 //	GET    /v1/methods          the estimator registry
 //	GET    /v1/workloads        the workload registry
-//	GET    /metrics             the server-wide telemetry (Prometheus text)
+//	GET    /metrics             the server-wide telemetry, with per-job job_<id> gauges (Prometheus text)
 //	GET    /healthz             liveness probe
 //
 // Submissions return 202 with the job snapshot; with ?wait=1 the call
@@ -182,7 +182,11 @@ func Handler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 	if m.cfg.Registry != nil {
-		mux.Handle("GET /metrics", m.cfg.Registry.MetricsHandler())
+		metrics := m.cfg.Registry.MetricsHandler()
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			m.refreshJobMetrics()
+			metrics.ServeHTTP(w, r)
+		})
 	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -249,12 +248,7 @@ func (j *Job) dumpFlight(reason string) {
 	}
 	j.flightOnce.Do(func() {
 		path := filepath.Join(j.flightDir, fmt.Sprintf("%s-%s.jsonl", j.id, reason))
-		f, err := os.Create(path)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		if err := j.bus.WriteJSONL(f); err != nil {
+		if j.bus.DumpFile(path) != nil {
 			return
 		}
 		j.mu.Lock()
@@ -376,15 +370,19 @@ type Config struct {
 	Resolve func(workload string) (repro.Metric, error)
 	// Registry, when non-nil, receives the manager's own metrics under
 	// scope "jobs" (submission counters, queue depth, running gauge),
-	// plus per-job mirror gauges under scope "job_<id>" while the event
-	// plane is enabled.
+	// plus per-job gauges under scope "job_<id>", refreshed from each
+	// job on every /metrics scrape. A bus already installed on it (the
+	// event log of sramserverd -telemetry) becomes the server-global
+	// event bus, which turns the live event plane on whatever EventRing
+	// says: the log receives every job's events, tagged with the job.
 	Registry *telemetry.Registry
-	// EventRing enables the live event plane: each job gets a private
-	// event bus retaining the last EventRing events (the SSE resume
-	// window and the flight recorder), forwarding tagged copies to a
-	// server-global bus, and a health watchdog evaluates the stream
-	// mid-run. Zero disables all of it — no buses, no watchdog, no SSE
-	// payloads — restoring the pre-observability behavior exactly.
+	// EventRing sizes each job's event ring (256 when zero), and with no
+	// bus on Registry a positive value turns the live event plane on:
+	// each job gets a private event bus retaining the last EventRing
+	// events (the SSE resume window and the flight recorder), forwarding
+	// tagged copies to a server-global bus, and a health watchdog
+	// evaluates the stream mid-run. Zero with no Registry bus disables
+	// all of it — no buses, no watchdog, no SSE payloads.
 	EventRing int
 	// FlightDir, when non-empty, is where flight-recorder dumps are
 	// written (on job failure, first watchdog alert, or SIGQUIT via
@@ -445,17 +443,17 @@ type Manager struct {
 	idemMu sync.Mutex
 	idem   map[string]idemEntry // guarded by idemMu
 
-	// bus is the server-global event bus (nil with EventRing 0): every
-	// job's events arrive here tagged with the job ID, and the global
-	// SSE stream serves it. ownBus records whether the manager created
-	// it (and must close it on Drain) or inherited one from cfg.Registry.
-	bus    *telemetry.Bus
-	ownBus bool
+	// bus is the server-global event bus (nil with the event plane off):
+	// every job's events arrive here tagged with the job ID, and the
+	// global SSE stream serves it. The manager never closes it — events
+	// the registry emits after a drain must still reach its log.
+	bus *telemetry.Bus
 
-	gcStop     chan struct{}
-	gcDone     chan struct{}
-	mirrorDone chan struct{}
-	stopOnce   sync.Once
+	// drained closes when Drain completes: it stops the sweeper and
+	// ends the global SSE streams.
+	drained  chan struct{}
+	gcDone   chan struct{}
+	stopOnce sync.Once
 
 	log *obslog.Logger
 	// profiler captures pprof profiles into FlightDir on watchdog
@@ -500,9 +498,8 @@ func NewManager(cfg Config) *Manager {
 		idem:       make(map[string]idemEntry),
 		cache:      newResultCache(cfg.CacheSize),
 		queue:      make(chan *Job, cfg.QueueSize),
-		gcStop:     make(chan struct{}),
+		drained:    make(chan struct{}),
 		gcDone:     make(chan struct{}),
-		mirrorDone: make(chan struct{}),
 		log:        cfg.Log.With("component", "jobs"),
 	}
 	if cfg.AlertProfile > 0 {
@@ -510,23 +507,10 @@ func NewManager(cfg Config) *Manager {
 		// feature inert unless the flight recorder has somewhere to write.
 		m.profiler = telemetry.NewProfiler(cfg.FlightDir, cfg.AlertProfile)
 	}
-	if cfg.EventRing > 0 {
-		// Reuse a bus the caller already installed on the registry (the
-		// caller then owns its lifecycle); otherwise create and own one.
-		if b := cfg.Registry.Bus(); b != nil {
-			m.bus = b
-		} else {
-			m.bus = telemetry.NewBus(cfg.EventRing)
-			m.ownBus = true
-			cfg.Registry.SetBus(m.bus)
-		}
-	}
-	// One mirror goroutine keeps the per-job "job_<id>" scopes in the
-	// server-wide registry fresh from the tagged event stream.
-	if m.bus != nil && cfg.Registry != nil {
-		go m.mirror(m.bus.Subscribe(256))
-	} else {
-		close(m.mirrorDone)
+	m.bus = cfg.Registry.Bus()
+	if m.bus == nil && cfg.EventRing > 0 {
+		m.bus = telemetry.NewBus(cfg.EventRing)
+		cfg.Registry.SetBus(m.bus)
 	}
 	if cfg.Retention > 0 {
 		go m.sweep()
@@ -605,13 +589,10 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// estimate pipeline nests its stage spans under it, and the
 	// /v1/jobs/{id}/trace endpoint serves it live or finished.
 	job.reg.SetTrace(telemetry.NewTrace())
-	// Pipeline events from the run (run.start, stage1.done, …) stream
-	// into the server's JSONL sink, when one is installed; the shared
-	// sink's sequence numbers give a total order across jobs.
-	job.reg.SetSink(m.cfg.Registry.Sink())
-	// With the event plane on, the same events also fan out live: into
-	// the job's private bus (SSE per-job stream + flight ring) and, with
-	// a {"job": id} tag merged in, the server-global bus.
+	// With the event plane on, the run's events (run.start, progress, …)
+	// go to the job's private bus (SSE per-job stream + flight ring) and,
+	// with a {"job": id} tag merged in, to the server-global bus and its
+	// event log, whose sequence numbers order events across jobs.
 	if m.bus != nil {
 		job.bus = telemetry.NewBus(m.cfg.EventRing).
 			WithParent(m.bus, map[string]any{"job": job.id})
@@ -658,9 +639,9 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	m.order = append(m.order, job.id)
 	m.submitted.Inc()
 	m.queueDepth.Set(float64(len(m.queue)))
-	// Emitting on the job's registry reaches the shared sink and, when
-	// enabled, the job bus (so a per-job SSE stream sees its own
-	// lifecycle from the first event) plus the tagged global bus.
+	// Emitting on the job's registry reaches the job bus (so a per-job
+	// SSE stream sees its own lifecycle from the first event) and the
+	// tagged global bus.
 	job.reg.Emit(wire.EvJobSubmitted, map[string]any{
 		"job": job.id, "workload": req.Workload, "method": req.Method, "seed": req.Seed,
 	})
@@ -838,15 +819,10 @@ func (m *Manager) Drain(ctx context.Context) error {
 		<-idle
 		err = ctx.Err()
 	}
-	// Executors are idle: tear the observability plane down — stop the
-	// sweeper and mirror, and close the global bus (ending every SSE
-	// stream) if the manager created it.
-	m.stopOnce.Do(func() { close(m.gcStop) })
+	// Executors are idle: stop the sweeper and end the global SSE
+	// streams. The global bus stays open for the registry's later events.
+	m.stopOnce.Do(func() { close(m.drained) })
 	<-m.gcDone
-	if m.ownBus {
-		m.bus.Close()
-	}
-	<-m.mirrorDone
 	if err != nil {
 		m.log.Warn("drain forced cancellation", "error", err.Error())
 	} else {
@@ -863,9 +839,9 @@ func (m *Manager) Bus() *telemetry.Bus { return m.bus }
 func (m *Manager) Heartbeat() time.Duration { return m.cfg.Heartbeat }
 
 // Remove deletes a terminal job from the table and drops its per-job
-// mirror scope from the server-wide registry, so /metrics stops
-// mentioning it. Removing a non-terminal job is an error; removing an
-// unknown ID reports ErrNotFound.
+// scope from the server-wide registry, so /metrics stops mentioning it.
+// Removing a non-terminal job is an error; removing an unknown ID
+// reports ErrNotFound.
 func (m *Manager) Remove(id string) error {
 	m.mu.Lock()
 	job, ok := m.jobs[id]
@@ -888,8 +864,9 @@ func (m *Manager) Remove(id string) error {
 		}
 	}
 	m.mu.Unlock()
-	// Drop the job's mirror metrics from /metrics and free its bus
-	// subscribers (any still-attached SSE replay stream ends).
+	// Drop the job's metrics from /metrics and free its bus subscribers
+	// (any still-attached SSE replay stream ends). Deleting the job under
+	// m.mu first keeps refreshJobMetrics from recreating the scope.
 	m.cfg.Registry.DropScope("job_" + id)
 	job.bus.Close()
 	return nil
@@ -903,7 +880,7 @@ func (m *Manager) sweep() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-m.gcStop:
+		case <-m.drained:
 			return
 		case <-ticker.C:
 			m.sweepOnce(time.Now())
@@ -930,62 +907,32 @@ func (m *Manager) sweepOnce(now time.Time) {
 	}
 }
 
-// mirror keeps per-job "job_<id>" scopes on the server-wide registry
-// fresh from the tagged global event stream, so one /metrics scrape
-// shows every live job's position without touching the per-job
-// registries. Runs until the bus closes or the manager drains; Remove
-// drops the scopes it creates.
-func (m *Manager) mirror(sub *telemetry.Subscription) {
-	defer close(m.mirrorDone)
-	for {
-		select {
-		case <-m.gcStop:
-			sub.Close()
-			return
-		case ev, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-			m.mirrorEvent(ev)
-		}
-	}
-}
-
-// mirrorEvent projects one tagged event onto the job's mirror scope.
-func (m *Manager) mirrorEvent(ev telemetry.Event) {
-	id, _ := ev.Fields["job"].(string)
-	if id == "" {
-		return
-	}
-	// Skip jobs already removed — recreating the scope would leak it.
+// refreshJobMetrics sets each tracked job's "job_<id>" gauges on the
+// server registry from the job's own registry and Snapshot, just before
+// a /metrics scrape. It holds m.mu throughout, and Remove deletes a job
+// under m.mu before dropping its scope, so a scrape never recreates a
+// removed job's scope.
+func (m *Manager) refreshJobMetrics() {
 	m.mu.Lock()
-	_, tracked := m.jobs[id]
-	m.mu.Unlock()
-	if !tracked {
-		return
-	}
-	s := m.cfg.Registry.Scope(wire.ScopeJobPrefix + id)
-	switch ev.Name {
-	case wire.EvProgress:
-		if n, ok := numEventField(ev.Fields, "n"); ok {
-			s.Gauge("progress_n").Set(n)
+	defer m.mu.Unlock()
+	for id, job := range m.jobs {
+		snap := job.Snapshot()
+		prog := job.reg.Scope(wire.ScopeProgress)
+		pf := job.reg.Scope(wire.ScopeMC).Gauge("stage2_pf").Value()
+		state := 0.0
+		if snap.State.Terminal() {
+			state = 1
 		}
-		if v, ok := numEventField(ev.Fields, "pf"); ok {
-			s.Gauge("pf").Set(v)
+		if snap.Result != nil {
+			pf = snap.Result.Pf
 		}
-		if v, ok := numEventField(ev.Fields, "sims_per_sec"); ok {
-			s.Gauge("sims_per_sec").Set(v)
-		}
-		if v, ok := numEventField(ev.Fields, "eta_seconds"); ok {
-			s.Gauge("eta_seconds").Set(v)
-		}
-	case "job.submitted":
-		s.Gauge("state").Set(0)
-	case "job.done":
-		s.Gauge("state").Set(1)
-		if v, ok := numEventField(ev.Fields, "sims"); ok {
-			s.Gauge("sims").Set(v)
-		}
+		s := m.cfg.Registry.Scope(wire.ScopeJobPrefix + id)
+		s.Gauge("progress_n").Set(prog.Gauge("n").Value())
+		s.Gauge("pf").Set(pf)
+		s.Gauge("sims_per_sec").Set(prog.Gauge("sims_per_sec").Value())
+		s.Gauge("eta_seconds").Set(prog.Gauge("eta_seconds").Value())
+		s.Gauge("state").Set(state)
+		s.Gauge("sims").Set(float64(snap.Sims))
 	}
 }
 
@@ -1007,12 +954,7 @@ func (m *Manager) DumpFlight(reason string) []string {
 	var paths []string
 	write := func(name string, bus *telemetry.Bus) {
 		path := filepath.Join(m.cfg.FlightDir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		if bus.WriteJSONL(f) == nil {
+		if bus.DumpFile(path) == nil {
 			paths = append(paths, path)
 		}
 	}
@@ -1023,20 +965,6 @@ func (m *Manager) DumpFlight(reason string) []string {
 		}
 	}
 	return paths
-}
-
-// numEventField extracts a numeric field from a decoded event payload,
-// tolerating the int/int64/float64 mix publishers use.
-func numEventField(fields map[string]any, key string) (float64, bool) {
-	switch v := fields[key].(type) {
-	case float64:
-		return v, true
-	case int:
-		return float64(v), true
-	case int64:
-		return float64(v), true
-	}
-	return 0, false
 }
 
 // executor pulls jobs off the queue until Drain closes it.
@@ -1142,8 +1070,8 @@ func (m *Manager) run(job *Job) {
 	if err != nil {
 		fields["error"] = err.Error()
 	}
-	// The terminal event goes out on the job's registry — sink, job bus
-	// (every per-job SSE stream ends on it) and tagged global bus —
+	// The terminal event goes out on the job's registry — job bus (every
+	// per-job SSE stream ends on it) and tagged global bus —
 	// before the flight dump and the done close, so the dump's ring ends
 	// on job.done and a waiter that saw done can rely on both.
 	job.reg.Emit(wire.EvJobDone, fields)

@@ -1,12 +1,15 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +17,85 @@ import (
 
 	"repro/internal/telemetry"
 )
+
+// TestEventLogAttributesJobs runs two jobs on two executors against a
+// registry whose bus is an event log (sramserverd -telemetry). Every
+// event of each job must land in the log exactly once, tagged with its
+// job, and seq must run 0..n-1 in file order. With EventRing 0 the log
+// alone turns the event plane on, so job events still reach it.
+func TestEventLogAttributesJobs(t *testing.T) {
+	for _, ring := range []int{512, 0} {
+		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) {
+			var buf bytes.Buffer
+			log := telemetry.NewLogBus(0, &buf)
+			reg := telemetry.New()
+			reg.SetBus(log)
+			m := NewManager(Config{Registry: reg, EventRing: ring, Executors: 2, Resolve: testResolve})
+			var jobs []*Job
+			for seed := int64(1); seed <= 2; seed++ {
+				job, err := m.Submit(Request{Workload: "lin", Method: "g-s", Seed: seed, K: 200, N: 2000})
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, job)
+			}
+			if err := m.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			log.Close() // orders every publish before the read below
+			if err := log.Err(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Events are compared without seq and t_ms, which are
+			// bus-local, as counts of their remaining JSON.
+			key := func(line []byte) (string, map[string]any) {
+				var obj map[string]any
+				if err := json.Unmarshal(line, &obj); err != nil {
+					t.Fatalf("event line is not JSON: %v\n%s", err, line)
+				}
+				seq := obj["seq"]
+				delete(obj, "seq")
+				delete(obj, "t_ms")
+				k, err := json.Marshal(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj["seq"] = seq
+				return string(k), obj
+			}
+			perJob := map[string]map[string]int{}
+			for i, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+				k, obj := key([]byte(line))
+				if seq, _ := obj["seq"].(float64); seq != float64(i) {
+					t.Fatalf("log line %d has seq %v: seq must match file order", i, obj["seq"])
+				}
+				id, _ := obj["job"].(string)
+				if perJob[id] == nil {
+					perJob[id] = map[string]int{}
+				}
+				perJob[id][k]++
+			}
+			for _, job := range jobs {
+				if st := job.Snapshot().State; st != StateDone {
+					t.Fatalf("job %s ended %s", job.ID(), st)
+				}
+				events := job.Events().Ring()
+				if int64(len(events)) != job.Events().Seq() {
+					t.Fatalf("job %s published %d events but its ring holds %d", job.ID(), job.Events().Seq(), len(events))
+				}
+				want := map[string]int{}
+				for _, ev := range events {
+					k, _ := key(ev.Data)
+					want[k]++
+				}
+				if got := perJob[job.ID()]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("job %s: log events %v, want each job-bus event once: %v", job.ID(), got, want)
+				}
+			}
+		})
+	}
+}
 
 // TestBeginDrainRejectsCleanly checks the drain-boundary guarantee: once
 // BeginDrain flips the manager, new submissions are rejected with the

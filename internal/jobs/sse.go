@@ -33,8 +33,9 @@ import (
 // it missed via "stream.dropped" meta events.
 
 // sseEvents serves one subscription as an SSE stream. terminate, when
-// non-empty, names the event that ends the stream after being sent.
-func (m *Manager) sseEvents(w http.ResponseWriter, r *http.Request, bus *telemetry.Bus, terminate string) {
+// non-empty, names the event that ends the stream after being sent; a
+// close of stop ends it too (a nil stop never does).
+func (m *Manager) sseEvents(w http.ResponseWriter, r *http.Request, bus *telemetry.Bus, terminate string, stop <-chan struct{}) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("jobs: response writer does not support streaming"))
@@ -81,6 +82,8 @@ func (m *Manager) sseEvents(w http.ResponseWriter, r *http.Request, bus *telemet
 		select {
 		case <-r.Context().Done():
 			return
+		case <-stop:
+			return
 		case <-heartbeat.C:
 			// Comment line: ignored by EventSource, keeps the pipe warm.
 			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
@@ -89,7 +92,7 @@ func (m *Manager) sseEvents(w http.ResponseWriter, r *http.Request, bus *telemet
 			flusher.Flush()
 		case ev, ok := <-sub.Events():
 			if !ok {
-				// Bus closed (server drain or job removal).
+				// Bus closed (job removal).
 				return
 			}
 			if d := sub.Dropped(); d > reportedDrops {
@@ -119,7 +122,7 @@ func (m *Manager) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("jobs: event streaming is disabled (start the server with -event-ring > 0)"))
 		return
 	}
-	m.sseEvents(w, r, bus, "job.done")
+	m.sseEvents(w, r, bus, wire.EvJobDone, nil)
 }
 
 // handleGlobalEvents serves GET /v1/events.
@@ -128,5 +131,5 @@ func (m *Manager) handleGlobalEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("jobs: event streaming is disabled (start the server with -event-ring > 0)"))
 		return
 	}
-	m.sseEvents(w, r, m.bus, "")
+	m.sseEvents(w, r, m.bus, "", m.drained)
 }

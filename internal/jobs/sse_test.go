@@ -289,20 +289,42 @@ func metricsBody(t *testing.T, srv *httptest.Server) string {
 	return string(b)
 }
 
+// TestJobMetricsFreshAtFirstScrape checks that the per-job gauges are
+// read from the job itself, not from a stream consumed asynchronously:
+// the first /metrics scrape after a job finished already shows its
+// terminal state and final simulation count, with or without the event
+// plane.
+func TestJobMetricsFreshAtFirstScrape(t *testing.T) {
+	for _, ring := range []int{256, 0} {
+		_, srv := newTestServer(t, Config{Registry: telemetry.New(), EventRing: ring})
+		snap := postJob(t, srv, `{"workload":"lin","method":"g-s","seed":5,"k":200,"n":2000}`, http.StatusAccepted)
+		final := waitTerminal(t, srv, snap.ID)
+		body := metricsBody(t, srv)
+		prefix := "repro_job_" + snap.ID + "_"
+		for _, want := range []string{
+			prefix + "state 1",
+			prefix + "sims " + strconv.FormatFloat(float64(final.Sims), 'g', -1, 64),
+		} {
+			if !strings.Contains(body, want+"\n") {
+				t.Errorf("EventRing %d: first scrape after the job finished lacks %q:\n%s", ring, want, body)
+			}
+		}
+	}
+}
+
 // TestJobMetricsUnregisteredOnRemove is the GC regression test: a
-// removed job's mirror metrics must disappear from /metrics instead of
+// removed job's per-job metrics must disappear from /metrics instead of
 // lingering forever.
 func TestJobMetricsUnregisteredOnRemove(t *testing.T) {
 	m, srv := newTestServer(t, Config{Registry: telemetry.New(), EventRing: 256})
 	snap := postJob(t, srv, `{"workload":"lin","method":"g-s","seed":5,"k":200,"n":2000}`, http.StatusAccepted)
 	waitTerminal(t, srv, snap.ID)
 
-	// The mirror goroutine consumes the tagged stream asynchronously;
-	// wait for the job's scope to appear in the scrape.
+	// Wait for the job's scope to appear in the scrape.
 	deadline := time.Now().Add(5 * time.Second)
 	for !strings.Contains(metricsBody(t, srv), "job_"+snap.ID) {
 		if time.Now().After(deadline) {
-			t.Fatalf("per-job mirror metrics for %s never appeared in /metrics", snap.ID)
+			t.Fatalf("per-job metrics for %s never appeared in /metrics", snap.ID)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -409,6 +431,25 @@ func TestFlightDumpOnFailure(t *testing.T) {
 		if filepath.Dir(p) != dir {
 			t.Errorf("dump %s written outside the flight dir", p)
 		}
+	}
+}
+
+// TestFlightDumpMissingDir checks that a flight dump that cannot be
+// written records no path: neither in the failed job's snapshot nor in
+// the SIGQUIT dump list.
+func TestFlightDumpMissingDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	m, srv := newTestServer(t, Config{Registry: telemetry.New(), EventRing: 128, FlightDir: dir})
+	snap := postJob(t, srv, `{"workload":"slow","method":"mc","seed":1,"n":4194304,"timeout_seconds":0.05}`, http.StatusAccepted)
+	final := waitTerminal(t, srv, snap.ID)
+	if final.State != StateFailed {
+		t.Fatalf("job state %s, want failed", final.State)
+	}
+	if final.FlightDump != "" {
+		t.Errorf("failed dump recorded path %q", final.FlightDump)
+	}
+	if paths := m.DumpFlight("test"); len(paths) != 0 {
+		t.Errorf("DumpFlight into a missing directory reported %v", paths)
 	}
 }
 

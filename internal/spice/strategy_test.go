@@ -107,7 +107,7 @@ func TestSolveTelemetry(t *testing.T) {
 func TestUnconvergedTelemetry(t *testing.T) {
 	var buf strings.Builder
 	reg := telemetry.New()
-	reg.SetSink(telemetry.NewEventSink(&buf))
+	reg.SetBus(telemetry.NewLogBus(0, &buf))
 	c := NewCircuit()
 	c.AddISource("i1", "0", "n", 1e-3)
 	_, err := c.SolveDC(&DCOptions{Telemetry: reg, MaxIter: 25})

@@ -1,37 +1,54 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Bus is the live half of the observability plane: an in-process
-// publish/subscribe fan-out of the same structured events the JSONL
-// EventSink serializes, built for mid-run consumers — SSE streams, the
-// health watchdog, the -watch terminal renderer — that need events while
-// the run is still going, not after it ends.
+// Bus is the package's one event path: an in-process publish/subscribe
+// fan-out of structured run events, built for mid-run consumers — SSE
+// streams, the health watchdog, the -watch terminal renderer — and, on
+// a bus built with NewLogBus, the JSONL event log.
 //
 // Design constraints, in order:
 //
-//   - Publishers never block. Every subscriber owns a bounded queue; a
-//     full queue drops the event for that subscriber and counts the drop
-//     (per subscriber and bus-wide). A slow SSE client can therefore
-//     never stall an estimation chunk loop.
+//   - Publishers never block on a subscriber. Every subscriber owns a
+//     bounded queue; a full queue drops the event for that subscriber
+//     and counts the drop (per subscriber and bus-wide). A slow SSE
+//     client can therefore never stall an estimation chunk loop. The
+//     event log is not a subscriber: its lines are written under the
+//     bus lock and never dropped.
 //   - The last ringSize events are retained in a ring buffer, which is
 //     both the Last-Event-ID resume source for reconnecting stream
 //     clients (SubscribeFrom) and the flight recorder dumped on job
-//     failure, watchdog alert or SIGQUIT (WriteJSONL).
+//     failure, watchdog alert or SIGQUIT (DumpFile).
 //   - Everything is nil-safe: a nil *Bus no-ops every method, so the
 //     disabled path costs one nil check and zero allocations, matching
 //     the rest of the package.
 //
 // Events are marshaled to their JSONL line once, at publish time, and
-// the same bytes are shared by every subscriber and the ring, so the
-// per-subscriber cost is one bounded-channel send.
+// the same bytes are shared by the log, every subscriber and the ring,
+// so the per-subscriber cost is one bounded-channel send.
+//
+// Every line carries the envelope fields
+//
+//	seq    bus-local sequence number (0-based, no gaps)
+//	t_ms   wall milliseconds since the bus was created
+//	event  the event name, dot-namespaced by layer ("spice.fallback",
+//	       "gibbs.chain", "progress", "run.done", …)
+//
+// merged with the publisher's fields. Keys are emitted in sorted order
+// (encoding/json map behavior), so the byte stream of a deterministic
+// run is reproducible up to timestamps. Non-finite float64 values (the
+// relative error is +Inf until the first failure lands) are replaced by
+// their string spelling, because JSON has no encoding for them.
 type Bus struct {
 	start time.Time
 
@@ -45,6 +62,8 @@ type Bus struct {
 	dropped   atomic.Int64
 
 	mu     sync.Mutex
+	log    io.Writer                  // event log (NewLogBus); guarded by mu
+	err    error                      // first log write or marshal error; guarded by mu
 	seq    int64                      // guarded by mu
 	ring   []Event                    // capacity fixed at NewBus; oldest overwritten first; guarded by mu
 	next   int                        // ring write cursor; guarded by mu
@@ -79,12 +98,22 @@ const defaultRing = 256
 
 // NewBus returns an empty bus retaining the last ringSize events
 // (ringSize <= 0 selects a 256-event ring).
-func NewBus(ringSize int) *Bus {
+func NewBus(ringSize int) *Bus { return NewLogBus(ringSize, nil) }
+
+// NewLogBus is NewBus plus an event log: each published event's line,
+// newline-terminated, is written to w in seq order with one Write per
+// line, so seq matches file order. Events forwarded from child buses
+// (WithParent) are logged too, with their tags. A nil w logs nothing.
+// The first write error sticks (Err) — telemetry must never fail a run.
+// The caller keeps ownership of w: Close the bus before flushing or
+// closing it, so no publish writes concurrently.
+func NewLogBus(ringSize int, w io.Writer) *Bus {
 	if ringSize <= 0 {
 		ringSize = defaultRing
 	}
 	return &Bus{
 		start: time.Now(),
+		log:   w,
 		ring:  make([]Event, ringSize),
 		subs:  make(map[*Subscription]struct{}),
 	}
@@ -103,10 +132,10 @@ func (b *Bus) WithParent(parent *Bus, tags map[string]any) *Bus {
 	return b
 }
 
-// Publish fans one event out to every subscriber, appends it to the
-// ring, and forwards it (with tags) to the parent bus. Fields must not
-// be mutated after the call. Marshal failures drop the event — the bus,
-// like the sink, must never fail a run.
+// Publish logs one event, fans it out to every subscriber, appends it
+// to the ring, and forwards it (with tags) to the parent bus. Fields
+// must not be mutated after the call. A marshal failure drops the event
+// and sticks in Err — the bus must never fail a run.
 func (b *Bus) Publish(event string, fields map[string]any) {
 	if b == nil {
 		return
@@ -152,7 +181,17 @@ func (b *Bus) publish(event string, fields map[string]any) {
 	obj["seq"] = seq
 	data, err := json.Marshal(obj)
 	if err != nil {
+		b.failLocked(fmt.Errorf("telemetry: marshaling event %q: %w", event, err))
 		return
+	}
+	if b.log != nil {
+		line := append(data, '\n')
+		// Cap Data at the object, so an append to it copies instead of
+		// writing into the line the log and the ring share.
+		data = line[:len(data):len(data)]
+		if _, err := b.log.Write(line); err != nil {
+			b.failLocked(fmt.Errorf("telemetry: writing event %q: %w", event, err))
+		}
 	}
 	b.seq++
 	ev := Event{Seq: seq, TMS: tms, Name: event, Fields: fields, Data: data}
@@ -241,20 +280,62 @@ func (b *Bus) Ring() []Event {
 	return append(out, b.ringLocked()...)
 }
 
-// WriteJSONL dumps the retained events as JSON Lines, oldest first —
-// the flight-recorder dump written on job failure, watchdog alert or
-// SIGQUIT. Each line is the event exactly as published (bus-local seq,
-// t_ms, event name, fields).
+// failLocked records err as the sticky Err unless one is already set.
+// Callers hold b.mu.
+func (b *Bus) failLocked(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+}
+
+// Err returns the first event-log write or event marshal error (nil on
+// nil).
+func (b *Bus) Err() error {
+	if b == nil {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
+}
+
+// WriteJSONL dumps the retained events as JSON Lines, oldest first.
+// Each line is the event exactly as published (bus-local seq, t_ms,
+// event name, fields). The shared Data bytes are only read, so dumps of
+// one bus may run concurrently.
 func (b *Bus) WriteJSONL(w io.Writer) error {
 	if b == nil {
 		return nil
 	}
+	bw := bufio.NewWriter(w)
 	for _, ev := range b.Ring() {
-		if _, err := w.Write(append(ev.Data, '\n')); err != nil {
-			return fmt.Errorf("telemetry: flight dump: %w", err)
-		}
+		bw.Write(ev.Data)
+		bw.WriteByte('\n')
+	}
+	// bufio keeps the first write error and Flush returns it.
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("telemetry: flight dump: %w", err)
 	}
 	return nil
+}
+
+// DumpFile writes the retained events (WriteJSONL) to a new file at
+// path — the flight-recorder dump taken on job failure, watchdog alert
+// or SIGQUIT. It returns the first of the create, write and close
+// errors, so a nil error means the dump is on disk. No-op on nil.
+func (b *Bus) DumpFile(path string) error {
+	if b == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("telemetry: flight dump: %w", err)
+	}
+	err = b.WriteJSONL(f)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("telemetry: flight dump: %w", cerr)
+	}
+	return err
 }
 
 // Seq returns the next sequence number to be assigned — equivalently,
@@ -387,4 +468,24 @@ func (s *Subscription) Close() {
 	s.closed = true
 	delete(b.subs, s)
 	close(s.ch)
+}
+
+// sanitizeJSON maps values JSON cannot carry (NaN, ±Inf — in both bare
+// float64 fields and []float64 series) to their string spelling.
+func sanitizeJSON(v any) any {
+	switch x := v.(type) {
+	case float64:
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Sprint(x)
+		}
+		return x
+	case []float64:
+		out := make([]any, len(x))
+		for i, f := range x {
+			out[i] = sanitizeJSON(f)
+		}
+		return out
+	default:
+		return v
+	}
 }

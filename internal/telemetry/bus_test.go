@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -283,6 +286,85 @@ func TestBusConcurrentPublishSubscribeClose(t *testing.T) {
 	b.Close()
 }
 
+// TestBusConcurrentDumps takes two flight dumps of one bus at once, as a
+// SIGQUIT dump and a watchdog-alert dump of the same job do. Under
+// -race it fails if a dump writes into the event bytes the ring shares.
+func TestBusConcurrentDumps(t *testing.T) {
+	b := NewBus(16)
+	for i := 0; i < 16; i++ {
+		b.Publish("e", map[string]any{"i": i, "pad": strings.Repeat("x", i)})
+	}
+	var dumps [2]bytes.Buffer
+	var wg sync.WaitGroup
+	for i := range dumps {
+		wg.Add(1)
+		go func(w *bytes.Buffer) {
+			defer wg.Done()
+			if err := b.WriteJSONL(w); err != nil {
+				t.Error(err)
+			}
+		}(&dumps[i])
+	}
+	wg.Wait()
+	if dumps[0].String() != dumps[1].String() || strings.Count(dumps[0].String(), "\n") != 16 {
+		t.Fatalf("concurrent dumps differ or are short:\n%s\n---\n%s", dumps[0].String(), dumps[1].String())
+	}
+}
+
+// TestBusDumpFile checks the flight-dump file round trip and that a dump
+// that cannot be written reports an error instead of a path.
+func TestBusDumpFile(t *testing.T) {
+	b := NewBus(4)
+	b.Publish("e", nil)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "dump.jsonl")
+	if err := b.DumpFile(path); err != nil {
+		t.Fatalf("DumpFile: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(string(data), "\n") || !strings.Contains(string(data), `"event":"e"`) {
+		t.Errorf("dump file = %q, want the retained event line", data)
+	}
+	if err := b.DumpFile(filepath.Join(dir, "missing", "dump.jsonl")); err == nil {
+		t.Error("DumpFile into a missing directory reported success")
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestBusLogErrorSticks checks that the first event-log write or marshal
+// error is kept for Err while the bus keeps delivering to subscribers.
+func TestBusLogErrorSticks(t *testing.T) {
+	b := NewLogBus(4, failWriter{})
+	sub := b.Subscribe(4)
+	defer sub.Close()
+	b.Publish("a", nil)
+	b.Publish("b", nil)
+	if err := b.Err(); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Errorf("Err() = %v, want the first write error (event \"a\")", err)
+	}
+	if evs := collect(sub, 2); evs[1].Name != "b" {
+		t.Errorf("subscriber got %q, want delivery despite the log error", evs[1].Name)
+	}
+
+	var buf bytes.Buffer
+	m := NewLogBus(4, &buf)
+	m.Publish("bad", map[string]any{"f": func() {}})
+	m.Publish("good", nil)
+	if m.Err() == nil {
+		t.Error("marshal failure not reported by Err")
+	}
+	if line := buf.String(); !strings.Contains(line, `"seq":0`) || !strings.Contains(line, `"event":"good"`) {
+		t.Errorf("log after a dropped event = %q, want the next event at seq 0", line)
+	}
+}
+
 // TestBusDisabledZeroAlloc pins the off-switch cost: with no bus
 // installed (nil receiver), Publish and the registry Emit fast path
 // must not allocate at all.
@@ -293,17 +375,17 @@ func TestBusDisabledZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("nil bus Publish allocates %.1f/op, want 0", allocs)
 	}
-	reg := New() // enabled registry, no sink, no bus
+	reg := New() // enabled registry, no bus
 	if allocs := testing.AllocsPerRun(1000, func() {
 		reg.Emit("progress", nil)
 	}); allocs != 0 {
-		t.Errorf("Emit without sink or bus allocates %.1f/op, want 0", allocs)
+		t.Errorf("Emit without a bus allocates %.1f/op, want 0", allocs)
 	}
 }
 
 // BenchmarkBusOverhead measures the disabled-path cost the observability
 // plane adds to an instrumented hot loop: a nil bus publish and an Emit
-// on a registry with neither sink nor bus. CI runs it with -benchtime 1x
+// on a registry with no bus. CI runs it with -benchtime 1x
 // purely to keep it compiling and honest; the numbers matter locally.
 func BenchmarkBusOverhead(b *testing.B) {
 	b.Run("nil-bus-publish", func(b *testing.B) {

@@ -8,7 +8,7 @@ import (
 )
 
 // CLI bundles the run-telemetry surface every command shares: the
-// registry to thread into the library, plus the JSONL file sink, the
+// registry to thread into the library, plus the JSONL event log, the
 // span-trace file and debug HTTP listener behind the -telemetry, -trace
 // and -debug-addr flags.
 type CLI struct {
@@ -18,7 +18,7 @@ type CLI struct {
 
 	file *os.File
 	buf  *bufio.Writer
-	sink *EventSink
+	log  *Bus
 	dbg  *DebugServer
 
 	trace     *Trace
@@ -27,8 +27,10 @@ type CLI struct {
 }
 
 // StartCLI wires up CLI telemetry: when any of jsonlPath, tracePath,
-// debugAddr or force is set it creates a Registry, attaching a JSONL
-// event sink at jsonlPath, a span trace written to tracePath at Close
+// debugAddr or force is set it creates a Registry, installing a bus
+// that logs every event as JSONL to jsonlPath (NewLogBus; live
+// consumers subscribe to Registry.Bus rather than replace it), a span
+// trace written to tracePath at Close
 // (Chrome trace-event JSON, or span JSONL when the path ends in
 // ".jsonl"), and a debug listener at debugAddr. The trace opens with an
 // active "run" root span, so solver work outside any pipeline stage
@@ -47,8 +49,8 @@ func StartCLI(jsonlPath, tracePath, debugAddr string, force bool) (*CLI, error) 
 		}
 		c.file = f
 		c.buf = bufio.NewWriter(f)
-		c.sink = NewEventSink(c.buf)
-		c.Registry.SetSink(c.sink)
+		c.log = NewLogBus(0, c.buf)
+		c.Registry.SetBus(c.log)
 	}
 	if tracePath != "" {
 		// Create eagerly so a bad path fails before the run, not after.
@@ -75,9 +77,9 @@ func StartCLI(jsonlPath, tracePath, debugAddr string, force bool) (*CLI, error) 
 	return c, nil
 }
 
-// Close ends the root span, writes the trace file, flushes the event log
-// and stops the debug listener, reporting the first error (including any
-// sticky sink write error).
+// Close ends the root span, writes the trace file, closes the event-log
+// bus and flushes its file, and stops the debug listener, reporting the
+// first error (including any sticky event-log write error).
 func (c *CLI) Close() error {
 	if c == nil {
 		return nil
@@ -97,9 +99,12 @@ func (c *CLI) Close() error {
 		keep(c.writeTrace())
 		c.trace = nil
 	}
-	if c.sink != nil {
-		keep(c.sink.Err())
-		c.sink = nil
+	if c.log != nil {
+		// Closing the bus stops its writes, so the flush below cannot
+		// race a late publish.
+		c.log.Close()
+		keep(c.log.Err())
+		c.log = nil
 	}
 	if c.buf != nil {
 		keep(c.buf.Flush())

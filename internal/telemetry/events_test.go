@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// TestEventOrdering emits events concurrently and checks the sink's core
-// contract: every line is a complete JSON object, lines never
+// TestEventOrdering emits events concurrently and checks the event log's
+// core contract: every line is a complete JSON object, lines never
 // interleave, and the seq field matches file order exactly.
 func TestEventOrdering(t *testing.T) {
 	var buf strings.Builder
 	r := New()
-	sink := NewEventSink(&syncWriter{w: &buf})
-	r.SetSink(sink)
+	bus := NewLogBus(0, &syncWriter{w: &buf})
+	r.SetBus(bus)
 
 	const workers = 4
 	const perWorker = 200
@@ -30,8 +30,8 @@ func TestEventOrdering(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := sink.Err(); err != nil {
-		t.Fatalf("sink error: %v", err)
+	if err := bus.Err(); err != nil {
+		t.Fatalf("event log error: %v", err)
 	}
 
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
@@ -52,7 +52,7 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
-// syncWriter makes a strings.Builder safe for the concurrent sink test;
+// syncWriter makes a strings.Builder safe for the concurrent log test;
 // it also detects torn writes (every Write must be one full line).
 type syncWriter struct {
 	mu sync.Mutex
@@ -74,16 +74,16 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // path is hit by every real run.
 func TestEventSanitize(t *testing.T) {
 	var buf strings.Builder
-	sink := NewEventSink(&buf)
-	sink.Emit("e", map[string]any{
+	bus := NewLogBus(0, &buf)
+	bus.Publish("e", map[string]any{
 		"inf":    math.Inf(1),
 		"neginf": math.Inf(-1),
 		"nan":    math.NaN(),
 		"series": []float64{1, math.Inf(1)},
 		"plain":  2.5,
 	})
-	if err := sink.Err(); err != nil {
-		t.Fatalf("sink error: %v", err)
+	if err := bus.Err(); err != nil {
+		t.Fatalf("event log error: %v", err)
 	}
 	var obj map[string]any
 	if err := json.Unmarshal([]byte(buf.String()), &obj); err != nil {
@@ -101,8 +101,8 @@ func TestEventSanitize(t *testing.T) {
 	}
 }
 
-// TestEmitWithoutSink checks that a registry with no sink swallows
-// events (instrumented code never branches on sink presence).
+// TestEmitWithoutSink checks that a registry with no bus swallows
+// events (instrumented code never branches on bus presence).
 func TestEmitWithoutSink(t *testing.T) {
 	r := New()
 	r.Emit("no.sink", map[string]any{"k": 1}) // must not panic

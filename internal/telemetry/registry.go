@@ -1,7 +1,8 @@
 // Package telemetry is the run-observability core of the library: an
 // allocation-conscious metrics registry (atomic counters, gauges,
 // lock-free histograms, monotonic stopwatches) with named scopes, plus a
-// structured run-event sink that streams JSONL to an io.Writer.
+// structured run-event bus whose events fan out to live subscribers and,
+// optionally, to a JSONL event log.
 //
 // Everything is nil-safe and off by default: a nil *Registry (and every
 // handle derived from one) turns all recording operations into no-ops,
@@ -13,7 +14,7 @@
 // The package is stdlib-only. Metrics are exported three ways: a
 // human-readable snapshot table (WriteTable), Prometheus text exposition
 // format (WritePrometheus, also served over HTTP by ServeDebug next to
-// net/http/pprof), and structured JSONL events (EventSink).
+// net/http/pprof), and structured JSONL events (the Bus event log).
 package telemetry
 
 import (
@@ -26,14 +27,13 @@ import (
 
 // Registry is the root of a telemetry namespace: a set of named scopes,
 // each holding named counters, gauges and histograms, plus an optional
-// event sink. All methods are safe for concurrent use and safe on a nil
+// event bus. All methods are safe for concurrent use and safe on a nil
 // receiver (they no-op).
 type Registry struct {
 	start time.Time
-	sink  atomic.Pointer[EventSink]
 
-	// bus carries the optional live event bus (see bus.go): when
-	// installed, every Emit is also published to it.
+	// bus is the single event destination (see bus.go): every Emit is
+	// published on it.
 	bus atomic.Pointer[Bus]
 
 	// trace carries the optional span-tracing layer (see span.go).
@@ -87,28 +87,11 @@ func (r *Registry) Scope(name string) *Scope {
 	return s
 }
 
-// SetSink installs (or, with nil, removes) the event sink that Emit
-// writes to. Multiple registries may share one sink; its sequence
-// numbers then order events across all of them.
-func (r *Registry) SetSink(s *EventSink) {
-	if r == nil {
-		return
-	}
-	r.sink.Store(s)
-}
-
-// Sink returns the installed event sink, or nil. Use it to share one
-// JSONL stream with another registry (SetSink on the other side).
-func (r *Registry) Sink() *EventSink {
-	if r == nil {
-		return nil
-	}
-	return r.sink.Load()
-}
-
-// SetBus installs (or, with nil, removes) the live event bus that Emit
-// publishes to alongside the sink. The registry does not own the bus —
-// closing it (and dumping its flight ring) stays the caller's job.
+// SetBus installs (or, with nil, removes) the event bus that Emit
+// publishes to. Registries may share one bus (or chain buses with
+// WithParent); its sequence numbers then order events across all of
+// them. The registry does not own the bus — closing it (and dumping its
+// flight ring) stays the caller's job.
 func (r *Registry) SetBus(b *Bus) {
 	if r == nil {
 		return
@@ -124,20 +107,14 @@ func (r *Registry) Bus() *Bus {
 	return r.bus.Load()
 }
 
-// Emit writes one structured event to the installed sink and publishes
-// it on the installed bus (no-op without either). Keys "seq", "t_ms"
-// and "event" are reserved for the envelope; fields must not be mutated
-// after the call when a bus is installed.
+// Emit publishes one structured event on the installed bus (no-op
+// without one). Keys "seq", "t_ms" and "event" are reserved for the
+// envelope; fields must not be mutated after the call.
 func (r *Registry) Emit(event string, fields map[string]any) {
 	if r == nil {
 		return
 	}
-	if s := r.sink.Load(); s != nil {
-		s.Emit(event, fields)
-	}
-	if b := r.bus.Load(); b != nil {
-		b.Publish(event, fields)
-	}
+	r.bus.Load().Publish(event, fields)
 }
 
 // DropScope removes the named scope and every metric in it from the

@@ -38,7 +38,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil histogram holds observations")
 	}
 	r.Emit("event", map[string]any{"k": 1})
-	r.SetSink(nil)
+	r.SetBus(nil)
 	if got := r.Snapshot(); got != nil {
 		t.Fatalf("nil registry snapshot = %v", got)
 	}

@@ -19,14 +19,14 @@ import (
 //	                 ("gibbs.chain" events; report: stalled mixing)
 //	weight_blowup    a single importance weight carries too much of the
 //	                 running estimate ("progress" events; report:
-//	                 max-weight fraction > 0.2)
+//	                 max-weight fraction > WeightBlowupFrac)
 //	newton_storm     the SPICE solver is living on its gmin/source
 //	                 fallbacks (spice counters read at progress events)
 //	executor_starved jobs are queued but nothing runs (jobs gauges,
 //	                 sampled on the watchdog's own ticker)
 //
 // Each alert fires once per kind per watchdog: a typed "health.<kind>"
-// event is emitted on the registry (sink + bus), the "health" metric
+// event is emitted on the registry's bus, the "health" metric
 // scope is updated (alerts_total counter, per-kind 0/1 gauges — visible
 // in /metrics), the alert is retained for the job-status API, and the
 // optional OnAlert hook runs (the job layer uses it to dump the flight
@@ -59,25 +59,30 @@ type Alert struct {
 	Seq int64 `json:"seq"`
 }
 
-// WatchdogConfig tunes the alert thresholds. The zero value selects the
-// RunReport-aligned defaults noted per field.
+// WeightBlowupFrac is the share of an importance-sampling estimate one
+// weight may carry before the estimate is suspect: above it the
+// watchdog fires weight_blowup mid-run and the end-of-run RunReport
+// warns, so the two cannot disagree.
+const WeightBlowupFrac = 0.2
+
+// The remaining alert thresholds.
+const (
+	// A Gibbs chain stalls when its acceptance (resampled updates / total
+	// updates) is below minChainAcceptance after minChainUpdates updates.
+	minChainAcceptance = 0.02
+	minChainUpdates    = 100
+	// weight_blowup waits for minWeightSamples samples (the library's
+	// mc.MinTargetN).
+	minWeightSamples = 500
+	// A Newton storm is more than maxFallbackRatio of DC solves needing a
+	// gmin/source fallback, once minSolves solves accumulated.
+	maxFallbackRatio = 0.5
+	minSolves        = 256
+)
+
+// WatchdogConfig tunes the watchdog's clock and alert hook. The zero
+// value selects the defaults noted per field.
 type WatchdogConfig struct {
-	// MinChainAcceptance flags a Gibbs chain whose acceptance (resampled
-	// updates / total updates) fell below this once MinChainUpdates
-	// updates accumulated. Default 0.02 acceptance after 100 updates.
-	MinChainAcceptance float64
-	MinChainUpdates    int
-	// MaxWeightFrac flags a second stage where one importance weight
-	// carries more than this fraction of the running estimate, once
-	// MinWeightSamples samples accumulated. Default 0.2 (the RunReport
-	// warning threshold) after 500 samples (the library's mc.MinTargetN).
-	MaxWeightFrac    float64
-	MinWeightSamples int
-	// MaxFallbackRatio flags a solver where more than this fraction of
-	// DC solves needed a gmin/source fallback, once MinSolves solves
-	// accumulated. Default 0.5 after 256 solves.
-	MaxFallbackRatio float64
-	MinSolves        int64
 	// Tick is the period of the watchdog's own clock, driving checks
 	// that have no event to ride on (executor starvation). Default 1s.
 	Tick time.Duration
@@ -93,24 +98,6 @@ type WatchdogConfig struct {
 
 // withDefaults fills the zero fields.
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.MinChainAcceptance <= 0 {
-		c.MinChainAcceptance = 0.02
-	}
-	if c.MinChainUpdates <= 0 {
-		c.MinChainUpdates = 100
-	}
-	if c.MaxWeightFrac <= 0 {
-		c.MaxWeightFrac = 0.2
-	}
-	if c.MinWeightSamples <= 0 {
-		c.MinWeightSamples = 500
-	}
-	if c.MaxFallbackRatio <= 0 {
-		c.MaxFallbackRatio = 0.5
-	}
-	if c.MinSolves <= 0 {
-		c.MinSolves = 256
-	}
 	if c.Tick <= 0 {
 		c.Tick = time.Second
 	}
@@ -205,24 +192,24 @@ func (w *Watchdog) loop() {
 func (w *Watchdog) observe(ev Event) {
 	switch ev.Name {
 	case wire.EvGibbsChain:
-		updates, _ := numField(ev.Fields, "updates")
-		acceptance, okA := numField(ev.Fields, "acceptance")
-		if okA && int(updates) >= w.cfg.MinChainUpdates && acceptance < w.cfg.MinChainAcceptance {
+		updates, _ := NumField(ev.Fields, "updates")
+		acceptance, okA := NumField(ev.Fields, "acceptance")
+		if okA && int(updates) >= minChainUpdates && acceptance < minChainAcceptance {
 			w.fire(Alert{
 				Kind: wire.AlertChainStalled,
 				Detail: fmt.Sprintf("Gibbs chain acceptance %.4f below %.4f after %d updates — the chain is not mixing",
-					acceptance, w.cfg.MinChainAcceptance, int(updates)),
+					acceptance, minChainAcceptance, int(updates)),
 				Seq: ev.Seq,
 			})
 		}
 	case wire.EvProgress:
-		n, _ := numField(ev.Fields, "n")
-		frac, okF := numField(ev.Fields, "max_weight_frac")
-		if okF && int(n) >= w.cfg.MinWeightSamples && frac > w.cfg.MaxWeightFrac {
+		n, _ := NumField(ev.Fields, "n")
+		frac, okF := NumField(ev.Fields, "max_weight_frac")
+		if okF && int(n) >= minWeightSamples && frac > WeightBlowupFrac {
 			w.fire(Alert{
 				Kind: wire.AlertWeightBlowup,
 				Detail: fmt.Sprintf("a single importance weight carries %.0f%% of the running estimate after %d samples (threshold %.0f%%)",
-					100*frac, int(n), 100*w.cfg.MaxWeightFrac),
+					100*frac, int(n), 100*WeightBlowupFrac),
 				Seq: ev.Seq,
 			})
 		}
@@ -236,15 +223,15 @@ func (w *Watchdog) observe(ev Event) {
 func (w *Watchdog) checkNewtonStorm(seq int64) {
 	s := w.reg.Scope(wire.ScopeSpice)
 	solves := s.Counter("solves_total").Value()
-	if solves < w.cfg.MinSolves {
+	if solves < minSolves {
 		return
 	}
 	falls := s.Counter("fallback_gmin_total").Value() + s.Counter("fallback_source_total").Value()
-	if ratio := float64(falls) / float64(solves); ratio > w.cfg.MaxFallbackRatio {
+	if ratio := float64(falls) / float64(solves); ratio > maxFallbackRatio {
 		w.fire(Alert{
 			Kind: wire.AlertNewtonStorm,
 			Detail: fmt.Sprintf("%.0f%% of %d DC solves needed gmin/source fallbacks (threshold %.0f%%)",
-				100*ratio, solves, 100*w.cfg.MaxFallbackRatio),
+				100*ratio, solves, 100*maxFallbackRatio),
 			Seq: seq,
 		})
 	}
@@ -293,9 +280,10 @@ func (w *Watchdog) fire(a Alert) {
 	}
 }
 
-// numField extracts a numeric event field, tolerating the int/int64/
-// float64 mix the instrumentation layers publish.
-func numField(fields map[string]any, key string) (float64, bool) {
+// NumField reads a numeric event field, tolerating the int/int64/
+// float64 mix the instrumentation layers publish (decoded JSON holds
+// float64). It reports false when the field is absent or not a number.
+func NumField(fields map[string]any, key string) (float64, bool) {
 	switch v := fields[key].(type) {
 	case float64:
 		return v, true

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/gibbs"
+	"repro/internal/telemetry"
 )
 
 // z90 is the two-sided 90%-confidence Normal quantile used by the
@@ -122,7 +123,7 @@ func buildReport(res *Result, o Options, totalSeconds float64) *RunReport {
 	// Weight health. Σw = Pf·N because Pf is the mean weight.
 	if wsum := res.Pf * float64(res.N); wsum > 0 && res.MaxWeight > 0 {
 		r.MaxWeightFrac = res.MaxWeight / wsum
-		if r.MaxWeightFrac > 0.2 {
+		if r.MaxWeightFrac > telemetry.WeightBlowupFrac {
 			r.warn(fmt.Sprintf("a single importance weight carries %.0f%% of the estimate — the distortion may miss part of the failure region", 100*r.MaxWeightFrac))
 		}
 	}

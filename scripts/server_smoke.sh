@@ -164,12 +164,19 @@ wait "$SERVER_PID" || RC=$?
 [ "$RC" -eq 0 ] || fail "server exited $RC on SIGTERM"
 trap - EXIT
 
-# The drain must have flushed the JSONL event sink and written the span
+# The drain must have flushed the JSONL event log and written the span
 # trace: every event line parses, and job lifecycle events are present.
 [ -s "$WORK/events.jsonl" ] || fail "event log empty after drain"
 jq -es 'length > 0' "$WORK/events.jsonl" >/dev/null \
   || fail "event log has unparseable lines (unflushed partial write?)"
 grep -q '"event":"job.done"' "$WORK/events.jsonl" || fail "job.done event not flushed"
+# The log is the server-global stream: every pipeline line names its
+# job, and seq numbers the lines 0..n-1 in file order.
+jq -es '[.[] | select(.event == "progress" or .event == "run.done")]
+  | length > 0 and all(.job | type == "string")' "$WORK/events.jsonl" >/dev/null \
+  || fail "event log has progress/run.done lines without a job field"
+jq -es '[.[].seq] == [range(length)]' "$WORK/events.jsonl" >/dev/null \
+  || fail "event log seq does not run 0..n-1 in file order"
 jq -e '.traceEvents | length > 0' "$WORK/trace.json" >/dev/null \
   || fail "trace file empty after drain"
 echo "server_smoke: drain flushed $(wc -l <"$WORK/events.jsonl") events + trace"

@@ -10,7 +10,7 @@ import (
 )
 
 // TestTelemetryDoesNotPerturbEstimates is the observability contract at
-// the top of the stack: attaching a registry (with a live event sink)
+// the top of the stack: attaching a registry (with a live event log)
 // must not change a single bit of the statistical output, at any worker
 // count. Telemetry observes the run; it never touches RNG streams or
 // sample ordering.
@@ -27,7 +27,7 @@ func TestTelemetryDoesNotPerturbEstimates(t *testing.T) {
 		opts.Workers = workers
 		opts.Telemetry = NewTelemetry()
 		var buf strings.Builder
-		opts.Telemetry.SetSink(telemetry.NewEventSink(&buf))
+		opts.Telemetry.SetBus(telemetry.NewLogBus(0, &buf))
 		got, err := Estimate(lin, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -50,7 +50,7 @@ func TestTelemetryDoesNotPerturbEstimates(t *testing.T) {
 // observability plane: a registry with an event bus attached — fed by
 // every Emit, fanned out to subscribers, watched by a health watchdog —
 // must still produce bit-identical statistical output. The bus only
-// observes marshaled copies of what the sink already sees.
+// observes marshaled copies of the published events.
 func TestEventBusDoesNotPerturbEstimates(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6.5}
 	base := Options{Method: GS, K: 200, N: 4000, Seed: 11}
@@ -97,7 +97,7 @@ func TestRunEventLogCoversBothStages(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 6.5}
 	reg := NewTelemetry()
 	var buf strings.Builder
-	reg.SetSink(telemetry.NewEventSink(&buf))
+	reg.SetBus(telemetry.NewLogBus(0, &buf))
 	res, err := Estimate(lin, Options{Method: GS, K: 200, N: 4000, Seed: 11, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
