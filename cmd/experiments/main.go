@@ -14,8 +14,7 @@
 //	experiments ext-access      extension: transient access-time workload
 //	experiments ext-baselines   extension: blockade + subset simulation
 //	experiments ext-dimscaling  extension: §VI high-dimensional scaling study
-//	experiments bench           perf-regression suite → BENCH_<label>.json
-//	experiments all             everything above (except bench)
+//	experiments all             everything above
 //
 // Flags:
 //
@@ -25,8 +24,6 @@
 //	-golden N   brute-force golden sample count for table2 (default 8.7e6)
 //	-workers N  evaluation-pool workers, 0 = all cores (estimates are
 //	            identical for every worker count)
-//	-label S    label for the bench output file (default "local")
-//	-bench-out DIR  directory for BENCH_<label>.json (default ".")
 //
 // Text tables go to stdout; figures are emitted as CSV files that plot
 // directly (the repository is stdlib-only, so no plotting code).
@@ -45,14 +42,12 @@ import (
 )
 
 type config struct {
-	seed     int64
-	quick    bool
-	outDir   string
-	golden   int
-	workers  int
-	label    string
-	benchOut string
-	tele     *telemetry.Registry
+	seed    int64
+	quick   bool
+	outDir  string
+	golden  int
+	workers int
+	tele    *telemetry.Registry
 }
 
 func main() {
@@ -68,8 +63,6 @@ func main() {
 	flag.StringVar(&cfg.outDir, "out", "out", "directory for CSV outputs")
 	flag.IntVar(&cfg.golden, "golden", 8_700_000, "brute-force golden samples for table2")
 	flag.IntVar(&cfg.workers, "workers", 0, "evaluation-pool workers for every sampling stage (0 = all cores)")
-	flag.StringVar(&cfg.label, "label", "local", "label for the bench output file (bench mode)")
-	flag.StringVar(&cfg.benchOut, "bench-out", ".", "directory for BENCH_<label>.json (bench mode)")
 	flag.StringVar(&teleOut, "telemetry", "", "write structured run events (JSONL) to this file")
 	flag.StringVar(&traceOut, "trace", "", "write a span trace to this file (Chrome trace JSON, or JSONL with a .jsonl suffix)")
 	flag.StringVar(&debugAddr, "debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while running")
@@ -103,7 +96,6 @@ func main() {
 		"ext-access":     runExtAccess,
 		"ext-baselines":  runExtBaselines,
 		"ext-dimscaling": runExtDimScaling,
-		"bench":          runBench,
 	}
 	order := []string{"fig3", "fig6", "fig7", "fig8to11", "table1", "fig12", "fig13", "fig14", "table2",
 		"ext-mixture", "ext-access", "ext-baselines", "ext-dimscaling"}
@@ -148,7 +140,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments [flags] table1|table2|fig3|fig6|fig7|fig8to11|fig12|fig13|fig14|ext-mixture|ext-access|ext-baselines|bench|all")
+	fmt.Fprintln(os.Stderr, "usage: experiments [flags] table1|table2|fig3|fig6|fig7|fig8to11|fig12|fig13|fig14|ext-mixture|ext-access|ext-baselines|ext-dimscaling|all")
 	flag.PrintDefaults()
 	os.Exit(2)
 }

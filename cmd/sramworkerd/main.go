@@ -104,17 +104,15 @@ func main() {
 	// The watchdog turns the worker's own statistical pathologies into
 	// health.* events (forwarded to the coordinator's firehose via the
 	// renew heartbeat) and snapshots the flight ring + profiles locally.
-	watchdog := telemetry.StartWatchdog(reg, telemetry.WatchdogConfig{
-		OnAlert: func(a telemetry.Alert) {
-			log.Warn("watchdog alert", "kind", a.Kind, "detail", a.Detail)
-			if path := dump("alert-" + a.Kind); path != "" {
-				log.Info("flight dump written", "path", path)
-			}
-			if profiler != nil {
-				//reprolint:ignore goroutinelife profile capture self-terminates after the sampling window; joining it would stall alert handling
-				go profiler.Capture("worker-" + sanitize(*id) + "-" + a.Kind)
-			}
-		},
+	watchdog := telemetry.StartWatchdog(reg, func(a telemetry.Alert) {
+		log.Warn("watchdog alert", "kind", a.Kind, "detail", a.Detail)
+		if path := dump("alert-" + a.Kind); path != "" {
+			log.Info("flight dump written", "path", path)
+		}
+		if profiler != nil {
+			//reprolint:ignore goroutinelife profile capture self-terminates after the sampling window; joining it would stall alert handling
+			go profiler.Capture("worker-" + sanitize(*id) + "-" + a.Kind)
+		}
 	})
 	defer watchdog.Stop()
 

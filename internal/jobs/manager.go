@@ -628,9 +628,13 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		close(job.done)
 		return job, nil
 	}
+	// An executor's run takes job.mu first, so holding it until
+	// job.submitted is published keeps that event ahead of the run's.
+	job.mu.Lock()
 	select {
 	case m.queue <- job:
 	default:
+		job.mu.Unlock()
 		m.mu.Unlock()
 		m.rejected.Inc()
 		return nil, ErrQueueFull
@@ -645,6 +649,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	job.reg.Emit(wire.EvJobSubmitted, map[string]any{
 		"job": job.id, "workload": req.Workload, "method": req.Method, "seed": req.Seed,
 	})
+	job.mu.Unlock()
 	m.mu.Unlock()
 	m.log.Info("job submitted", "job", job.id, "workload", req.Workload,
 		"method", req.Method, "seed", req.Seed, "distribute", req.Distribute)
@@ -1011,15 +1016,13 @@ func (m *Manager) run(job *Job) {
 	// auto-profiling armed, captures pprof CPU+heap profiles next to it.
 	// The capture runs off the watchdog goroutine — a CPU profile takes
 	// AlertProfile wall time and must not stall alert evaluation.
-	job.watchdog = telemetry.StartWatchdog(job.reg, telemetry.WatchdogConfig{
-		OnAlert: func(a telemetry.Alert) {
-			m.log.Warn("watchdog alert", "job", job.id, "kind", a.Kind, "detail", a.Detail)
-			job.dumpFlight("alert-" + a.Kind)
-			if m.profiler != nil {
-				//reprolint:ignore goroutinelife profile capture self-terminates after the sampling window; joining it would stall alert handling
-				go m.profiler.Capture(job.id + "-" + a.Kind)
-			}
-		},
+	job.watchdog = telemetry.StartWatchdog(job.reg, func(a telemetry.Alert) {
+		m.log.Warn("watchdog alert", "job", job.id, "kind", a.Kind, "detail", a.Detail)
+		job.dumpFlight("alert-" + a.Kind)
+		if m.profiler != nil {
+			//reprolint:ignore goroutinelife profile capture self-terminates after the sampling window; joining it would stall alert handling
+			go m.profiler.Capture(job.id + "-" + a.Kind)
+		}
 	})
 	job.mu.Unlock()
 	m.running.Set(m.running.Value() + 1)

@@ -198,6 +198,15 @@ func TestSSEClientDisconnectCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The watchdog subscribes when the job starts running; read the
+	// baseline after that, or a late start counts as a leak.
+	deadline := time.Now().Add(30 * time.Second)
+	for job.Snapshot().State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started running")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	baseline := job.Events().Subscribers()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -214,7 +223,7 @@ func TestSSEClientDisconnectCleansUp(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for job.Events().Subscribers() != baseline {
 		if time.Now().After(deadline) {
 			t.Fatalf("job bus still has %d subscribers after client disconnect, want %d", job.Events().Subscribers(), baseline)
@@ -346,6 +355,42 @@ func TestJobMetricsUnregisteredOnRemove(t *testing.T) {
 	if err := m.Remove(snap.ID); err == nil {
 		t.Error("removing an unknown job must error")
 	}
+}
+
+// TestJobMetricsOmitServerGauges checks that a job's own /metrics holds
+// only its run's telemetry: the queue_depth and running gauges live on
+// the server registry and must not appear, zero-valued, in the job's
+// registry however long the job runs.
+func TestJobMetricsOmitServerGauges(t *testing.T) {
+	m, srv := newTestServer(t, Config{Registry: telemetry.New(), EventRing: 64})
+	snap := postJob(t, srv, `{"workload":"slow","method":"mc","seed":1,"n":4194304}`, http.StatusAccepted)
+	deadline := time.Now().Add(30 * time.Second)
+	for getSnapshot(t, srv, snap.ID).State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started running")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(1500 * time.Millisecond)
+	if s := getSnapshot(t, srv, snap.ID); s.State != StateRunning {
+		t.Fatalf("job state %s after 1.5 s, want running", s.State)
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + snap.ID + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "repro_jobs_") {
+		t.Errorf("job metrics carry server-wide jobs series:\n%s", b)
+	}
+	if _, err := m.Cancel(snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, srv, snap.ID)
 }
 
 // TestRemoveRejectsLiveJob guards against dropping a running job's

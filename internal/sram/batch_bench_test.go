@@ -7,11 +7,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Kernel-row benchmarks: ValueBatch over a fixed chunk with telemetry
-// attached, the exact shape of the "batch-kernel" rows in
-// BENCH_batch.json (minus mc dispatch). Useful for profiling the solve
-// kernel without estimator noise; scripts/bench.sh holds the committed
-// regression gate.
+// Kernel benchmarks: ValueBatch over a fixed chunk with telemetry
+// attached and no mc dispatch around it. Useful for profiling the solve
+// kernel without estimator noise; the repository benchmark (bench/)
+// reports the same layer end to end as sram.batch_us_per_sim.
 
 func benchKernel(b *testing.B, m *Metric, chunk int) {
 	b.Helper()

@@ -39,7 +39,7 @@ func NewProfiler(dir string, cpu time.Duration) *Profiler {
 // CPU profile named after prefix into the profiler's directory,
 // returning the paths written. The CPU capture blocks for the
 // configured window — call from a goroutine when latency matters (the
-// watchdog's OnAlert hook does). Overlapping calls are skipped, as are
+// watchdog's onAlert hook does). Overlapping calls are skipped, as are
 // all calls on a nil profiler.
 func (p *Profiler) Capture(prefix string) []string {
 	if p == nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -12,36 +11,34 @@ import (
 // Watchdog evaluates a run's streamed telemetry against the same
 // statistical health thresholds the end-of-run RunReport applies — but
 // mid-run, while there is still time to kill a doomed job. It
-// subscribes to the registry's event bus and watches four failure
+// subscribes to the registry's event bus and watches three failure
 // modes:
 //
-//	chain_stalled    the Gibbs chain's acceptance rate collapsed
-//	                 ("gibbs.chain" events; report: stalled mixing)
-//	weight_blowup    a single importance weight carries too much of the
-//	                 running estimate ("progress" events; report:
-//	                 max-weight fraction > WeightBlowupFrac)
-//	newton_storm     the SPICE solver is living on its gmin/source
-//	                 fallbacks (spice counters read at progress events)
-//	executor_starved jobs are queued but nothing runs (jobs gauges,
-//	                 sampled on the watchdog's own ticker)
+//	chain_stalled  the Gibbs chain's acceptance rate collapsed
+//	               ("gibbs.chain" events; report: stalled mixing)
+//	weight_blowup  a single importance weight carries too much of the
+//	               running estimate ("progress" events; report:
+//	               max-weight fraction > WeightBlowupFrac)
+//	newton_storm   the SPICE solver is living on its gmin/source
+//	               fallbacks (spice counters read at "progress" and
+//	               "spice.fallback" events)
 //
 // Each alert fires once per kind per watchdog: a typed "health.<kind>"
 // event is emitted on the registry's bus, the "health" metric
 // scope is updated (alerts_total counter, per-kind 0/1 gauges — visible
 // in /metrics), the alert is retained for the job-status API, and the
-// optional OnAlert hook runs (the job layer uses it to dump the flight
+// optional onAlert hook runs (the job layer uses it to dump the flight
 // recorder). The watchdog only observes — it never cancels anything
 // itself.
 type Watchdog struct {
-	reg *Registry
-	cfg WatchdogConfig
-	sub *Subscription
+	reg     *Registry
+	onAlert func(Alert)
+	sub     *Subscription
 
 	alertsTotal *Counter
 
-	mu      sync.Mutex
-	active  map[string]Alert // guarded by mu
-	starved int              // consecutive ticker checks that looked starved
+	mu     sync.Mutex
+	active map[string]Alert // guarded by mu
 
 	stop chan struct{}
 	done chan struct{}
@@ -50,12 +47,12 @@ type Watchdog struct {
 // Alert is one triggered health condition.
 type Alert struct {
 	// Kind is the condition identifier ("chain_stalled", "weight_blowup",
-	// "newton_storm", "executor_starved").
+	// "newton_storm").
 	Kind string `json:"kind"`
 	// Detail is the human-readable explanation with the measured values.
 	Detail string `json:"detail"`
 	// Seq is the bus sequence number of the event that triggered the
-	// alert (-1 for ticker-driven checks).
+	// alert.
 	Seq int64 `json:"seq"`
 }
 
@@ -80,45 +77,20 @@ const (
 	minSolves        = 256
 )
 
-// WatchdogConfig tunes the watchdog's clock and alert hook. The zero
-// value selects the defaults noted per field.
-type WatchdogConfig struct {
-	// Tick is the period of the watchdog's own clock, driving checks
-	// that have no event to ride on (executor starvation). Default 1s.
-	Tick time.Duration
-	// StarvationTicks is how many consecutive ticks must look starved
-	// (queued jobs with zero running) before the alert fires; the
-	// hysteresis keeps the executor's pickup latency from alerting.
-	// Default 3.
-	StarvationTicks int
-	// OnAlert, when set, runs synchronously on the watchdog goroutine
-	// for each newly fired alert — the flight-recorder dump hook.
-	OnAlert func(Alert)
-}
-
-// withDefaults fills the zero fields.
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Tick <= 0 {
-		c.Tick = time.Second
-	}
-	if c.StarvationTicks <= 0 {
-		c.StarvationTicks = 3
-	}
-	return c
-}
-
 // StartWatchdog subscribes a new watchdog to reg's event bus and starts
-// its evaluation goroutine. It returns nil — a fully inert watchdog —
-// when reg is nil or has no bus installed, so callers can wire it
-// unconditionally. Stop it when the run ends.
-func StartWatchdog(reg *Registry, cfg WatchdogConfig) *Watchdog {
+// its evaluation goroutine. onAlert, when non-nil, runs synchronously on
+// that goroutine for each newly fired alert — the flight-recorder dump
+// hook. It returns nil — a fully inert watchdog — when reg is nil or has
+// no bus installed, so callers can wire it unconditionally. Stop it when
+// the run ends.
+func StartWatchdog(reg *Registry, onAlert func(Alert)) *Watchdog {
 	bus := reg.Bus()
 	if bus == nil {
 		return nil
 	}
 	w := &Watchdog{
 		reg:         reg,
-		cfg:         cfg.withDefaults(),
+		onAlert:     onAlert,
 		sub:         bus.Subscribe(256),
 		alertsTotal: reg.Scope(wire.ScopeHealth).Counter("alerts_total"),
 		active:      make(map[string]Alert),
@@ -162,11 +134,9 @@ func (w *Watchdog) Alerts() []Alert {
 	return out
 }
 
-// loop consumes bus events and ticker ticks until Stop.
+// loop consumes bus events until Stop.
 func (w *Watchdog) loop() {
 	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.Tick)
-	defer ticker.Stop()
 	events := w.sub.Events()
 	for {
 		select {
@@ -174,16 +144,9 @@ func (w *Watchdog) loop() {
 			return
 		case ev, ok := <-events:
 			if !ok {
-				// Bus closed under us (job teardown): keep the
-				// ticker-driven checks until Stop (a nil channel never
-				// receives, so the select just stops seeing events).
-				events = nil
-				continue
+				return // the bus closed under us (job teardown)
 			}
 			w.observe(ev)
-		case <-ticker.C:
-			w.checkStarvation()
-			w.checkNewtonStorm(-1)
 		}
 	}
 }
@@ -214,6 +177,11 @@ func (w *Watchdog) observe(ev Event) {
 			})
 		}
 		w.checkNewtonStorm(ev.Seq)
+	case wire.EvSpiceFallback:
+		// A fallback is the only moment the fallback ratio can rise, and
+		// phases without progress events (the Algorithm 4 search, MNIS
+		// training) still solve.
+		w.checkNewtonStorm(ev.Seq)
 	}
 }
 
@@ -237,30 +205,8 @@ func (w *Watchdog) checkNewtonStorm(seq int64) {
 	}
 }
 
-// checkStarvation fires when jobs sit queued with no executor making
-// progress for StarvationTicks consecutive ticks.
-func (w *Watchdog) checkStarvation() {
-	s := w.reg.Scope(wire.ScopeJobs)
-	queued := s.Gauge("queue_depth").Value()
-	running := s.Gauge("running").Value()
-	// Both gauges hold whole counts; < 1 avoids exact float comparison.
-	if queued >= 1 && running < 1 {
-		w.starved++
-	} else {
-		w.starved = 0
-	}
-	if w.starved >= w.cfg.StarvationTicks {
-		w.fire(Alert{
-			Kind: wire.AlertExecutorStarved,
-			Detail: fmt.Sprintf("%d jobs queued with no executor running for %v",
-				int(queued), time.Duration(w.starved)*w.cfg.Tick),
-			Seq: -1,
-		})
-	}
-}
-
 // fire records an alert the first time its kind triggers: health scope
-// metrics, a typed health.<kind> event, and the OnAlert hook.
+// metrics, a typed health.<kind> event, and the onAlert hook.
 func (w *Watchdog) fire(a Alert) {
 	w.mu.Lock()
 	if _, seen := w.active[a.Kind]; seen {
@@ -275,8 +221,8 @@ func (w *Watchdog) fire(a Alert) {
 	w.reg.Emit(wire.EvHealthPrefix+a.Kind, map[string]any{
 		"kind": a.Kind, "detail": a.Detail, "trigger_seq": a.Seq,
 	})
-	if w.cfg.OnAlert != nil {
-		w.cfg.OnAlert(a)
+	if w.onAlert != nil {
+		w.onAlert(a)
 	}
 }
 

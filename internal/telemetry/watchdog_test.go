@@ -7,13 +7,12 @@ import (
 
 // watchdogHarness wires a registry with a bus and an alert channel so
 // tests can block until the watchdog reacts to a streamed event.
-func watchdogHarness(t *testing.T, cfg WatchdogConfig) (*Registry, *Watchdog, chan Alert) {
+func watchdogHarness(t *testing.T) (*Registry, *Watchdog, chan Alert) {
 	t.Helper()
 	reg := New()
 	reg.SetBus(NewBus(64))
 	alerts := make(chan Alert, 8)
-	cfg.OnAlert = func(a Alert) { alerts <- a }
-	w := StartWatchdog(reg, cfg)
+	w := StartWatchdog(reg, func(a Alert) { alerts <- a })
 	if w == nil {
 		t.Fatal("StartWatchdog returned nil with a bus installed")
 	}
@@ -36,7 +35,7 @@ func waitAlert(t *testing.T, alerts chan Alert, kind string) Alert {
 }
 
 func TestWatchdogChainStalled(t *testing.T) {
-	reg, w, alerts := watchdogHarness(t, WatchdogConfig{})
+	reg, w, alerts := watchdogHarness(t)
 	// Healthy chain: no alert.
 	reg.Emit("gibbs.chain", map[string]any{"updates": 500, "acceptance": 0.4})
 	// Stalled chain: acceptance collapsed after enough updates.
@@ -67,7 +66,7 @@ func TestWatchdogChainStalled(t *testing.T) {
 }
 
 func TestWatchdogWeightBlowup(t *testing.T) {
-	reg, _, alerts := watchdogHarness(t, WatchdogConfig{})
+	reg, _, alerts := watchdogHarness(t)
 	// Below the sample floor: ignored.
 	reg.Emit("progress", map[string]any{"n": 100, "max_weight_frac": 0.9})
 	// Healthy weights: ignored.
@@ -78,7 +77,7 @@ func TestWatchdogWeightBlowup(t *testing.T) {
 }
 
 func TestWatchdogNewtonStorm(t *testing.T) {
-	reg, _, alerts := watchdogHarness(t, WatchdogConfig{})
+	reg, _, alerts := watchdogHarness(t)
 	s := reg.Scope("spice")
 	s.Counter("solves_total").Add(1000)
 	s.Counter("fallback_gmin_total").Add(400)
@@ -88,30 +87,18 @@ func TestWatchdogNewtonStorm(t *testing.T) {
 	waitAlert(t, alerts, "newton_storm")
 }
 
-func TestWatchdogExecutorStarved(t *testing.T) {
-	reg, _, alerts := watchdogHarness(t, WatchdogConfig{
-		Tick:            5 * time.Millisecond,
-		StarvationTicks: 2,
-	})
-	reg.Scope("jobs").Gauge("queue_depth").Set(3)
-	reg.Scope("jobs").Gauge("running").Set(0)
-	waitAlert(t, alerts, "executor_starved")
-}
-
-func TestWatchdogStarvationHysteresis(t *testing.T) {
-	reg, w, alerts := watchdogHarness(t, WatchdogConfig{
-		Tick:            5 * time.Millisecond,
-		StarvationTicks: 100, // far more ticks than the test allows
-	})
-	reg.Scope("jobs").Gauge("queue_depth").Set(3)
-	time.Sleep(50 * time.Millisecond)
-	select {
-	case a := <-alerts:
-		t.Fatalf("starvation alert %+v fired before the hysteresis elapsed", a)
-	default:
-	}
-	if got := w.Alerts(); got != nil {
-		t.Errorf("Alerts() = %+v, want nil while under the tick threshold", got)
+// TestWatchdogNewtonStormOnFallback covers the phases that solve but
+// publish no progress (the Algorithm 4 search, MNIS training): the
+// fallback event itself samples the solver counters.
+func TestWatchdogNewtonStormOnFallback(t *testing.T) {
+	reg, _, alerts := watchdogHarness(t)
+	s := reg.Scope("spice")
+	s.Counter("solves_total").Add(1000)
+	s.Counter("fallback_gmin_total").Add(400)
+	s.Counter("fallback_source_total").Add(300)
+	reg.Emit("spice.fallback", map[string]any{"strategy": "gmin", "newton_iterations": 40})
+	if a := waitAlert(t, alerts, "newton_storm"); a.Seq != 0 {
+		t.Errorf("trigger seq %d, want 0 (the fallback event)", a.Seq)
 	}
 }
 
@@ -121,10 +108,10 @@ func TestWatchdogNilAndDisabled(t *testing.T) {
 	if w.Alerts() != nil {
 		t.Error("nil watchdog Alerts must be nil")
 	}
-	if StartWatchdog(nil, WatchdogConfig{}) != nil {
+	if StartWatchdog(nil, nil) != nil {
 		t.Error("StartWatchdog(nil reg) must return nil")
 	}
-	if StartWatchdog(New(), WatchdogConfig{}) != nil {
+	if StartWatchdog(New(), nil) != nil {
 		t.Error("StartWatchdog without a bus must return nil")
 	}
 }
@@ -136,8 +123,8 @@ func TestWatchdogSurvivesBusClose(t *testing.T) {
 	reg := New()
 	bus := NewBus(16)
 	reg.SetBus(bus)
-	w := StartWatchdog(reg, WatchdogConfig{Tick: time.Millisecond})
+	w := StartWatchdog(reg, nil)
 	bus.Close()
-	time.Sleep(10 * time.Millisecond) // a few ticks after the close
+	time.Sleep(10 * time.Millisecond) // let the loop see the close first
 	w.Stop()
 }

@@ -67,10 +67,9 @@ const (
 // Watchdog alert kinds (the suffix of EvHealthPrefix events and the
 // per-kind health gauges).
 const (
-	AlertChainStalled    = "chain_stalled"
-	AlertWeightBlowup    = "weight_blowup"
-	AlertNewtonStorm     = "newton_storm"
-	AlertExecutorStarved = "executor_starved"
+	AlertChainStalled = "chain_stalled"
+	AlertWeightBlowup = "weight_blowup"
+	AlertNewtonStorm  = "newton_storm"
 )
 
 // Metric scope names (Registry.Scope).

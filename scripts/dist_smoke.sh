@@ -45,10 +45,9 @@ stop_server() {
   wait "$SERVER_PID" || fail "server exited non-zero on SIGTERM"
 }
 
-start_worker() { # args: worker id -> echoes pid
+start_worker() { # args: worker id -> echoes pid (runs in $(...), so the caller records it)
   "$WORK/sramworkerd" -coordinator "http://$ADDR" -id "$1" -poll 100ms \
     >"$WORK/$1.log" 2>&1 &
-  PIDS+=("$!")
   echo "$!"
 }
 
@@ -73,6 +72,7 @@ echo "dist_smoke: single-node baseline Pf=$(jq -r .pf <<<"$BASELINE")"
 
 W1=$(start_worker smoke-w1)
 W2=$(start_worker smoke-w2)
+PIDS+=("$W1" "$W2")
 
 DIST_SNAP=$(submit_wait '{"seed":7,"distribute":true}')
 [ "$(jq -r .state <<<"$DIST_SNAP")" = done ] || fail "distributed job: $(jq -c . <<<"$DIST_SNAP")"

@@ -69,7 +69,7 @@ func TestEventBusDoesNotPerturbEstimates(t *testing.T) {
 		// drops must also leave the estimate untouched.
 		sub := bus.Subscribe(1)
 		defer sub.Close()
-		wd := telemetry.StartWatchdog(opts.Telemetry, telemetry.WatchdogConfig{})
+		wd := telemetry.StartWatchdog(opts.Telemetry, nil)
 		got, err := Estimate(lin, opts)
 		wd.Stop()
 		if err != nil {
