@@ -226,7 +226,7 @@ func BenchmarkAblationCovariance(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			counter := mc.NewCounter(lin)
 			rng := rand.New(rand.NewSource(int64(i) + 1))
-			start, err := model.FindFailurePoint(counter, nil, rng)
+			start, err := model.FindFailurePointContext(context.Background(), counter, nil, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func BenchmarkAblationStart(b *testing.B) {
 			var start []float64
 			var err error
 			if modelBased {
-				start, err = model.FindFailurePoint(counter, nil, rng)
+				start, err = model.FindFailurePointContext(context.Background(), counter, nil, rng)
 			} else {
 				// Naive: walk random directions until one fails.
 				for {
@@ -535,14 +535,14 @@ func BenchmarkTraceOverhead(b *testing.B) {
 
 // --- Substrate microbenchmarks ---
 
-// BenchmarkSpiceOperatingPoint measures a single 6-T cell DC solve — the
-// paper's unit of cost.
+// BenchmarkSpiceOperatingPoint measures a single cold 6-T cell DC solve
+// (netlist build included) — the paper's unit of cost.
 func BenchmarkSpiceOperatingPoint(b *testing.B) {
 	cell := sram.Default90nm()
 	var dvth [sram.NumTransistors]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cell.ReadCurrent(dvth); err != nil {
+		if _, _, err := cell.StaticNodeVoltages(sram.ReadConfig, dvth); err != nil {
 			b.Fatal(err)
 		}
 	}

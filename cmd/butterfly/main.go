@@ -98,10 +98,10 @@ func main() {
 	fmt.Printf("cell %s, %s configuration, ΔVth = %v\n\n", *cellName, cfg, dvth)
 	fmt.Printf("butterfly eyes:   state-0 %.4f V, state-1 %.4f V (SNM %.4f V)\n",
 		margins.Eye0, margins.Eye1, margins.Min())
-	if ir, err := cell.ReadCurrent(dvth); err == nil {
+	if ir, err := (&sram.Metric{Cell: cell, Kind: sram.ReadCurrent}).Raw(dvth); err == nil {
 		fmt.Printf("read current:     %.2f µA\n", ir*1e6)
 	}
-	if wt, err := cell.WriteTrip(dvth); err == nil {
+	if wt, err := (&sram.Metric{Cell: cell, Kind: sram.WNM}).Raw(dvth); err == nil {
 		fmt.Printf("write trip:       %.4f V\n", wt)
 	}
 

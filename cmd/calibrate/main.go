@@ -47,40 +47,37 @@ func main() {
 	}()
 	reg = cli.Registry
 
+	// Every row reads raw values from the engine of the workload it
+	// calibrates, so cell, spec and σ are the workload's own.
+	rnm, wnm := sram.RNMWorkload(), sram.WNMWorkload()
+	rc, dual := sram.ReadCurrentWorkload(), sram.DualReadCurrentWorkload()
+	access := sram.AccessTimeWorkload()
+	for _, m := range []interface{ SetTelemetry(*telemetry.Registry) }{rnm, wnm, rc, dual, access} {
+		m.SetTelemetry(reg)
+	}
+	failed := false
+	row := func(name string, sigma, spec, unit float64, failHigh bool, raw rawMetric) {
+		if err := calibrate(name, sigma, spec*unit, unit, failHigh, raw); err != nil {
+			fmt.Fprintf(os.Stderr, "calibrate: %s: %v\n", name, err)
+			failed = true
+		}
+	}
+
 	fmt.Println("== static noise margins (Default90nm, σVth = 30 mV) ==")
-	cell := sram.Default90nm()
-	cell.Telemetry = reg
-	calibrateStatic("RNM", cell, sram.RNMSpec, func(d [sram.NumTransistors]float64) (float64, error) {
-		return cell.ReadSNM(d)
-	})
-	calibrateStatic("WNM (write trip)", cell, sram.WNMSpec, func(d [sram.NumTransistors]float64) (float64, error) {
-		return cell.WriteTrip(d)
-	})
+	row("RNM", rnm.Cell.SigmaVth, rnm.Spec, 1, false, rnm.Raw)
+	row("WNM (write trip)", wnm.Cell.SigmaVth, wnm.Spec, 1, false, wnm.Raw)
 
 	fmt.Println("\n== read currents ==")
-	fast := sram.FastRead90nm()
-	fast.Telemetry = reg
-	calibrateStatic("single-path read current (FastRead90nm, µA)", fast,
-		sram.ReadCurrentSpec*1e6, func(d [sram.NumTransistors]float64) (float64, error) {
-			v, err := fast.ReadCurrent(d)
-			return v * 1e6, err
-		})
-	calibrateStatic("dual read current (Default90nm, µA)", cell,
-		sram.DualReadCurrentSpec*1e6, func(d [sram.NumTransistors]float64) (float64, error) {
-			v, err := cell.DualReadCurrent(d)
-			return v * 1e6, err
-		})
+	row("single-path read current (FastRead90nm, µA)", rc.Cell.SigmaVth, rc.Spec, 1e6, false, rc.Raw)
+	row("dual read current (Default90nm, µA)", dual.Cell.SigmaVth, dual.Spec, 1e6, false, dual.Raw)
 
 	fmt.Println("\n== access time (FastRead90nm, ps; fails HIGH) ==")
-	calibrateStaticDir("access time", fast, 39.7, true, func(d [sram.NumTransistors]float64) (float64, error) {
-		v, err := fast.AccessTime(nil, d)
-		return v * 1e12, err
-	})
+	row("access time", access.Cell.SigmaVth, access.Spec, 1e12, true, access.Raw)
 
 	if *grid {
 		fmt.Println("\n== 2-D grid quadratures ==")
-		quadrature("single-path read current", sram.ReadCurrentWorkload(), *workers)
-		quadrature("dual read current", sram.DualReadCurrentWorkload(), *workers)
+		quadrature("single-path read current", rc, *workers)
+		quadrature("dual read current", dual, *workers)
 	}
 
 	if reg != nil {
@@ -91,6 +88,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
+	if failed {
+		os.Exit(1)
+	}
 }
 
 // reg is the optional run-telemetry registry shared by every solve and
@@ -99,33 +99,33 @@ var reg *telemetry.Registry
 
 type rawMetric func(d [sram.NumTransistors]float64) (float64, error)
 
-// calibrateStatic prints the nominal value, the per-σ gradient for every
+// calibrate prints the nominal value, the per-σ gradient for every
 // transistor, and the linearized failure distance β = (nominal −
-// spec)/‖∇‖ with the Pf ≈ Φ(−β) it implies, for metrics that fail low.
-func calibrateStatic(name string, cell *sram.Cell, spec float64, f rawMetric) {
-	calibrateStaticDir(name, cell, spec, false, f)
-}
-
-// calibrateStaticDir is calibrateStatic with an explicit failure
-// direction (failHigh for timing metrics, where exceeding the spec
-// fails).
-func calibrateStaticDir(name string, cell *sram.Cell, spec float64, failHigh bool, f rawMetric) {
+// spec)/‖∇‖ (negated for timing metrics, which fail high) with the
+// Pf ≈ Φ(−β) it implies. Raw values are multiplied by unit before
+// printing; spec is already in that unit. A failed probe is an error.
+func calibrate(name string, sigma, spec, unit float64, failHigh bool, raw rawMetric) error {
+	f := func(d [sram.NumTransistors]float64) (float64, error) {
+		v, err := raw(d)
+		return v * unit, err
+	}
 	var zero [sram.NumTransistors]float64
 	nominal, err := f(zero)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "calibrate: %s: %v\n", name, err)
-		return
+		return err
 	}
 	grad := make([]float64, sram.NumTransistors)
 	norm := 0.0
 	for i := 0; i < sram.NumTransistors; i++ {
 		var dp, dm [sram.NumTransistors]float64
-		dp[i], dm[i] = cell.SigmaVth*0.5, -cell.SigmaVth*0.5
-		fp, err1 := f(dp)
-		fm, err2 := f(dm)
-		if err1 != nil || err2 != nil {
-			fmt.Fprintf(os.Stderr, "calibrate: %s gradient %d failed\n", name, i)
-			return
+		dp[i], dm[i] = sigma*0.5, -sigma*0.5
+		fp, err := f(dp)
+		if err != nil {
+			return fmt.Errorf("gradient %d: %w", i, err)
+		}
+		fm, err := f(dm)
+		if err != nil {
+			return fmt.Errorf("gradient %d: %w", i, err)
 		}
 		grad[i] = fp - fm
 		norm += grad[i] * grad[i]
@@ -144,20 +144,14 @@ func calibrateStaticDir(name string, cell *sram.Cell, spec float64, failHigh boo
 	fmt.Printf("  grad/σ per transistor: %.4g\n", grad)
 	fmt.Printf("  ‖∇‖ = %.4g/σ; linearized β = %.2fσ → Pf ≈ %.2g\n",
 		norm, beta, stat.NormSF(beta))
+	return nil
 }
 
 // quadrature integrates a 2-D workload's failure probability on a grid.
 // Rows of the grid evaluate on the batch engine — one simulation per
 // cell is exactly the workload the Evaluator parallelizes — and the row
 // sums fold in index order, so the result does not depend on workers.
-func quadrature(name string, m mc.Metric, workers int) {
-	if m.Dim() != 2 {
-		fmt.Fprintf(os.Stderr, "calibrate: %s is not 2-D\n", name)
-		return
-	}
-	if tm, ok := m.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
-		tm.SetTelemetry(reg)
-	}
+func quadrature(name string, m *sram.Metric, workers int) {
 	const step = 0.25
 	const x2lo, x2hi, x1lo, x1hi = -10.0, 10.0, -6.0, 12.0
 	rows := int((x2hi-x2lo)/step) + 1

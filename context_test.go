@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,13 +16,21 @@ import (
 // not sleeping — timer granularity would inflate a 64k-sample chunk far
 // past the drain bound) so a mid-run cancellation lands while the
 // estimator is still consuming budget.
+//
+// started, when set, is closed once the first simulation has begun, so a
+// test can cancel only after the run has some cost to report.
 type slowMetric struct {
-	m    Metric
-	spin int
+	m       Metric
+	spin    int
+	once    sync.Once
+	started chan struct{}
 }
 
 func (s *slowMetric) Dim() int { return s.m.Dim() }
 func (s *slowMetric) Value(x []float64) float64 {
+	if s.started != nil {
+		s.once.Do(func() { close(s.started) })
+	}
 	v := 1.0
 	for i := 0; i < s.spin; i++ {
 		v = math.Sqrt(v + float64(i))
@@ -46,10 +55,20 @@ func TestEstimateContextCancelAllMethods(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
 			lin := &surrogate.Linear{W: []float64{1, 1}, B: 3}
-			slow := &slowMetric{m: lin, spin: 2000}
+			slow := &slowMetric{m: lin, spin: 2000, started: make(chan struct{})}
 			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// Cancel once the first simulation has run (a fixed timer
+			// can fire before it under load, leaving no partial cost).
+			// The deferred cancel and the timeout keep the goroutine
+			// from outliving the test.
 			go func() {
-				time.Sleep(30 * time.Millisecond)
+				select {
+				case <-slow.started:
+					time.Sleep(30 * time.Millisecond)
+				case <-ctx.Done():
+				case <-time.After(30 * time.Second):
+				}
 				cancel()
 			}()
 			start := time.Now()

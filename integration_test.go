@@ -170,7 +170,8 @@ func TestIntegrationBlockadeVsGS(t *testing.T) {
 // The transient access-time workload must correlate with the static read
 // current: cells ordered by current are inversely ordered by delay.
 func TestIntegrationStaticDynamicConsistency(t *testing.T) {
-	cell := sram.FastRead90nm()
+	rc, access := sram.ReadCurrentWorkload(), sram.AccessTimeWorkload()
+	cell := rc.Cell
 	type pt struct{ x1, x3 float64 }
 	pts := []pt{{0, 0}, {2, 1}, {4, 2}, {5, 4}}
 	var lastI, lastT float64 = math.Inf(1), -1
@@ -178,11 +179,11 @@ func TestIntegrationStaticDynamicConsistency(t *testing.T) {
 		var d [sram.NumTransistors]float64
 		d[sram.M1] = cell.SigmaVth * p.x1
 		d[sram.M3] = cell.SigmaVth * p.x3
-		i, err := cell.ReadCurrent(d)
+		i, err := rc.Raw(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		at, err := cell.AccessTime(nil, d)
+		at, err := access.Raw(d)
 		if err != nil {
 			t.Fatal(err)
 		}

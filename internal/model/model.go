@@ -193,7 +193,7 @@ func MinNormZeroSQP(s Surface, dim, iters int) ([]float64, error) {
 	return x, nil
 }
 
-// StartOptions configures FindFailurePoint.
+// StartOptions configures FindFailurePointContext.
 type StartOptions struct {
 	// TrainN is the number of training simulations for the response
 	// surface (default 10·M for linear, 3·#coef for quadratic).
@@ -235,21 +235,17 @@ func (o *StartOptions) defaults(dim int) StartOptions {
 	return d
 }
 
-// FindFailurePoint implements the model-based optimization of the paper's
-// Algorithm 4 steps 1–2: fit a performance model from a few simulations,
-// solve the norm-minimization problem (29) on it, then verify and refine
-// the point against the real metric by walking the ray from the origin and
-// bisecting the actual pass/fail boundary. The returned point is a
-// simulation-verified failure point close to the most-likely failure
+// FindFailurePointContext implements the model-based optimization of the
+// paper's Algorithm 4 steps 1–2: fit a performance model from a few
+// simulations, solve the norm-minimization problem (29) on it, then verify
+// and refine the point against the real metric by walking the ray from the
+// origin and bisecting the actual pass/fail boundary. The returned point
+// is a simulation-verified failure point close to the most-likely failure
 // point; the total simulation cost is metric-visible (pass a *mc.Counter).
-func FindFailurePoint(metric mc.Metric, opts *StartOptions, rng *rand.Rand) ([]float64, error) {
-	return FindFailurePointContext(context.Background(), metric, opts, rng)
-}
-
-// FindFailurePointContext is FindFailurePoint with cancellation: ctx is
-// polled between training simulations (the search is sequential, so one
-// simulation is the natural chunk). A cancel aborts with the context's
-// error; an uncancelled search is bit-identical to FindFailurePoint.
+//
+// ctx is polled between training simulations (the search is sequential,
+// so one simulation is the natural chunk); a cancel aborts with the
+// context's error.
 func FindFailurePointContext(ctx context.Context, metric mc.Metric, opts *StartOptions, rng *rand.Rand) ([]float64, error) {
 	dim := metric.Dim()
 	o := opts.defaults(dim)

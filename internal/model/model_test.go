@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -167,7 +168,7 @@ func TestFindFailurePointLinearMetric(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{2, 1}, B: 5}
 	counter := mc.NewCounter(lin)
 	rng := rand.New(rand.NewSource(3))
-	x, err := FindFailurePoint(counter, nil, rng)
+	x, err := FindFailurePointContext(context.Background(), counter, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestFindFailurePointQuadraticOnShell(t *testing.T) {
 	sh := &surrogate.Shell{M: 3, R: 4}
 	counter := mc.NewCounter(sh)
 	rng := rand.New(rand.NewSource(4))
-	x, err := FindFailurePoint(counter, &StartOptions{UseQuadratic: true, TrainScale: 4}, rng)
+	x, err := FindFailurePointContext(context.Background(), counter, &StartOptions{UseQuadratic: true, TrainScale: 4}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestFindFailurePointNoFailure(t *testing.T) {
 	// A metric that never fails within the search radius.
 	never := mc.MetricFunc{M: 2, F: func(x []float64) float64 { return 1 }}
 	rng := rand.New(rand.NewSource(5))
-	if _, err := FindFailurePoint(mc.NewCounter(never), &StartOptions{MaxRadius: 6}, rng); err == nil {
+	if _, err := FindFailurePointContext(context.Background(), mc.NewCounter(never), &StartOptions{MaxRadius: 6}, rng); err == nil {
 		t.Fatal("expected failure-not-found error")
 	}
 }

@@ -1,6 +1,7 @@
 // Package sram models the paper's test vehicle: a 6-T SRAM cell whose
 // stability metrics (read noise margin, write noise margin, read current)
-// are extracted with transistor-level DC simulation (package spice).
+// are extracted with transistor-level simulation (package spice) by one
+// implementation each: the Metric and TranMetric engines.
 //
 // Transistor naming follows the paper's Fig. 5 usage:
 //
@@ -143,116 +144,11 @@ func (c *Cell) build(cfg BiasConfig, dvth [NumTransistors]float64) (*spice.Circu
 	return ckt, ms
 }
 
-// transferCurveQtoQB sweeps a forcing source on Q and records QB,
-// producing the inverter-B transfer curve g1 in the given configuration.
-// transferCurveQBtoQ mirrors it for g2.
-func (c *Cell) transferCurveQtoQB(cfg BiasConfig, dvth [NumTransistors]float64) (*curve, error) {
-	return c.transferCurve(cfg, dvth, "q", "qb")
-}
-
-func (c *Cell) transferCurveQBtoQ(cfg BiasConfig, dvth [NumTransistors]float64) (*curve, error) {
-	return c.transferCurve(cfg, dvth, "qb", "q")
-}
-
-func (c *Cell) transferCurve(cfg BiasConfig, dvth [NumTransistors]float64, forced, measured string) (*curve, error) {
-	ckt, _ := c.build(cfg, dvth)
-	ckt.AddVSource("vforce", forced, "0", 0)
-	n := c.grid()
-	xs := make([]float64, 0, n)
-	ys := make([]float64, 0, n)
-	// Seed the measured node opposite to the forced node's start so the
-	// first solve lands on the inverter's natural output.
-	opts := &spice.DCOptions{InitialGuess: map[string]float64{measured: c.VDD}, Telemetry: c.Telemetry}
-	err := ckt.Sweep("vforce", 0, c.VDD, n, opts, func(v float64, op *spice.OperatingPoint) bool {
-		xs = append(xs, v)
-		ys = append(ys, op.Voltage(measured))
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sram: %s transfer curve (%s→%s): %w", cfg, forced, measured, err)
-	}
-	return &curve{xs: xs, ys: ys}, nil
-}
-
-// WriteTripFloor is the lowest artificial bitline voltage probed by
-// WriteTrip. Letting the bisection continue below 0 V keeps the write
-// margin continuous (and hence searchable) past the physical write-fail
-// boundary.
+// WriteTripFloor is the lowest artificial bitline voltage probed by the
+// WNM metric's write-trip bisection. Letting the bisection continue below
+// 0 V keeps the write margin continuous (and hence searchable) past the
+// physical write-fail boundary.
 const WriteTripFloor = -0.6
-
-// WriteTrip returns the bitline write-trip voltage: the highest BL voltage
-// at which the cell storing a 1 at Q flips when the word line is asserted
-// (writing a 0 through M3 against load M5). A healthy cell flips with BL
-// well above 0 V; a write-failing cell does not flip even at BL = 0, in
-// which case the returned value is negative (down to WriteTripFloor, where
-// it saturates). Each probe is one DC solve seeded in the state-1 basin.
-func (c *Cell) WriteTrip(dvth [NumTransistors]float64) (float64, error) {
-	ckt, _ := c.build(ReadConfig, dvth) // WL high, both bitlines start at VDD
-	vbl, err := ckt.VSourceByName("vbl")
-	if err != nil {
-		return 0, err
-	}
-	flipped := func(bl float64) (bool, error) {
-		vbl.E = bl
-		op, err := ckt.SolveDC(&spice.DCOptions{
-			InitialGuess: map[string]float64{"q": c.VDD, "qb": 0},
-			Telemetry:    c.Telemetry,
-		})
-		if err != nil {
-			return false, fmt.Errorf("sram: write-trip solve at BL=%.3f: %w", bl, err)
-		}
-		return op.Voltage("q") < 0.5*c.VDD, nil
-	}
-	lo, hi := WriteTripFloor, c.VDD
-	// The cell must hold its state with BL at VDD (otherwise it is
-	// read-unstable, which the write metric treats as flipping at VDD).
-	if f, err := flipped(hi); err != nil {
-		return 0, err
-	} else if f {
-		return hi, nil
-	}
-	if f, err := flipped(lo); err != nil {
-		return 0, err
-	} else if !f {
-		return lo, nil // saturated: cannot write even at the floor
-	}
-	for i := 0; i < 14; i++ {
-		mid := 0.5 * (lo + hi)
-		f, err := flipped(mid)
-		if err != nil {
-			// Non-convergence this close to the trip bifurcation means
-			// the state-1 solution is marginal; classifying the point as
-			// flipped moves the trip estimate by at most the current
-			// bisection interval.
-			f = true
-		}
-		if f {
-			lo = mid // flips at mid: trip voltage is at or above mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
-}
-
-// ReadCurrent solves the read operating point with the cell holding a 0 at
-// Q and returns the magnitude of the current through access transistor M3
-// (the series M3–M1 read path), in amperes.
-func (c *Cell) ReadCurrent(dvth [NumTransistors]float64) (float64, error) {
-	ckt, ms := c.build(ReadConfig, dvth)
-	op, err := ckt.SolveDC(&spice.DCOptions{
-		InitialGuess: map[string]float64{"q": 0.05, "qb": c.VDD},
-		Telemetry:    c.Telemetry,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("sram: read-current operating point: %w", err)
-	}
-	i := ms[M3].Current(op)
-	if i < 0 {
-		i = -i
-	}
-	return i, nil
-}
 
 // RetentionVoltage returns the data-retention voltage (DRV): the lowest
 // supply at which the cell still holds a stored 0 in the hold
@@ -303,41 +199,6 @@ func (c *Cell) RetentionVoltage(dvth [NumTransistors]float64) (float64, error) {
 		}
 	}
 	return 0.5 * (lo + hi), nil
-}
-
-// mirror swaps the A-side and B-side mismatches: the cell is
-// topologically symmetric, so the B-side read current equals the A-side
-// read current of the mirrored cell.
-func mirror(dvth [NumTransistors]float64) [NumTransistors]float64 {
-	return [NumTransistors]float64{
-		M1: dvth[M2], M2: dvth[M1],
-		M3: dvth[M4], M4: dvth[M3],
-		M5: dvth[M6], M6: dvth[M5],
-	}
-}
-
-// DualReadCurrent returns the worse of the two read currents: reading a 0
-// (current through M3 into the Q side) and reading a 1 (current through
-// M4 into the QB side, computed on the mirrored cell). A cell must read
-// both data values at speed, so the access-time failure criterion is
-// min(I_read0, I_read1) < Ith. Over the access-transistor pair
-// (ΔVth3, ΔVth4) this produces a symmetric, single-connected but strongly
-// non-convex failure region — two orthogonal half-plane lobes joined at
-// the far corner — which is this library's stand-in for the irregular
-// §V-B region of the paper (see DESIGN.md).
-func (c *Cell) DualReadCurrent(dvth [NumTransistors]float64) (float64, error) {
-	ia, err := c.ReadCurrent(dvth)
-	if err != nil {
-		return 0, err
-	}
-	ib, err := c.ReadCurrent(mirror(dvth))
-	if err != nil {
-		return 0, err
-	}
-	if ib < ia {
-		return ib, nil
-	}
-	return ia, nil
 }
 
 // StaticNodeVoltages solves the DC state of the cell in the given

@@ -9,6 +9,18 @@ import (
 
 var zero [NumTransistors]float64
 
+// rawValue is m.Raw(d), failing the test on a simulation error.
+func rawValue(t *testing.T, m interface {
+	Raw([NumTransistors]float64) (float64, error)
+}, d [NumTransistors]float64) float64 {
+	t.Helper()
+	v, err := m.Raw(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestNominalCellState(t *testing.T) {
 	c := Default90nm()
 	q, qb, err := c.StaticNodeVoltages(ReadConfig, zero)
@@ -34,31 +46,19 @@ func TestNominalCellState(t *testing.T) {
 
 func TestNominalMargins(t *testing.T) {
 	c := Default90nm()
-	rs, err := c.ReadSNM(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := rawValue(t, &Metric{Cell: c, Kind: RNM}, zero)
 	if rs < 0.15 || rs > 0.35 {
 		t.Fatalf("nominal read SNM %v outside plausible range", rs)
 	}
-	hs, err := c.HoldSNM(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hs := rawValue(t, &Metric{Cell: c, Kind: Hold}, zero)
 	if hs <= rs {
 		t.Fatalf("hold SNM %v must exceed read SNM %v", hs, rs)
 	}
-	wm, err := c.WriteMargin(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wm := rawValue(t, &Metric{Cell: c, Kind: WNM}, zero)
 	if wm < 0.2 || wm > 0.6 {
 		t.Fatalf("nominal write-trip %v outside plausible range", wm)
 	}
-	ir, err := c.ReadCurrent(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ir := rawValue(t, &Metric{Cell: c, Kind: ReadCurrent}, zero)
 	if ir < 20e-6 || ir > 100e-6 {
 		t.Fatalf("nominal read current %v outside plausible range", ir)
 	}
@@ -75,6 +75,26 @@ func TestNominalEyesSymmetric(t *testing.T) {
 	}
 	if s.Min() != math.Min(s.Eye0, s.Eye1) {
 		t.Fatal("SNM.Min wrong")
+	}
+}
+
+// NoiseMargins traces the butterfly with the engine's own sweep, so its
+// state-0 eye is bit-identical to the RNM (read) and Hold metrics' raw
+// value.
+func TestNoiseMarginsMatchMetricRaw(t *testing.T) {
+	c := Default90nm()
+	d := [NumTransistors]float64{0.03, -0.02, 0.01, 0, 0.02, -0.01}
+	for cfg, kind := range map[BiasConfig]MetricKind{ReadConfig: RNM, HoldConfig: Hold} {
+		m := &Metric{Cell: c, Kind: kind}
+		for _, dv := range [][NumTransistors]float64{zero, d} {
+			s, err := c.NoiseMargins(cfg, dv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw := rawValue(t, m, dv); s.Eye0 != raw {
+				t.Fatalf("%v at %v: NoiseMargins eye %v != %v raw %v", cfg, dv, s.Eye0, kind, raw)
+			}
+		}
 	}
 }
 
@@ -100,99 +120,69 @@ func TestEyeMirrorSymmetry(t *testing.T) {
 }
 
 func TestReadSNMSensitivities(t *testing.T) {
-	c := Default90nm()
-	r0, err := c.ReadSNM(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rnm := &Metric{Cell: Default90nm(), Kind: RNM}
+	r0 := rawValue(t, rnm, zero)
 	// Weaker driver M1 hurts the state-0 eye.
 	d := [NumTransistors]float64{}
 	d[M1] = 0.09
-	r1, err := c.ReadSNM(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := rawValue(t, rnm, d)
 	if r1 >= r0 {
 		t.Fatalf("weak driver should reduce RNM: %v -> %v", r0, r1)
 	}
 	// Stronger access M3 hurts it too.
 	d = [NumTransistors]float64{}
 	d[M3] = -0.09
-	r3, err := c.ReadSNM(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := rawValue(t, rnm, d)
 	if r3 >= r0 {
 		t.Fatalf("strong access should reduce RNM: %v -> %v", r0, r3)
 	}
 }
 
 func TestWriteTripSensitivities(t *testing.T) {
-	c := Default90nm()
-	w0, err := c.WriteTrip(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wnm := &Metric{Cell: Default90nm(), Kind: WNM}
+	w0 := rawValue(t, wnm, zero)
 	// Weaker access M3 makes writing harder (lower trip voltage).
 	d := [NumTransistors]float64{}
 	d[M3] = 0.12
-	w1, err := c.WriteTrip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1 := rawValue(t, wnm, d)
 	if w1 >= w0 {
 		t.Fatalf("weak access should reduce write trip: %v -> %v", w0, w1)
 	}
 	// Stronger load M5 fights the write: harder still.
 	d[M5] = -0.12
-	w2, err := c.WriteTrip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := rawValue(t, wnm, d)
 	if w2 >= w1 {
 		t.Fatalf("strong load should reduce write trip further: %v -> %v", w1, w2)
 	}
 }
 
 func TestWriteTripSaturatesAtFloor(t *testing.T) {
-	c := Default90nm()
+	wnm := &Metric{Cell: Default90nm(), Kind: WNM}
 	// Moderately broken cell: write fails at any physical bitline voltage
 	// (negative trip), but the continuous extension below 0 V still
 	// resolves it.
 	d := [NumTransistors]float64{}
 	d[M3] = 0.8
 	d[M5] = -0.5
-	w, err := c.WriteTrip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := rawValue(t, wnm, d)
 	if w >= 0 {
 		t.Fatalf("broken cell should have negative trip, got %v", w)
 	}
 	// Absurdly dead access transistor: even the floor cannot flip it.
 	d[M3] = 1.5
-	w, err = c.WriteTrip(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w = rawValue(t, wnm, d)
 	if w != WriteTripFloor {
 		t.Fatalf("expected floor %v, got %v", WriteTripFloor, w)
 	}
 }
 
 func TestReadCurrentSensitivities(t *testing.T) {
-	c := FastRead90nm()
-	i0, err := c.ReadCurrent(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := &Metric{Cell: FastRead90nm(), Kind: ReadCurrent}
+	i0 := rawValue(t, rc, zero)
 	for _, tr := range []int{M1, M3} {
 		d := [NumTransistors]float64{}
 		d[tr] = 0.09
-		i1, err := c.ReadCurrent(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		i1 := rawValue(t, rc, d)
 		if i1 >= i0 {
 			t.Fatalf("weaker M%d should reduce read current: %v -> %v", tr+1, i0, i1)
 		}
@@ -200,10 +190,7 @@ func TestReadCurrentSensitivities(t *testing.T) {
 	// Unrelated transistor M6 barely matters.
 	d := [NumTransistors]float64{}
 	d[M6] = 0.09
-	i6, err := c.ReadCurrent(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	i6 := rawValue(t, rc, d)
 	if math.Abs(i6-i0)/i0 > 0.02 {
 		t.Fatalf("M6 should not drive read current: %v -> %v", i0, i6)
 	}
@@ -216,10 +203,7 @@ func TestReadFlipCollapsesCurrent(t *testing.T) {
 	d := [NumTransistors]float64{}
 	d[M1] = c.SigmaVth * 8
 	d[M3] = -c.SigmaVth * 8
-	i, err := c.ReadCurrent(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	i := rawValue(t, &Metric{Cell: c, Kind: ReadCurrent}, d)
 	if i > 5e-6 {
 		t.Fatalf("flipped cell should carry ≈no read current, got %v", i)
 	}

@@ -5,23 +5,17 @@ import (
 	"testing"
 )
 
-// DualReadCurrent must be exactly symmetric under swapping the two
+// The dual read current must be exactly symmetric under swapping the two
 // access-transistor mismatches (the property that makes the two lobes of
 // the §V-B region identical).
 func TestDualReadSymmetry(t *testing.T) {
-	c := Default90nm()
+	dual := &Metric{Cell: Default90nm(), Kind: DualRead}
 	for _, pair := range [][2]float64{{0.05, -0.02}, {0.12, 0.03}, {-0.04, 0.09}} {
 		var a, b [NumTransistors]float64
 		a[M3], a[M4] = pair[0], pair[1]
 		b[M3], b[M4] = pair[1], pair[0]
-		ia, err := c.DualReadCurrent(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ib, err := c.DualReadCurrent(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ia := rawValue(t, dual, a)
+		ib := rawValue(t, dual, b)
 		if math.Abs(ia-ib) > 1e-9*math.Abs(ia) {
 			t.Fatalf("dual read not symmetric: %v vs %v for %v", ia, ib, pair)
 		}
@@ -32,32 +26,22 @@ func TestDualReadSymmetry(t *testing.T) {
 // it below the nominal single-sided value.
 func TestDualReadIsMin(t *testing.T) {
 	c := Default90nm()
+	dual := &Metric{Cell: c, Kind: DualRead}
+	rc := &Metric{Cell: c, Kind: ReadCurrent}
 	var z [NumTransistors]float64
-	i0, err := c.DualReadCurrent(z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := c.ReadCurrent(z)
-	if err != nil {
-		t.Fatal(err)
-	}
+	i0 := rawValue(t, dual, z)
+	single := rawValue(t, rc, z)
 	if math.Abs(i0-single) > 1e-9 {
 		t.Fatalf("nominal dual %v should equal single-sided %v", i0, single)
 	}
 	var d [NumTransistors]float64
 	d[M4] = 0.12 // weaken only the B side
-	id, err := c.DualReadCurrent(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := rawValue(t, dual, d)
 	if id >= i0 {
 		t.Fatalf("weak B side should reduce the dual current: %v vs %v", id, i0)
 	}
 	// The A-side current is unchanged; the dual must be the B side.
-	ia, err := c.ReadCurrent(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ia := rawValue(t, rc, d)
 	if math.Abs(ia-i0)/i0 > 0.02 {
 		t.Fatalf("A side should be unaffected by ΔVth4: %v vs %v", ia, i0)
 	}
@@ -65,11 +49,13 @@ func TestDualReadIsMin(t *testing.T) {
 
 func TestMirrorInvolution(t *testing.T) {
 	d := [NumTransistors]float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
-	m := mirror(mirror(d))
+	single := d
+	mirrorRow(single[:])
+	m := single
+	mirrorRow(m[:])
 	if m != d {
 		t.Fatalf("mirror is not an involution: %v", m)
 	}
-	single := mirror(d)
 	if single[M1] != d[M2] || single[M3] != d[M4] || single[M5] != d[M6] {
 		t.Fatalf("mirror mapping wrong: %v", single)
 	}

@@ -1,10 +1,12 @@
 package sram
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/mc"
+	"repro/internal/spice"
 	"repro/internal/telemetry"
 )
 
@@ -83,6 +85,95 @@ func TestBatchScalarBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWarmStartsMatchColdSolves: the warm starts (the nominal read
+// anchor behind the basin guard, the secant-predicted transfer-curve
+// points) must land on the operating points a cold SolveDC reaches from
+// the same initial guess on the engine's own templates, ±6σ corners
+// included. There is no cold production path to compare against, so
+// this test is the guard any new warm-start policy or anchor must pass.
+func TestWarmStartsMatchColdSolves(t *testing.T) {
+	holdMetric := &Metric{Cell: Default90nm(), Kind: Hold, Spec: 0.08, Which: AllTransistors()}
+	cases := []struct {
+		name string
+		m    *Metric
+		n    int
+	}{
+		{"readcurrent", ReadCurrentWorkload(), 64},
+		{"dualread", DualReadCurrentWorkload(), 64},
+		{"rnm", RNMWorkload(), 24},
+		{"hold", holdMetric, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			m := tc.m
+			e := m.newEngine()
+			if e.err != nil {
+				t.Fatal(e.err)
+			}
+			for _, x := range equivalenceSamples(11, tc.n, m.Dim()) {
+				var d [NumTransistors]float64
+				for j, tr := range m.Which {
+					d[tr] = m.Cell.SigmaVth * x[j]
+				}
+				warm, err := m.Raw(d)
+				if err != nil {
+					t.Fatalf("x=%v: %v", x, err)
+				}
+				cold, err := coldRaw(m, e, d)
+				if err != nil {
+					t.Fatalf("x=%v: cold: %v", x, err)
+				}
+				if math.Abs(warm-cold) > 1e-12*math.Abs(cold) {
+					t.Fatalf("x=%v: warm %v vs cold %v (rel %.3g)", x, warm, cold, math.Abs(warm-cold)/math.Abs(cold))
+				}
+			}
+		})
+	}
+}
+
+// coldRaw recomputes m's raw value at ΔVth d with every operating point
+// solved cold by SolveDC from the engine's initial guess, on e's
+// templates.
+func coldRaw(m *Metric, e *metricEngine, d [NumTransistors]float64) (float64, error) {
+	c := m.Cell
+	if m.Kind == ReadCurrent || m.Kind == DualRead {
+		read := func(row []float64) (float64, error) {
+			e.read.setDvth(row)
+			op, err := e.read.ckt.SolveDC(&spice.DCOptions{InitialGuess: readGuess(c)})
+			if err != nil {
+				return 0, err
+			}
+			return math.Abs(e.read.ms[M3].Current(op)), nil
+		}
+		ia, err := read(d[:])
+		if err != nil || m.Kind == ReadCurrent {
+			return ia, err
+		}
+		mirrorRow(d[:])
+		ib, err := read(d[:])
+		return math.Min(ia, ib), err
+	}
+	var curves [2]curve
+	for k, st := range []*sweepTemplate{e.g1, e.g2} {
+		for i, ms := range st.ms {
+			ms.DeltaVth = d[i]
+		}
+		n := c.grid()
+		for i := 0; i < n; i++ {
+			v := c.VDD * float64(i) / float64(n-1)
+			st.force.E = v
+			op, err := st.ckt.SolveDC(&spice.DCOptions{InitialGuess: st.guess})
+			if err != nil {
+				return 0, err
+			}
+			curves[k].xs = append(curves[k].xs, v)
+			curves[k].ys = append(curves[k].ys, op.Voltage(st.measured))
+		}
+	}
+	return eyeSquare(&curves[0], &curves[1], 0, c.VDD), nil
 }
 
 // TestBatchInputRowsUntouched: ValueBatch must not mutate caller-owned

@@ -16,14 +16,21 @@ type MetricKind int
 // Supported circuit metrics.
 const (
 	// RNM: read noise margin (state-0 butterfly eye under read bias).
+	// The paper analyzes one failure mechanism at a time (§IV-A); the
+	// symmetric read-1 failure rate is obtained by doubling.
 	RNM MetricKind = iota
-	// WNM: write margin (collapsed state-1 eye under write bias).
+	// WNM: write margin, the bitline write-trip voltage (a larger value
+	// means an easier write).
 	WNM
-	// ReadCurrent: |I(M3)| in the read configuration.
+	// ReadCurrent: |I(M3)| (the series M3–M1 read path) at the read
+	// operating point with the cell holding a 0 at Q.
 	ReadCurrent
-	// HoldSNM: retention margin with the word line off.
+	// Hold: retention margin (state-0 eye with the word line off).
 	Hold
-	// DualReadCurrent: min of the two single-sided read currents.
+	// DualRead: min(I_read0 through M3, I_read1 through M4 on the
+	// mirrored cell). Over the access pair (ΔVth3, ΔVth4) its failure
+	// region is two orthogonal half-plane lobes joined at the far corner:
+	// this library's stand-in for the irregular §V-B region (DESIGN.md).
 	DualRead
 )
 
@@ -147,6 +154,22 @@ func (m *Metric) ValueBatch(xs [][]float64, out []float64) {
 		}
 		out[i] = (raw - m.Spec) * scale
 	}
+}
+
+// Raw returns the metric's raw value — volts for margins, amperes for
+// read current, before Spec and Scale apply — at a full per-transistor
+// ΔVth vector in volts (Which is not consulted), with the simulation error
+// that Value would replace by the worst case. It runs Value's own engine
+// code, anchors and guards, so Raw at ΔVth_Which[j] = SigmaVth·x_j is the
+// raw value behind Value(x).
+func (m *Metric) Raw(dvth [NumTransistors]float64) (float64, error) {
+	m.ensureAnchors()
+	e := m.getEngine()
+	defer m.putEngine(e)
+	var out [1]float64
+	var errs [1]error
+	m.rawBatch(e, [][]float64{dvth[:]}, out[:], errs[:])
+	return out[0], errs[0]
 }
 
 // errorValue is the raw metric value substituted when a simulation fails

@@ -69,6 +69,7 @@ type sweepTemplate struct {
 	force    *spice.VSource
 	measured string
 	guess    map[string]float64
+	name     string // "read q→qb", for errors
 }
 
 func newSweepTemplate(c *Cell, cfg BiasConfig, forced, measured string) (*sweepTemplate, error) {
@@ -80,7 +81,10 @@ func newSweepTemplate(c *Cell, cfg BiasConfig, forced, measured string) (*sweepT
 	}
 	return &sweepTemplate{
 		ckt: ckt, ms: ms, force: force, measured: measured,
+		// Seed the measured node opposite to the forced node's start so
+		// the first solve lands on the inverter's natural output.
 		guess: map[string]float64{measured: c.VDD},
+		name:  fmt.Sprintf("%s %s→%s", cfg, forced, measured),
 	}, nil
 }
 
@@ -245,7 +249,9 @@ func (m *Metric) readCurrentBatch(t *cellTemplate, rows [][]float64, out []float
 	}
 }
 
-// mirrorRow is mirror() for flat rows: swap the A and B sides in place.
+// mirrorRow swaps the A-side and B-side mismatches of a row in place:
+// the cell is topologically symmetric, so the B-side read current equals
+// the A-side read current of the mirrored cell.
 func mirrorRow(row []float64) {
 	row[M1], row[M2] = row[M2], row[M1]
 	row[M3], row[M4] = row[M4], row[M3]
@@ -298,10 +304,10 @@ func (m *Metric) rawBatch(e *metricEngine, rows [][]float64, out []float64, outE
 // snmSample extracts the state-0 butterfly eye for one sample on the
 // engine's transfer-curve templates.
 func (m *Metric) snmSample(e *metricEngine, row []float64) (float64, error) {
-	if err := m.sweepCurve(e.g1, row, &e.c1); err != nil {
+	if err := sweepCurve(m.Cell, e.g1, row, &e.c1); err != nil {
 		return 0, err
 	}
-	if err := m.sweepCurve(e.g2, row, &e.c2); err != nil {
+	if err := sweepCurve(m.Cell, e.g2, row, &e.c2); err != nil {
 		return 0, err
 	}
 	return eyeSquare(&e.c1, &e.c2, 0, m.Cell.VDD), nil
@@ -317,8 +323,7 @@ func (m *Metric) snmSample(e *metricEngine, row []float64) (float64, error) {
 // because the predicted point tracks the perturbed curve itself, it is
 // closer than any fixed nominal anchor, cutting Newton iterations per
 // grid point well below an anchor-pool policy.
-func (m *Metric) sweepCurve(t *sweepTemplate, row []float64, out *curve) error {
-	c := m.Cell
+func sweepCurve(c *Cell, t *sweepTemplate, row []float64, out *curve) error {
 	for i, ms := range t.ms {
 		ms.DeltaVth = row[i]
 	}
@@ -347,7 +352,7 @@ func (m *Metric) sweepCurve(t *sweepTemplate, row []float64, out *curve) error {
 		}
 		op, err := t.ckt.SolveDCFrom(anchor, 0, nil, opts)
 		if err != nil {
-			return fmt.Errorf("sram: %v transfer curve point %d: %w", m.Kind, i, err)
+			return fmt.Errorf("sram: %s transfer curve point %d: %w", t.name, i, err)
 		}
 		prev2, prev = prev, op
 		out.xs[i] = v
@@ -356,10 +361,15 @@ func (m *Metric) sweepCurve(t *sweepTemplate, row []float64, out *curve) error {
 	return nil
 }
 
-// writeSample ports Cell.WriteTrip onto the engine template: the same
-// cold bisection for the bitline trip voltage, minus the per-sample
-// netlist rebuild. Probes are never warm-started (see the policy note in
-// the file comment).
+// writeSample returns the bitline write-trip voltage: the highest BL
+// voltage at which the cell storing a 1 at Q flips when the word line is
+// asserted (writing a 0 through M3 against load M5). A healthy cell flips
+// with BL well above 0 V; a write-failing cell does not flip even at
+// BL = 0, in which case the value is negative (down to WriteTripFloor,
+// where it saturates). A cell that flips with BL still at VDD is
+// read-unstable, which the write metric treats as flipping at VDD. Each
+// probe is one cold DC solve seeded in the state-1 basin, never
+// warm-started (see the policy note in the file comment).
 func (m *Metric) writeSample(e *metricEngine, row []float64) (float64, error) {
 	c := m.Cell
 	t := e.read
@@ -394,12 +404,14 @@ func (m *Metric) writeSample(e *metricEngine, row []float64) (float64, error) {
 		mid := 0.5 * (lo + hi)
 		f, err := flipped(mid)
 		if err != nil {
-			// Same classification as Cell.WriteTrip: non-convergence at
-			// the bifurcation counts as flipped.
+			// Non-convergence this close to the trip bifurcation means
+			// the state-1 solution is marginal; classifying the point as
+			// flipped moves the trip estimate by at most the current
+			// bisection interval.
 			f = true
 		}
 		if f {
-			lo = mid
+			lo = mid // flips at mid: trip voltage is at or above mid
 		} else {
 			hi = mid
 		}

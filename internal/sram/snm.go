@@ -140,17 +140,21 @@ type Curve struct {
 
 // TransferCurves returns the two butterfly curves in the given
 // configuration: g1 maps a forced Q to the resulting QB, g2 maps a forced
-// QB to the resulting Q.
+// QB to the resulting Q. They are traced with the engine's sweep
+// templates and continuation (sweepCurve), so they are exactly the curves
+// the RNM and Hold metrics extract their eyes from.
 func TransferCurves(c *Cell, cfg BiasConfig, dvth [NumTransistors]float64) (g1, g2 *Curve, err error) {
-	c1, err := c.transferCurveQtoQB(cfg, dvth)
-	if err != nil {
-		return nil, nil, err
+	var cs [2]curve
+	for i, nodes := range [2][2]string{{"q", "qb"}, {"qb", "q"}} {
+		t, err := newSweepTemplate(c, cfg, nodes[0], nodes[1])
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := sweepCurve(c, t, dvth[:], &cs[i]); err != nil {
+			return nil, nil, err
+		}
 	}
-	c2, err := c.transferCurveQBtoQ(cfg, dvth)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Curve{X: c1.xs, Y: c1.ys}, &Curve{X: c2.xs, Y: c2.ys}, nil
+	return &Curve{X: cs[0].xs, Y: cs[0].ys}, &Curve{X: cs[1].xs, Y: cs[1].ys}, nil
 }
 
 // SNM holds the two eye sizes of a butterfly plot.
@@ -169,46 +173,16 @@ func (s SNM) Min() float64 {
 }
 
 // NoiseMargins extracts both butterfly eyes in the given configuration.
+// Eye0 in the read (hold) configuration is the RNM (Hold) metric's raw
+// value.
 func (c *Cell) NoiseMargins(cfg BiasConfig, dvth [NumTransistors]float64) (SNM, error) {
-	g1, err := c.transferCurveQtoQB(cfg, dvth)
+	c1, c2, err := TransferCurves(c, cfg, dvth)
 	if err != nil {
 		return SNM{}, err
 	}
-	g2, err := c.transferCurveQBtoQ(cfg, dvth)
-	if err != nil {
-		return SNM{}, err
-	}
+	g1, g2 := &curve{xs: c1.X, ys: c1.Y}, &curve{xs: c2.X, ys: c2.Y}
 	return SNM{
 		Eye0: eyeSquare(g1, g2, 0, c.VDD),
 		Eye1: eyeSquare(g1, g2, 1, c.VDD),
 	}, nil
-}
-
-// ReadSNM returns the read-stability margin for the cell storing 0: the
-// state-0 eye of the butterfly under read bias. The paper analyzes one
-// failure mechanism at a time (§IV-A); the symmetric read-1 failure rate
-// is obtained by doubling.
-func (c *Cell) ReadSNM(dvth [NumTransistors]float64) (float64, error) {
-	s, err := c.NoiseMargins(ReadConfig, dvth)
-	if err != nil {
-		return 0, err
-	}
-	return s.Eye0, nil
-}
-
-// WriteMargin returns the write-noise-margin proxy used by the WNM
-// experiments: the bitline write-trip voltage (see WriteTrip). A larger
-// value means an easier write; the cell write-fails when the margin drops
-// below the spec threshold.
-func (c *Cell) WriteMargin(dvth [NumTransistors]float64) (float64, error) {
-	return c.WriteTrip(dvth)
-}
-
-// HoldSNM returns the data-retention margin (WL off) for the state-0 eye.
-func (c *Cell) HoldSNM(dvth [NumTransistors]float64) (float64, error) {
-	s, err := c.NoiseMargins(HoldConfig, dvth)
-	if err != nil {
-		return 0, err
-	}
-	return s.Eye0, nil
 }

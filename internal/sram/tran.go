@@ -58,16 +58,17 @@ func (s *TranSpec) defaults() TranSpec {
 	return out
 }
 
-// buildTran assembles the cell with capacitive bitlines. When driveBL is
-// true the bitlines are driven by sources (write); otherwise they float
-// on their precharge capacitors (read sensing).
-func (c *Cell) buildTran(spec TranSpec, dvth [NumTransistors]float64, driveBL bool, blLevel float64) *spice.Circuit {
+// buildTran assembles the nominal cell with capacitive bitlines and
+// returns it with its six transistors indexed M1..M6. When driveBL is
+// true the bitlines are driven by sources, BL low and BLB high (write);
+// otherwise they float on their precharge capacitors (read sensing).
+func (c *Cell) buildTran(spec TranSpec, driveBL bool) (*spice.Circuit, [NumTransistors]*spice.MOSFET) {
 	ckt := spice.NewCircuit()
 	ckt.AddVSource("vdd", "vdd", "0", c.VDD)
 	wl := ckt.AddVSource("vwl", "wl", "0", 0)
 	wl.Waveform = spice.StepWaveform(0, c.VDD, spec.WLEdge, 20e-12)
 	if driveBL {
-		ckt.AddVSource("vbl", "bl", "0", blLevel)
+		ckt.AddVSource("vbl", "bl", "0", 0)
 		ckt.AddVSource("vblb", "blb", "0", c.VDD)
 	}
 	ckt.AddCapacitor("cbl", "bl", "0", spec.CBit)
@@ -75,92 +76,14 @@ func (c *Cell) buildTran(spec TranSpec, dvth [NumTransistors]float64, driveBL bo
 	ckt.AddCapacitor("cq", "q", "0", spec.CCell)
 	ckt.AddCapacitor("cqb", "qb", "0", spec.CCell)
 
-	ckt.AddMOSFET("m1", "q", "qb", "0", "0", c.Driver).DeltaVth = dvth[M1]
-	ckt.AddMOSFET("m2", "qb", "q", "0", "0", c.Driver).DeltaVth = dvth[M2]
-	ckt.AddMOSFET("m3", "bl", "wl", "q", "0", c.Access).DeltaVth = dvth[M3]
-	ckt.AddMOSFET("m4", "blb", "wl", "qb", "0", c.Access).DeltaVth = dvth[M4]
-	ckt.AddMOSFET("m5", "q", "qb", "vdd", "vdd", c.Load).DeltaVth = dvth[M5]
-	ckt.AddMOSFET("m6", "qb", "q", "vdd", "vdd", c.Load).DeltaVth = dvth[M6]
-	return ckt
-}
-
-// AccessTime simulates a read of a stored 0: the precharged floating
-// bitlines are released onto the cell when the word line rises, and the
-// returned value is the time (from the WL edge) for the bitline
-// differential to reach spec.Sense. If the differential never develops
-// within spec.Stop — a read access failure — the remaining-window value
-// spec.Stop − spec.WLEdge is returned, keeping the metric finite and
-// monotone.
-func (c *Cell) AccessTime(spec *TranSpec, dvth [NumTransistors]float64) (float64, error) {
-	s := spec.defaults()
-	ckt := c.buildTran(s, dvth, false, 0)
-	tCross := -1.0
-	prevT, prevD := 0.0, 0.0
-	err := ckt.SolveTran(spice.TranOptions{
-		Stop: s.Stop, Step: s.Step, Method: spice.BackwardEuler,
-		DC: &spice.DCOptions{Telemetry: c.Telemetry},
-		InitialConditions: map[string]float64{
-			"bl": c.VDD, "blb": c.VDD, "q": 0, "qb": c.VDD,
-		},
-	}, func(p spice.TranPoint) bool {
-		d := p.OP.Voltage("blb") - p.OP.Voltage("bl")
-		if p.T > s.WLEdge && d >= s.Sense {
-			// Linear interpolation of the crossing keeps the metric
-			// smooth in the mismatch variables (no step-quantization
-			// plateaus, which would break binary search and model fits).
-			tCross = p.T
-			if d > prevD {
-				tCross = prevT + (s.Sense-prevD)*(p.T-prevT)/(d-prevD)
-			}
-			return false
-		}
-		prevT, prevD = p.T, d
-		return true
-	})
-	if err != nil {
-		return 0, fmt.Errorf("sram: access-time transient: %w", err)
+	return ckt, [NumTransistors]*spice.MOSFET{
+		M1: ckt.AddMOSFET("m1", "q", "qb", "0", "0", c.Driver),
+		M2: ckt.AddMOSFET("m2", "qb", "q", "0", "0", c.Driver),
+		M3: ckt.AddMOSFET("m3", "bl", "wl", "q", "0", c.Access),
+		M4: ckt.AddMOSFET("m4", "blb", "wl", "qb", "0", c.Access),
+		M5: ckt.AddMOSFET("m5", "q", "qb", "vdd", "vdd", c.Load),
+		M6: ckt.AddMOSFET("m6", "qb", "q", "vdd", "vdd", c.Load),
 	}
-	if tCross < 0 {
-		return s.Stop - s.WLEdge, nil
-	}
-	return tCross - s.WLEdge, nil
-}
-
-// WriteDelay simulates writing a 0 into a cell storing 1 (BL driven low)
-// and returns the time from the WL edge until Q falls through VDD/2. A
-// cell that never flips within spec.Stop returns the remaining-window
-// value spec.Stop − spec.WLEdge (a write failure under any realistic
-// timing spec).
-func (c *Cell) WriteDelay(spec *TranSpec, dvth [NumTransistors]float64) (float64, error) {
-	s := spec.defaults()
-	ckt := c.buildTran(s, dvth, true, 0)
-	tFlip := -1.0
-	prevT, prevQ := 0.0, c.VDD
-	err := ckt.SolveTran(spice.TranOptions{
-		Stop: s.Stop, Step: s.Step, Method: spice.BackwardEuler,
-		DC: &spice.DCOptions{Telemetry: c.Telemetry},
-		InitialConditions: map[string]float64{
-			"q": c.VDD, "qb": 0, "bl": 0, "blb": c.VDD,
-		},
-	}, func(p spice.TranPoint) bool {
-		q := p.OP.Voltage("q")
-		if p.T > s.WLEdge && q < 0.5*c.VDD {
-			tFlip = p.T
-			if q < prevQ {
-				tFlip = prevT + (prevQ-0.5*c.VDD)*(p.T-prevT)/(prevQ-q)
-			}
-			return false
-		}
-		prevT, prevQ = p.T, q
-		return true
-	})
-	if err != nil {
-		return 0, fmt.Errorf("sram: write-delay transient: %w", err)
-	}
-	if tFlip < 0 {
-		return s.Stop - s.WLEdge, nil
-	}
-	return tFlip - s.WLEdge, nil
 }
 
 // TranMetric adapts a dynamic metric to mc.Metric: margin = Spec − delay
@@ -173,7 +96,13 @@ func (c *Cell) WriteDelay(spec *TranSpec, dvth [NumTransistors]float64) (float64
 // benches from a free list.
 type TranMetric struct {
 	Cell *Cell
-	// Kind selects AccessTime ("access") or WriteDelay ("write").
+	// Kind selects the test bench: "access" reads a stored 0 through
+	// floating precharged bitlines, and the delay runs from the WL edge
+	// until the bitline differential reaches Bench.Sense; "write" drives
+	// BL low into a cell storing 1, and the delay runs until Q falls
+	// through VDD/2. A delay that never resolves within Bench.Stop (an
+	// access or write failure) is the remaining window Stop − WLEdge,
+	// keeping the metric finite and monotone.
 	Kind string
 	// Spec is the timing budget in seconds.
 	Spec float64
@@ -216,21 +145,10 @@ type tranEngine struct {
 func (m *TranMetric) newEngine(s TranSpec) *tranEngine {
 	e := &tranEngine{}
 	switch m.Kind {
-	case "access":
-		e.ckt = m.Cell.buildTran(s, [NumTransistors]float64{}, false, 0)
-	case "write":
-		e.ckt = m.Cell.buildTran(s, [NumTransistors]float64{}, true, 0)
+	case "access", "write":
+		e.ckt, e.ms = m.Cell.buildTran(s, m.Kind == "write")
 	default:
 		e.err = errors.New("sram: unknown tran metric kind")
-		return e
-	}
-	for i, name := range [NumTransistors]string{"m1", "m2", "m3", "m4", "m5", "m6"} {
-		mos, err := e.ckt.MOSFETByName(name)
-		if err != nil {
-			e.err = err
-			return e
-		}
-		e.ms[i] = mos
 	}
 	return e
 }
@@ -271,7 +189,7 @@ func (m *TranMetric) ValueBatch(xs [][]float64, out []float64) {
 	delays := make([]float64, len(xs))
 	var errs []error
 	if e.err == nil {
-		errs = m.runTranBatch(e, s, delays)
+		errs = m.runTranBatch(e, s, e.rows, delays)
 	}
 	scale := m.Scale
 	//reprolint:ignore floateq Scale is user-assigned configuration, never computed; exact 0 is the unset sentinel
@@ -288,11 +206,31 @@ func (m *TranMetric) ValueBatch(xs [][]float64, out []float64) {
 	}
 }
 
-// runTranBatch integrates every sample's transient on the engine's bench
-// and extracts the per-sample delay (crossing time minus the WL edge,
-// interpolated; the remaining window on no crossing). Returns per-sample
-// solve errors.
-func (m *TranMetric) runTranBatch(e *tranEngine, s TranSpec, delays []float64) []error {
+// Raw returns the delay in seconds (see Kind) at a full per-transistor
+// ΔVth vector in volts (Which is not consulted), with the simulation
+// error that Value would replace by the maximal delay. It runs Value's
+// own engine code, so Raw at ΔVth_Which[j] = SigmaVth·x_j is the delay
+// behind Value(x).
+func (m *TranMetric) Raw(dvth [NumTransistors]float64) (float64, error) {
+	s := m.Bench.defaults()
+	e := m.getEngine(s)
+	defer m.putEngine(e)
+	if e.err != nil {
+		return 0, e.err
+	}
+	var delay [1]float64
+	errs := m.runTranBatch(e, s, [][]float64{dvth[:]}, delay[:])
+	return delay[0], errs[0]
+}
+
+// runTranBatch integrates every row's transient on the engine's bench
+// and extracts the per-sample delay: the crossing time minus the WL edge,
+// or the remaining window on no crossing. The crossing is linearly
+// interpolated between the bracketing time points, which keeps the metric
+// smooth in the mismatch variables (no step-quantization plateaus, which
+// would break binary search and model fits). Returns per-sample solve
+// errors.
+func (m *TranMetric) runTranBatch(e *tranEngine, s TranSpec, rows [][]float64, delays []float64) []error {
 	c := m.Cell
 	opts := spice.TranBatchOptions{
 		Tran: spice.TranOptions{
@@ -308,8 +246,7 @@ func (m *TranMetric) runTranBatch(e *tranEngine, s TranSpec, delays []float64) [
 		MOSFETs: e.ms[:],
 	}
 	// Per-sample crossing state, reset when the kernel moves to the next
-	// sample. The detector mirrors AccessTime/WriteDelay exactly,
-	// including the linear interpolation that keeps the metric smooth.
+	// sample.
 	cur := -1
 	var prevT, prevV float64
 	for i := range delays {
@@ -358,7 +295,7 @@ func (m *TranMetric) runTranBatch(e *tranEngine, s TranSpec, delays []float64) [
 			return true
 		}
 	}
-	return e.ckt.SolveTranBatch(e.rows, &opts, fn)
+	return e.ckt.SolveTranBatch(rows, &opts, fn)
 }
 
 // AccessTimeWorkload is the dynamic counterpart of the read-current

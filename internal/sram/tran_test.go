@@ -6,26 +6,19 @@ import (
 )
 
 func TestAccessTimeNominal(t *testing.T) {
-	c := FastRead90nm()
-	at, err := c.AccessTime(nil, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	at := rawValue(t, &TranMetric{Cell: FastRead90nm(), Kind: "access"}, zero)
 	if at < 5e-12 || at > 100e-12 {
 		t.Fatalf("nominal access time %v outside plausible range", at)
 	}
 }
 
 func TestAccessTimeMonotoneInReadPath(t *testing.T) {
-	c := FastRead90nm()
+	access := &TranMetric{Cell: FastRead90nm(), Kind: "access"}
 	prev := -1.0
 	for _, dv := range []float64{-0.06, 0, 0.06, 0.12} {
 		var d [NumTransistors]float64
 		d[M3] = dv
-		at, err := c.AccessTime(nil, d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		at := rawValue(t, access, d)
 		if at <= prev {
 			t.Fatalf("access time should grow with weaker access: %v then %v", prev, at)
 		}
@@ -34,13 +27,9 @@ func TestAccessTimeMonotoneInReadPath(t *testing.T) {
 }
 
 func TestAccessTimeSaturatesOnDeadCell(t *testing.T) {
-	c := FastRead90nm()
 	var d [NumTransistors]float64
 	d[M3] = 1.0 // access never turns on
-	at, err := c.AccessTime(nil, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	at := rawValue(t, &TranMetric{Cell: FastRead90nm(), Kind: "access"}, d)
 	s := (&TranSpec{}).defaults()
 	if at != s.Stop-s.WLEdge {
 		t.Fatalf("dead cell should saturate at the window: %v", at)
@@ -48,35 +37,25 @@ func TestAccessTimeSaturatesOnDeadCell(t *testing.T) {
 }
 
 func TestWriteDelayNominalAndSensitivity(t *testing.T) {
-	c := Default90nm()
-	wd0, err := c.WriteDelay(nil, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	write := &TranMetric{Cell: Default90nm(), Kind: "write"}
+	wd0 := rawValue(t, write, zero)
 	if wd0 <= 0 || wd0 > 200e-12 {
 		t.Fatalf("nominal write delay %v outside plausible range", wd0)
 	}
 	// Weaker access slows the write.
 	var d [NumTransistors]float64
 	d[M3] = 0.12
-	wd1, err := c.WriteDelay(nil, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wd1 := rawValue(t, write, d)
 	if wd1 <= wd0 {
 		t.Fatalf("weak access should slow the write: %v -> %v", wd0, wd1)
 	}
 }
 
 func TestWriteDelayUnwritableSaturates(t *testing.T) {
-	c := Default90nm()
 	var d [NumTransistors]float64
 	d[M3] = 0.8
 	d[M5] = -0.5
-	wd, err := c.WriteDelay(nil, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wd := rawValue(t, &TranMetric{Cell: Default90nm(), Kind: "write"}, d)
 	s := (&TranSpec{}).defaults()
 	if wd != s.Stop-s.WLEdge {
 		t.Fatalf("unwritable cell should saturate: %v", wd)

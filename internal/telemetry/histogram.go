@@ -214,16 +214,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n linearly spaced bucket bounds starting at
-// start with the given step.
-func LinearBuckets(start, step float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*step
-	}
-	return out
-}
-
 // atomicAddFloat adds v to the float64 stored in bits via CAS.
 func atomicAddFloat(bits *atomic.Uint64, v float64) {
 	for {

@@ -352,12 +352,15 @@ func (t *Trace) Snapshot() []SpanSnapshot {
 		if running {
 			end = now
 		}
+		// Both ends truncate before subtracting, so StartUS+DurUS is
+		// exactly EndUS(); truncating the difference instead can end a
+		// snapshot a microsecond before the span does.
 		snap := SpanSnapshot{
 			ID:       s.id,
 			ParentID: s.parentID,
 			Name:     s.name,
 			StartUS:  s.start.Microseconds(),
-			DurUS:    (end - s.start).Microseconds(),
+			DurUS:    end.Microseconds() - s.start.Microseconds(),
 			Running:  running,
 		}
 		s.mu.Lock()

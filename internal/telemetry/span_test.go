@@ -237,6 +237,24 @@ func TestTraceSnapshotRunning(t *testing.T) {
 	}
 }
 
+// TestSnapshotEndMatchesEndUS: a snapshot's StartUS+DurUS must be the
+// span's EndUS() exactly. A span from 1.9 µs to 3.1 µs truncates to
+// [1, 3]; truncating the 1.2 µs difference instead would end it at 2,
+// and a grafted span clamped to EndUS() would then escape its parent.
+func TestSnapshotEndMatchesEndUS(t *testing.T) {
+	tr := NewTrace()
+	s := tr.StartSpan(nil, "lease")
+	s.start = 1900 * time.Nanosecond
+	s.end.Store(int64(3100 * time.Nanosecond))
+	snaps := tr.Snapshot()
+	if len(snaps) != 1 {
+		t.Fatalf("snapshot = %+v, want one span", snaps)
+	}
+	if got, want := snaps[0].StartUS+snaps[0].DurUS, s.EndUS(); got != want {
+		t.Fatalf("StartUS+DurUS = %d, EndUS() = %d", got, want)
+	}
+}
+
 // TestSpanNilSafety drives the whole span API through nil receivers —
 // every call must no-op.
 func TestSpanNilSafety(t *testing.T) {
