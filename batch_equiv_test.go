@@ -7,9 +7,9 @@ import (
 )
 
 // scalarMetric hides the sram metric's ValueBatch fast path so the
-// facade sees a plain scalar mc.Metric: evaluation then flows through
-// the per-sample fallback inside the dispatcher instead of the batched
-// SPICE kernel.
+// facade sees a plain scalar mc.Metric: each group the evaluator hands
+// to the estimators' mc.Counter then falls back to Value sample by
+// sample instead of one batched engine call.
 type scalarMetric struct{ m *sram.Metric }
 
 func (s scalarMetric) Dim() int                  { return s.m.Dim() }
@@ -21,36 +21,55 @@ func (s scalarMetric) Value(x []float64) float64 { return s.m.Value(x) }
 // counts 1, 4 and 8 — and the same bits again when the batch kernel is
 // hidden entirely and every sample is solved one at a time. The batch
 // kernel is a pure throughput optimization; no published number may
-// move.
+// move. Each method runs the static read-current workload and the
+// transient access-time workload, which takes the same path through the
+// one sram engine; the transient one is skipped under -short.
 func TestMethodsBitIdenticalAcrossWorkersAndBatching(t *testing.T) {
-	metric := sram.ReadCurrentWorkload()
+	workloads := []struct {
+		name   string
+		metric *sram.Metric
+	}{
+		{"readcurrent", sram.ReadCurrentWorkload()},
+		{"access", sram.AccessTimeWorkload()},
+	}
 	for _, method := range AllMethods() {
 		t.Run(string(method), func(t *testing.T) {
 			t.Parallel()
-			base := Options{Method: method, Seed: 42, K: 300, N: 1500}
-			var ref *Result
-			for _, w := range []int{1, 4, 8} {
-				o := base
-				o.Workers = w
-				res, err := Estimate(metric, o)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				compareResults(t, ref, res, "workers", w)
+			for _, w := range workloads {
+				t.Run(w.name, func(t *testing.T) {
+					if testing.Short() && w.name == "access" {
+						t.Skip("transient workload skipped under -short")
+					}
+					methodBitIdentical(t, method, w.metric)
+				})
 			}
-			o := base
-			o.Workers = 4
-			res, err := Estimate(scalarMetric{metric}, o)
-			if err != nil {
-				t.Fatalf("scalar-only: %v", err)
-			}
-			compareResults(t, ref, res, "scalar-only workers", 4)
 		})
 	}
+}
+
+func methodBitIdentical(t *testing.T, method Method, metric *sram.Metric) {
+	base := Options{Method: method, Seed: 42, K: 300, N: 1500}
+	var ref *Result
+	for _, w := range []int{1, 4, 8} {
+		o := base
+		o.Workers = w
+		res, err := Estimate(metric, o)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		compareResults(t, ref, res, "workers", w)
+	}
+	o := base
+	o.Workers = 4
+	res, err := Estimate(scalarMetric{metric}, o)
+	if err != nil {
+		t.Fatalf("scalar-only: %v", err)
+	}
+	compareResults(t, ref, res, "scalar-only workers", 4)
 }
 
 // compareResults requires exact (==) agreement on every published

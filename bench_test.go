@@ -197,7 +197,7 @@ func BenchmarkFig14(b *testing.B) {
 	b.Run("G-C", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			if _, err := gibbs.CartesianChain(metric, start, 3, nil, rng); err != nil {
+			if _, err := gibbs.CartesianChainContext(context.Background(), metric, start, 3, nil, rng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -205,7 +205,7 @@ func BenchmarkFig14(b *testing.B) {
 	b.Run("G-S", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			if _, err := gibbs.SphericalChain(metric, start, 3, nil, rng); err != nil {
+			if _, err := gibbs.SphericalChainContext(context.Background(), metric, start, 3, nil, rng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -230,7 +230,7 @@ func BenchmarkAblationCovariance(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			samples, err := gibbs.SphericalChain(counter, start, 400, nil, rng)
+			samples, err := gibbs.SphericalChainContext(context.Background(), counter, start, 400, nil, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -591,7 +591,7 @@ func BenchmarkGibbsSample(b *testing.B) {
 	b.Run("cartesian", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			if _, err := gibbs.CartesianChain(lin, []float64{3, 3}, 1, nil, rng); err != nil {
+			if _, err := gibbs.CartesianChainContext(context.Background(), lin, []float64{3, 3}, 1, nil, rng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -599,7 +599,7 @@ func BenchmarkGibbsSample(b *testing.B) {
 	b.Run("spherical", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			if _, err := gibbs.SphericalChain(lin, []float64{3, 3}, 1, nil, rng); err != nil {
+			if _, err := gibbs.SphericalChainContext(context.Background(), lin, []float64{3, 3}, 1, nil, rng); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -52,7 +52,7 @@ func main() {
 	rnm, wnm := sram.RNMWorkload(), sram.WNMWorkload()
 	rc, dual := sram.ReadCurrentWorkload(), sram.DualReadCurrentWorkload()
 	access := sram.AccessTimeWorkload()
-	for _, m := range []interface{ SetTelemetry(*telemetry.Registry) }{rnm, wnm, rc, dual, access} {
+	for _, m := range []*sram.Metric{rnm, wnm, rc, dual, access} {
 		m.SetTelemetry(reg)
 	}
 	failed := false

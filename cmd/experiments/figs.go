@@ -248,9 +248,9 @@ func runFig14(ctx context.Context, cfg config) error {
 			err     error
 		)
 		if name == "G-C" {
-			samples, err = gibbs.CartesianChain(counter, start, 3, nil, rng)
+			samples, err = gibbs.CartesianChainContext(ctx, counter, start, 3, nil, rng)
 		} else {
-			samples, err = gibbs.SphericalChain(counter, start, 3, nil, rng)
+			samples, err = gibbs.SphericalChainContext(ctx, counter, start, 3, nil, rng)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

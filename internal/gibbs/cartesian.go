@@ -18,22 +18,17 @@ import (
 // (Algorithm 4 provides one).
 var ErrStartNotFailing = errors.New("gibbs: starting point is not in the failure region")
 
-// CartesianChain runs the paper's Algorithm 1: starting from a failure
-// point, it repeatedly resamples one Cartesian coordinate at a time from
-// the 1-D conditional g^OPT(x_m | x_\m) — a truncated standard Normal over
-// the coordinate's failure interval, sampled by inverse transform
-// (Algorithm 3). Every coordinate update appends one sample, so the
-// returned slice has exactly k samples (k simulations ≫ k because each
-// update performs a bracketing/bisection search).
-func CartesianChain(metric mc.Metric, start []float64, k int, opts *Options, rng *rand.Rand) ([][]float64, error) {
-	return CartesianChainContext(context.Background(), metric, start, k, opts, rng)
-}
-
-// CartesianChainContext is CartesianChain with cancellation: ctx is
-// polled before each coordinate update (one update is a handful of
-// bracketing/bisection simulations — the chain's natural chunk), so a
-// cancel aborts promptly with the context's error while an uncancelled
-// chain is bit-identical to CartesianChain.
+// CartesianChainContext runs the paper's Algorithm 1: starting from a
+// failure point, it repeatedly resamples one Cartesian coordinate at a
+// time from the 1-D conditional g^OPT(x_m | x_\m) — a truncated standard
+// Normal over the coordinate's failure interval, sampled by inverse
+// transform (Algorithm 3). Every coordinate update appends one sample, so
+// the returned slice has exactly k samples (k simulations ≫ k because
+// each update performs a bracketing/bisection search).
+//
+// ctx is polled before each coordinate update (one update is a handful
+// of bracketing/bisection simulations — the chain's natural chunk), so a
+// cancel aborts promptly with the context's error.
 func CartesianChainContext(ctx context.Context, metric mc.Metric, start []float64, k int, opts *Options, rng *rand.Rand) ([][]float64, error) {
 	o := opts.defaults()
 	dim := metric.Dim()

@@ -15,7 +15,7 @@ import (
 func TestCartesianChainStaysInFailureRegion(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 4}
 	rng := rand.New(rand.NewSource(1))
-	samples, err := CartesianChain(lin, []float64{3, 3}, 200, nil, rng)
+	samples, err := CartesianChainContext(context.Background(), lin, []float64{3, 3}, 200, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestCartesianChainStaysInFailureRegion(t *testing.T) {
 func TestCartesianChainRejectsPassingStart(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 4}
 	rng := rand.New(rand.NewSource(2))
-	if _, err := CartesianChain(lin, []float64{0, 0}, 10, nil, rng); err != ErrStartNotFailing {
+	if _, err := CartesianChainContext(context.Background(), lin, []float64{0, 0}, 10, nil, rng); err != ErrStartNotFailing {
 		t.Fatalf("want ErrStartNotFailing, got %v", err)
 	}
 }
@@ -40,10 +40,10 @@ func TestCartesianChainRejectsPassingStart(t *testing.T) {
 func TestCartesianChainBadArgs(t *testing.T) {
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: 4}
 	rng := rand.New(rand.NewSource(3))
-	if _, err := CartesianChain(lin, []float64{5}, 10, nil, rng); err == nil {
+	if _, err := CartesianChainContext(context.Background(), lin, []float64{5}, 10, nil, rng); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if _, err := CartesianChain(lin, []float64{5, 0}, 0, nil, rng); err == nil {
+	if _, err := CartesianChainContext(context.Background(), lin, []float64{5, 0}, 0, nil, rng); err == nil {
 		t.Fatal("expected bad-k error")
 	}
 }
@@ -57,7 +57,7 @@ func TestCartesianChainMatchesOptimalPDF(t *testing.T) {
 	b := 2.0
 	lin := &surrogate.Linear{W: []float64{1, 0}, B: b} // fail: x₁ > 2
 	rng := rand.New(rand.NewSource(4))
-	samples, err := CartesianChain(lin, []float64{2.5, 0}, 60000, nil, rng)
+	samples, err := CartesianChainContext(context.Background(), lin, []float64{2.5, 0}, 60000, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSphericalChainStaysInFailureRegion(t *testing.T) {
 	sh := &surrogate.Shell{M: 3, R: 3}
 	rng := rand.New(rand.NewSource(5))
 	start := []float64{3.2, 0.1, 0}
-	samples, err := SphericalChain(sh, start, 300, nil, rng)
+	samples, err := SphericalChainContext(context.Background(), sh, start, 300, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSphericalChainShellDistribution(t *testing.T) {
 	R := 3.0
 	sh := &surrogate.Shell{M: m, R: R}
 	rng := rand.New(rand.NewSource(6))
-	samples, err := SphericalChain(sh, []float64{R + 0.2, 0.05, -0.02}, 40000, nil, rng)
+	samples, err := SphericalChainContext(context.Background(), sh, []float64{R + 0.2, 0.05, -0.02}, 40000, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSphericalChainShellDistribution(t *testing.T) {
 func TestSphericalChainRejectsPassingStart(t *testing.T) {
 	sh := &surrogate.Shell{M: 2, R: 3}
 	rng := rand.New(rand.NewSource(7))
-	if _, err := SphericalChain(sh, []float64{0.1, 0}, 10, nil, rng); err != ErrStartNotFailing {
+	if _, err := SphericalChainContext(context.Background(), sh, []float64{0.1, 0}, 10, nil, rng); err != ErrStartNotFailing {
 		t.Fatalf("want ErrStartNotFailing, got %v", err)
 	}
 }
@@ -174,7 +174,7 @@ func TestSphericalChainTraversesArc(t *testing.T) {
 	arc := &surrogate.Arc{R: 3, HalfAngle: 2.5}
 	rng := rand.New(rand.NewSource(8))
 	start := []float64{3.3 * math.Cos(2.2), 3.3 * math.Sin(2.2)} // near one arc end
-	samples, err := SphericalChain(arc, start, 3000, nil, rng)
+	samples, err := SphericalChainContext(context.Background(), arc, start, 3000, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +204,12 @@ func TestCartesianVsSphericalArcCoverage(t *testing.T) {
 		return hi - lo
 	}
 	rngC := rand.New(rand.NewSource(9))
-	cart, err := CartesianChain(arc, start, 400, nil, rngC)
+	cart, err := CartesianChainContext(context.Background(), arc, start, 400, nil, rngC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rngS := rand.New(rand.NewSource(9))
-	sph, err := SphericalChain(arc, start, 400, nil, rngS)
+	sph, err := SphericalChainContext(context.Background(), arc, start, 400, nil, rngS)
 	if err != nil {
 		t.Fatal(err)
 	}

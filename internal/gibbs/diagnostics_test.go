@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -168,12 +169,12 @@ func TestESSOrderingOnArc(t *testing.T) {
 	arc := &surrogate.Arc{R: 3, HalfAngle: 2.5}
 	start := []float64{3.3 * math.Cos(2.2), 3.3 * math.Sin(2.2)}
 	rngC := rand.New(rand.NewSource(3))
-	cart, err := CartesianChain(arc, start, 2000, nil, rngC)
+	cart, err := CartesianChainContext(context.Background(), arc, start, 2000, nil, rngC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rngS := rand.New(rand.NewSource(3))
-	sph, err := SphericalChain(arc, start, 2000, nil, rngS)
+	sph, err := SphericalChainContext(context.Background(), arc, start, 2000, nil, rngS)
 	if err != nil {
 		t.Fatal(err)
 	}

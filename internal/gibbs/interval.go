@@ -1,25 +1,5 @@
 package gibbs
 
-// failureInterval implements step 2 of the paper's Algorithm 3: locate a
-// contiguous 1-D failure interval [u, v] ⊆ [lo, hi] along the coordinate
-// being resampled, by bracketing and bisection against the pass/fail
-// indicator. probe(t) reports failure at coordinate value t and costs one
-// transistor-level simulation.
-//
-// The search starts from t0 (the chain's current coordinate value, which
-// normally fails). If t0 passes — the chain can drift out when other
-// coordinates moved the arc (paper §V-B discussion) — a coarse scan over
-// [lo, hi] recovers the failing segment nearest to t0; if the scan finds
-// nothing, ok is false and the caller keeps the current value.
-//
-// When the failure region touches a bound, that bound is returned as the
-// boundary (the paper's "bound the high-probability failure region by
-// constraining x_m within [−ζ, ζ]").
-func failureInterval(probe func(float64) bool, t0, lo, hi float64, o *Options) (u, v float64, ok bool) {
-	u, v, st := failureIntervalStat(probe, t0, lo, hi, o)
-	return u, v, st != intervalNone
-}
-
 // intervalStatus classifies one interval search, the chain-telemetry
 // distinction between a healthy update and one that needed rescuing.
 type intervalStatus int
@@ -36,8 +16,22 @@ const (
 	intervalRecovered
 )
 
-// failureIntervalStat is failureInterval with the search outcome
-// classified for telemetry.
+// failureIntervalStat implements step 2 of the paper's Algorithm 3:
+// locate a contiguous 1-D failure interval [u, v] ⊆ [lo, hi] along the
+// coordinate being resampled, by bracketing and bisection against the
+// pass/fail indicator. probe(t) reports failure at coordinate value t and
+// costs one transistor-level simulation.
+//
+// The search starts from t0 (the chain's current coordinate value, which
+// normally fails). If t0 passes — the chain can drift out when other
+// coordinates moved the arc (paper §V-B discussion) — a coarse scan over
+// [lo, hi] recovers the failing segment nearest to t0; if the scan finds
+// nothing, st is intervalNone and the caller keeps the current value.
+// The status also classifies the search for telemetry.
+//
+// When the failure region touches a bound, that bound is returned as the
+// boundary (the paper's "bound the high-probability failure region by
+// constraining x_m within [−ζ, ζ]").
 func failureIntervalStat(probe func(float64) bool, t0, lo, hi float64, o *Options) (u, v float64, st intervalStatus) {
 	if t0 < lo {
 		t0 = lo

@@ -40,24 +40,19 @@ func CartesianFromSpherical(r float64, alpha []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SphericalChain runs the paper's Algorithm 2: Gibbs sampling over the
-// (M+1)-dimensional redundant spherical coordinates (r, α₁…α_M). Each
-// iteration first resamples the radius r from a truncated Chi(M)
+// SphericalChainContext runs the paper's Algorithm 2: Gibbs sampling over
+// the (M+1)-dimensional redundant spherical coordinates (r, α₁…α_M).
+// Each iteration first resamples the radius r from a truncated Chi(M)
 // conditional, then each orientation coordinate α_m from a truncated
 // standard Normal conditional; each update lets the Cartesian point slide
 // along a probability contour (the arcs of Fig. 3), which is what lets
 // the spherical chain traverse failure regions that trap the Cartesian
 // chain (§V-B). Every coordinate update appends one sample (in Cartesian
 // coordinates, ready for the Algorithm 5 fit).
-func SphericalChain(metric mc.Metric, start []float64, k int, opts *Options, rng *rand.Rand) ([][]float64, error) {
-	return SphericalChainContext(context.Background(), metric, start, k, opts, rng)
-}
-
-// SphericalChainContext is SphericalChain with cancellation: ctx is
-// polled before each coordinate update (radius or orientation — a
+//
+// ctx is polled before each coordinate update (radius or orientation — a
 // handful of simulations each), so a cancel aborts promptly with the
-// context's error while an uncancelled chain is bit-identical to
-// SphericalChain.
+// context's error.
 func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float64, k int, opts *Options, rng *rand.Rand) ([][]float64, error) {
 	o := opts.defaults()
 	dim := metric.Dim()

@@ -11,7 +11,7 @@ import (
 )
 
 // Evaluator is the shared batch-evaluation engine: a worker pool over
-// Metric.Value with deterministic per-sample RNG streams. Every sample
+// the metric with deterministic per-sample RNG streams. Every sample
 // index i gets its own generator seeded from (seed, i) — never from the
 // worker id — so an estimate computed through the Evaluator is
 // bit-identical for every worker count, including 1. All estimators in
@@ -19,19 +19,17 @@ import (
 // count is the single knob that maps simulator solves onto cores.
 //
 // Thread-safety contract: the wrapped Metric (and any Distortion sampled
-// inside a batch) must be safe for concurrent Value/Sample/LogPDF calls.
-// The library's metrics honor this by construction — sram.Metric and
-// sram.TranMetric check reusable simulation engines out of a free list so
+// inside a batch) must be safe for concurrent Value/ValueBatch/Sample/
+// LogPDF calls. The library's metrics honor this by construction —
+// sram.Metric checks reusable simulation engines out of a free list so
 // concurrent callers never share solver state, and Counter counts
 // atomically — but a custom Metric that caches solver state must keep
 // that state per-call (or per-goroutine).
 //
-// When the metric also implements BatchMetric, sample dispatch switches
-// from one-sample-at-a-time to groups of KernelBatch handed to
-// ValueBatch, which amortizes circuit templates and warm-start anchors
-// across the group. Per-sample RNG seeding and index-ordered results are
-// identical in both modes, so the estimate never depends on which path
-// ran.
+// Evaluation has one dispatch: MapBatch hands each KernelBatch group to
+// the metric in one call — ValueBatch for a BatchMetric, Value per
+// sample otherwise — with the same group boundaries, per-sample seeding
+// and result order either way, so the estimate never depends on which.
 type Evaluator struct {
 	metric  Metric
 	workers int
@@ -45,11 +43,10 @@ func NewEvaluator(metric Metric, workers int) *Evaluator {
 }
 
 // evalTelemetry holds the engine's metric handles in the "mc" scope:
-// samples_total / chunks_total counters and the chunk-latency histogram,
-// plus the running estimator gauges the estimators update between
-// chunks. Handles are resolved once at WithTelemetry, so the dispatch
-// path pays one nil check when disabled and plain atomic ops when
-// enabled.
+// samples_total, chunks_total and kernel_batches_total counters and the
+// chunk-latency histogram. Handles are resolved once at WithTelemetry,
+// so the dispatch path pays one nil check when disabled and plain
+// atomic ops when enabled.
 type evalTelemetry struct {
 	reg          *telemetry.Registry
 	samples      *telemetry.Counter
@@ -110,24 +107,21 @@ func (e *Evaluator) Workers() int {
 // estimates worker-count-independent.
 const ChunkSize = 256
 
-// KernelBatch is the group size handed to BatchMetric.ValueBatch: large
+// KernelBatch is the group size MapBatch hands to the metric: large
 // enough to amortize engine checkout across samples, small enough that a
 // ChunkSize dispatch still splits into ChunkSize/KernelBatch units of
 // parallel work. Like ChunkSize it is a fixed constant — group
 // boundaries land on the same sample indices for every worker count.
 const KernelBatch = 32
 
-// sampleSeed derives the RNG seed of sample i from the batch seed by a
-// splitmix64-style finalizer. Distinct (seed, i) pairs land on
-// well-separated streams; the same pair always lands on the same stream,
-// which is the root of the engine's determinism guarantee.
+// sampleSeed derives the RNG seed of sample i from the batch seed: the
+// (i+1)-th splitmix64 output of a stream started at seed. Distinct
+// (seed, i) pairs land on well-separated streams; the same pair always
+// lands on the same stream, which is the root of the engine's
+// determinism guarantee.
 func sampleSeed(seed int64, i int) uint64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(int64(i)+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	s := sampleSource{state: uint64(seed) + 0x9e3779b97f4a7c15*uint64(int64(i))}
+	return s.Uint64()
 }
 
 // sampleSource is a splitmix64 rand.Source64. Unlike the stdlib source
@@ -159,47 +153,11 @@ func Map[T any](e *Evaluator, seed int64, start, n int, fn func(rng *rand.Rand, 
 	if n <= 0 {
 		return nil
 	}
-	if e != nil && e.tele != nil {
-		sw := e.tele.chunkSeconds.Start()
-		defer func() {
-			sw.Stop()
-			e.tele.samples.Add(int64(n))
-			e.tele.chunks.Inc()
-		}()
-	}
 	out := make([]T, n)
-	workers := e.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		src := &sampleSource{}
-		rng := rand.New(src)
-		for k := 0; k < n; k++ {
-			src.state = sampleSeed(seed, start+k)
-			out[k] = fn(rng, start+k)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			src := &sampleSource{}
-			rng := rand.New(src)
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				src.state = sampleSeed(seed, start+k)
-				out[k] = fn(rng, start+k)
-			}
-		}()
-	}
-	wg.Wait()
+	e.run(n, n, func(w *worker, k int) {
+		w.src.state = sampleSeed(seed, start+k)
+		out[k] = fn(w.rng, start+k)
+	})
 	return out
 }
 
@@ -208,28 +166,53 @@ func Map[T any](e *Evaluator, seed int64, start, n int, fn func(rng *rand.Rand, 
 // metric's margin at x, and the result is post(i, x, v). Results come
 // back in index order.
 //
-// This is the dispatch seam of the batched kernel: when the metric
-// implements BatchMetric, samples are processed in groups of KernelBatch
-// — a worker reseeds and draws every x in its group, hands the whole
-// group to ValueBatch, then post-processes. Otherwise each sample runs
-// through Metric.Value individually on the Map pool. Per-sample RNG
-// streams, group boundaries and the output order are all independent of
-// the worker count and of which path ran, so both modes produce the same
-// bits. draw must hand over the returned slice (not reuse it); post must
-// be pure and safe for concurrent calls.
+// Samples go through the pool in groups of KernelBatch: a worker reseeds
+// and draws every x in its group, evaluates the group in one valueBatch
+// call, then post-processes. Per-sample RNG streams, group boundaries
+// and the output order are all independent of the worker count, so the
+// results are too. draw must hand over the returned slice (not reuse
+// it); post must be pure and safe for concurrent calls.
 func MapBatch[T any](e *Evaluator, seed int64, start, n int, draw func(rng *rand.Rand, i int) []float64, post func(i int, x []float64, v float64) T) []T {
-	bm, batched := e.metric.(BatchMetric)
-	if !batched {
-		m := e.metric
-		return Map(e, seed, start, n, func(rng *rand.Rand, i int) T {
-			x := draw(rng, i)
-			return post(i, x, m.Value(x))
-		})
-	}
 	if n <= 0 {
 		return nil
 	}
-	if e.tele != nil {
+	out := make([]T, n)
+	groups := (n + KernelBatch - 1) / KernelBatch
+	e.run(n, groups, func(w *worker, g int) {
+		lo := g * KernelBatch
+		hi := min(lo+KernelBatch, n)
+		w.xs = w.xs[:0]
+		for k := lo; k < hi; k++ {
+			w.src.state = sampleSeed(seed, start+k)
+			w.xs = append(w.xs, draw(w.rng, start+k))
+		}
+		vals := w.vals[:hi-lo]
+		valueBatch(e.metric, w.xs, vals)
+		if e.tele != nil {
+			e.tele.batches.Inc()
+		}
+		for j, x := range w.xs {
+			out[lo+j] = post(start+lo+j, x, vals[j])
+		}
+	})
+	return out
+}
+
+// worker is one pool goroutine's reusable state: a generator (rng over
+// src) reseeded for every sample, and MapBatch's group buffers.
+type worker struct {
+	src  sampleSource
+	rng  *rand.Rand
+	xs   [][]float64
+	vals []float64
+}
+
+// run is the pool's one worker loop, behind both Map and MapBatch: it
+// calls body(w, k) for every unit k in [0, units) on up to Workers
+// goroutines (the caller's own when there is one), each holding its own
+// worker, and records the n samples those units cover as one chunk.
+func (e *Evaluator) run(n, units int, body func(w *worker, k int)) {
+	if e != nil && e.tele != nil {
 		sw := e.tele.chunkSeconds.Start()
 		defer func() {
 			sw.Stop()
@@ -237,66 +220,28 @@ func MapBatch[T any](e *Evaluator, seed int64, start, n int, draw func(rng *rand
 			e.tele.chunks.Inc()
 		}()
 	}
-	out := make([]T, n)
-	groups := (n + KernelBatch - 1) / KernelBatch
-	workers := e.Workers()
-	if workers > groups {
-		workers = groups
-	}
-	// runGroup processes group g on one worker: reseed-and-draw each
-	// sample (the exact per-index streams of the scalar path), one
-	// ValueBatch over the group, then the per-sample reduction.
-	runGroup := func(src *sampleSource, rng *rand.Rand, xs [][]float64, vals []float64, g int) {
-		lo := g * KernelBatch
-		hi := lo + KernelBatch
-		if hi > n {
-			hi = n
-		}
-		xs = xs[:0]
-		for k := lo; k < hi; k++ {
-			src.state = sampleSeed(seed, start+k)
-			xs = append(xs, draw(rng, start+k))
-		}
-		vals = vals[:hi-lo]
-		bm.ValueBatch(xs, vals)
-		if e.tele != nil {
-			e.tele.batches.Inc()
-		}
-		for j, x := range xs {
-			out[lo+j] = post(start+lo+j, x, vals[j])
-		}
-	}
-	if workers == 1 {
-		src := &sampleSource{}
-		rng := rand.New(src)
-		xs := make([][]float64, 0, KernelBatch)
-		vals := make([]float64, KernelBatch)
-		for g := 0; g < groups; g++ {
-			runGroup(src, rng, xs, vals, g)
-		}
-		return out
-	}
 	var next atomic.Int64
+	loop := func() {
+		w := &worker{xs: make([][]float64, 0, KernelBatch), vals: make([]float64, KernelBatch)}
+		w.rng = rand.New(&w.src)
+		for k := int(next.Add(1)) - 1; k < units; k = int(next.Add(1)) - 1 {
+			body(w, k)
+		}
+	}
+	workers := min(e.Workers(), units)
+	if workers == 1 {
+		loop()
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
-			src := &sampleSource{}
-			rng := rand.New(src)
-			xs := make([][]float64, 0, KernelBatch)
-			vals := make([]float64, KernelBatch)
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= groups {
-					return
-				}
-				runGroup(src, rng, xs, vals, g)
-			}
+			loop()
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // Eval is one evaluated sample: the variation point and its margin.
@@ -307,8 +252,8 @@ type Eval struct {
 
 // Batch draws and evaluates samples [start, start+n): x_i = draw(rng_i)
 // and Value_i = the metric's margin at x_i, in index order, deterministic
-// in the worker count. Batch-capable metrics are dispatched in KernelBatch
-// groups (see MapBatch). draw must not retain or reuse the returned slice.
+// in the worker count, evaluated in KernelBatch groups (see MapBatch).
+// draw must not retain or reuse the returned slice.
 func (e *Evaluator) Batch(seed int64, start, n int, draw func(rng *rand.Rand, i int) []float64) []Eval {
 	return MapBatch(e, seed, start, n, draw, func(_ int, x []float64, v float64) Eval {
 		return Eval{X: x, Value: v}

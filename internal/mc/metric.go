@@ -17,8 +17,8 @@ import "sync/atomic"
 // goroutines at once. Every estimator in the library runs its simulation
 // batches through the Evaluator worker pool, so a Metric whose Value
 // mutates shared state (a cached solver, a shared circuit) must protect
-// or replicate that state per call. The built-in metrics comply by
-// constructing a fresh spice.Circuit per evaluation and treating the
+// or replicate that state per call. The sram metrics comply by checking
+// reusable simulation engines out of a free list and treating the
 // Cell/MOSModel cards as read-only.
 type Metric interface {
 	// Dim returns the dimensionality M of the variation space.
@@ -69,19 +69,25 @@ func (c *Counter) Value(x []float64) float64 {
 	return c.m.Value(x)
 }
 
-// ValueBatch implements BatchMetric, counting one simulation per sample.
-// When the wrapped metric batches, the call is delegated wholesale; a
-// scalar-only metric is evaluated sample by sample, so wrapping in a
-// Counter never changes results — only whether the group dispatch can
-// amortize solver state underneath.
+// ValueBatch implements BatchMetric, counting one simulation per sample
+// and evaluating through valueBatch, so wrapping in a Counter never
+// changes results.
 func (c *Counter) ValueBatch(xs [][]float64, out []float64) {
 	c.n.Add(int64(len(xs)))
-	if bm, ok := c.m.(BatchMetric); ok {
+	valueBatch(c.m, xs, out)
+}
+
+// valueBatch writes m's margin at xs[i] into out[i]: one ValueBatch call
+// when m is a BatchMetric, Value sample by sample otherwise. It is the
+// only place evaluation asks whether a metric batches, and the answer
+// decides only whether solver state is amortized across the group.
+func valueBatch(m Metric, xs [][]float64, out []float64) {
+	if bm, ok := m.(BatchMetric); ok {
 		bm.ValueBatch(xs, out)
 		return
 	}
 	for i, x := range xs {
-		out[i] = c.m.Value(x)
+		out[i] = m.Value(x)
 	}
 }
 

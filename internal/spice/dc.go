@@ -28,8 +28,8 @@ const (
 	StrategyGmin
 	// StrategySource: rescued by source stepping (supplies ramped from 0).
 	StrategySource
-	// StrategyWarm: converged from a warm start supplied by the batch
-	// kernel (a neighboring sample's solution), skipping the cold path.
+	// StrategyWarm: converged from the anchor handed to SolveDCFrom,
+	// skipping the cold path.
 	StrategyWarm
 )
 
@@ -169,12 +169,53 @@ func (o *DCOptions) defaults() DCOptions {
 // Newton from the initial guess; on failure it falls back to gmin stepping
 // and then source stepping, mirroring production SPICE practice. The
 // returned operating point records which strategy converged (Strategy),
-// the Newton iterations consumed and the residual at convergence.
+// the Newton iterations consumed and the residual at convergence. It is
+// SolveDCFrom without a warm start.
 func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
+	return c.SolveDCFrom(nil, 0, nil, opts)
+}
+
+// DefaultWarmMaxIter is the Newton budget for a warm-start attempt. Warm
+// starts that are going to converge do so in a handful of iterations;
+// anything still wandering after this budget is cheaper to restart cold
+// than to keep polishing.
+const DefaultWarmMaxIter = 40
+
+// SolveDCFrom computes the DC operating point, first attempting damped
+// Newton from the anchor solution with a warmIter iteration budget
+// (<= 0 selects DefaultWarmMaxIter). A converged warm attempt must also
+// pass guard (when non-nil) — guards reject warm solutions that left the
+// intended basin of a bistable circuit. On any warm failure the solve
+// falls back to SolveDC's cold escalation, the returned operating point
+// counts the warm attempt's iterations as well, and the fallback is
+// recorded in the "spice" telemetry scope (warm_fallback_total); warm
+// successes record warm_hit_total and report StrategyWarm.
+//
+// A nil anchor (or one sized for a different topology) skips straight to
+// the cold escalation without counting a fallback: the caller had no
+// warm start to offer, which is different from offering one that failed.
+//
+// Telemetry sees every call as one solve, whichever attempts it took:
+// one solve_seconds and newton_iterations observation, one "spice.solve"
+// span aggregate, and a "spice.fallback" event only when gmin or source
+// stepping converged.
+func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*OperatingPoint) bool, opts *DCOptions) (*OperatingPoint, error) {
 	o := opts.defaults()
 	tel := c.dcTel(o.Telemetry)
 	sw, span := c.startSolveClock(tel, o.Telemetry)
-	op, err := c.solveDC(&o)
+	var op *OperatingPoint
+	var err error
+	warmIters := 0
+	if anchor != nil && len(anchor.x) == c.NumUnknowns() {
+		if op, warmIters = c.warmDC(anchor, warmIter, guard, o); op == nil {
+			tel.warmFalls.Inc()
+		}
+	}
+	if op == nil {
+		if op, err = c.solveDC(&o); err == nil {
+			op.iters += warmIters
+		}
+	}
 	secs := sw.Stop()
 	// With span tracing on, credit the solve to the innermost pipeline
 	// stage (the solver has no context of its own).
@@ -192,12 +233,17 @@ func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
 	tel.newtonIters.Observe(float64(op.iters))
 	tel.residual.Observe(op.residual)
 	switch op.strategy {
+	case StrategyNewton:
+		return op, nil
+	case StrategyWarm:
+		tel.warmHits.Inc()
+		return op, nil
 	case StrategyGmin:
 		tel.gminFalls.Inc()
 	case StrategySource:
 		tel.sourceFalls.Inc()
 	}
-	if op.strategy != StrategyNewton && o.Telemetry.Enabled() {
+	if o.Telemetry.Enabled() {
 		o.Telemetry.Emit(wire.EvSpiceFallback, map[string]any{
 			"strategy": op.strategy.String(), "newton_iterations": op.iters,
 		})
@@ -205,8 +251,31 @@ func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
 	return op, nil
 }
 
-// solveDC runs the strategy escalation; o must already have defaults
-// applied.
+// warmDC is SolveDCFrom's warm attempt: damped Newton from the anchor
+// within the warm iteration budget. It returns the accepted operating
+// point, or nil when Newton failed or guard rejected the result, and the
+// iterations spent either way.
+func (c *Circuit) warmDC(anchor *OperatingPoint, warmIter int, guard func(*OperatingPoint) bool, o DCOptions) (*OperatingPoint, int) {
+	o.MaxIter = warmIter
+	if o.MaxIter <= 0 {
+		o.MaxIter = DefaultWarmMaxIter
+	}
+	c.indexBranches()
+	x := linalg.CopyVec(anchor.x)
+	st, err := c.newton(x, &o, o.Gmin, 1.0)
+	if err != nil {
+		return nil, st.iters
+	}
+	op := &OperatingPoint{circuit: c, x: x, strategy: StrategyWarm,
+		iters: st.iters, residual: st.residual}
+	if guard != nil && !guard(op) {
+		return nil, st.iters
+	}
+	return op, st.iters
+}
+
+// solveDC runs the cold strategy escalation; o must already have
+// defaults applied.
 func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	c.indexBranches()
 	n := c.NumUnknowns()

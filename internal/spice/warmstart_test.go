@@ -106,17 +106,28 @@ func TestWarmStartDivergentFallsBack(t *testing.T) {
 
 // TestWarmStartGuardRejection: a guard veto counts as a fallback even
 // though the warm Newton converged, and the result is the cold path's
-// bit for bit.
+// bit for bit. The call is still one solve to telemetry: its iteration
+// count covers the rejected warm attempt plus the cold escalation, and
+// it records one newton_iterations observation and one "spice.solve"
+// span aggregate.
 func TestWarmStartGuardRejection(t *testing.T) {
 	c, _ := inverterChain()
-	reg := telemetry.New()
-	opts := &DCOptions{Telemetry: reg}
-	cold, err := c.SolveDC(opts)
+	cold, err := c.SolveDC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	warm, err := c.SolveDCFrom(cold.Clone(), 0, nil, nil)
+	if err != nil || warm.Strategy() != StrategyWarm {
+		t.Fatalf("unguarded warm solve: %v, %v", warm, err)
+	}
+
+	reg := telemetry.New()
+	tr := telemetry.NewTrace()
+	reg.SetTrace(tr)
+	span := reg.StartSpan("test")
 	never := func(*OperatingPoint) bool { return false }
-	op, err := c.SolveDCFrom(cold.Clone(), 0, never, opts)
+	op, err := c.SolveDCFrom(cold.Clone(), 0, never, &DCOptions{Telemetry: reg})
+	span.End()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +139,23 @@ func TestWarmStartGuardRejection(t *testing.T) {
 			t.Fatalf("node %s: guarded fallback %v != cold %v", n, op.Voltage(n), cold.Voltage(n))
 		}
 	}
-	if reg.Scope("spice").Counter("warm_fallback_total").Value() == 0 {
-		t.Fatal("guard rejection not recorded as a fallback")
+	s := reg.Scope("spice")
+	if s.Counter("warm_fallback_total").Value() != 1 {
+		t.Fatal("guard rejection not recorded as one fallback")
 	}
-	if reg.Scope("spice").Counter("warm_hit_total").Value() != 0 {
+	if s.Counter("warm_hit_total").Value() != 0 {
 		t.Fatal("guard rejection recorded as a warm hit")
+	}
+	want := warm.NewtonIterations() + cold.NewtonIterations()
+	if got := op.NewtonIterations(); got != want || got <= cold.NewtonIterations() {
+		t.Fatalf("NewtonIterations = %d, want warm %d + cold %d",
+			got, warm.NewtonIterations(), cold.NewtonIterations())
+	}
+	if h := s.Histogram("newton_iterations", nil); h.Count() != 1 || h.Sum() != float64(want) {
+		t.Fatalf("newton_iterations histogram: count=%d sum=%v, want 1/%d", h.Count(), h.Sum(), want)
+	}
+	if got := span.Agg("spice.solve").Count(); got != 1 {
+		t.Fatalf("spice.solve aggregate counted %d solves for one call", got)
 	}
 }
 

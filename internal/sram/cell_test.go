@@ -3,6 +3,7 @@ package sram
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -306,28 +307,46 @@ func TestEyeSquareDegenerate(t *testing.T) {
 	}
 }
 
-// The read-current metric must be safe for concurrent use (the parallel
-// brute-force golden run depends on it).
+// Every metric kind must be safe for concurrent use (the parallel
+// evaluation pool depends on it): goroutines sharing one fresh Metric —
+// racing on its engine free list and its once-computed anchor — must
+// reproduce sequential evaluation bit for bit.
 func TestMetricConcurrentUse(t *testing.T) {
-	m := ReadCurrentWorkload()
-	rng := rand.New(rand.NewSource(5))
-	pts := make([][]float64, 16)
-	for i := range pts {
-		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+	hold := func() *Metric {
+		return &Metric{Cell: Default90nm(), Kind: Hold, Spec: 0.08, Which: AllTransistors()}
 	}
-	want := make([]float64, len(pts))
-	for i, p := range pts {
-		want[i] = m.Value(p)
-	}
-	done := make(chan bool, len(pts))
-	for i, p := range pts {
-		go func(i int, p []float64) {
-			done <- math.Abs(m.Value(p)-want[i]) < 1e-12
-		}(i, p)
-	}
-	for range pts {
-		if !<-done {
-			t.Fatal("concurrent evaluation mismatch")
-		}
+	for _, newMetric := range []func() *Metric{
+		RNMWorkload, WNMWorkload, ReadCurrentWorkload, hold,
+		DualReadCurrentWorkload, AccessTimeWorkload,
+	} {
+		ref := newMetric()
+		t.Run(ref.Kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			pts := make([][]float64, 16)
+			want := make([]float64, len(pts))
+			for i := range pts {
+				pts[i] = make([]float64, ref.Dim())
+				for j := range pts[i] {
+					pts[i][j] = rng.NormFloat64()
+				}
+				want[i] = ref.Value(pts[i])
+			}
+			m := newMetric()
+			got := make([]float64, len(pts))
+			var wg sync.WaitGroup
+			for i, p := range pts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = m.Value(p)
+				}()
+			}
+			wg.Wait()
+			for i := range pts {
+				if got[i] != want[i] {
+					t.Fatalf("point %d: concurrent %v != sequential %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }

@@ -70,6 +70,7 @@ func TestStringers(t *testing.T) {
 	}
 	for k, want := range map[MetricKind]string{
 		RNM: "rnm", WNM: "wnm", ReadCurrent: "readcurrent", Hold: "hold", DualRead: "dualread",
+		AccessTime: "access", WriteDelay: "writedelay",
 	} {
 		if k.String() != want {
 			t.Fatalf("MetricKind %d prints %q", k, k.String())
@@ -88,6 +89,8 @@ func TestMetricErrorValueFloors(t *testing.T) {
 		DualRead:    0,
 		RNM:         -cell.VDD,
 		Hold:        -cell.VDD,
+		AccessTime:  (&TranSpec{}).defaults().Stop,
+		WriteDelay:  (&TranSpec{}).defaults().Stop,
 	}
 	for kind, want := range cases {
 		m := &Metric{Cell: cell, Kind: kind, Which: []int{M1}}

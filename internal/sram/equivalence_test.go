@@ -10,8 +10,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// batchMetric is the surface the equivalence suite exercises: both
-// *Metric and *TranMetric expose scalar and batched evaluation.
+// batchMetric is the surface the equivalence suite exercises: scalar
+// and batched evaluation of a *Metric.
 type batchMetric interface {
 	mc.Metric
 	ValueBatch(xs [][]float64, out []float64)

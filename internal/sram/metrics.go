@@ -32,6 +32,15 @@ const (
 	// region is two orthogonal half-plane lobes joined at the far corner:
 	// this library's stand-in for the irregular §V-B region (DESIGN.md).
 	DualRead
+	// AccessTime: the read delay of a stored 0 through floating
+	// precharged bitlines, from the WL edge until the bitline
+	// differential reaches Bench.Sense. The transient closes the §V-B
+	// loop: "the read current directly impacts the discharge speed of
+	// bit lines during a read operation".
+	AccessTime
+	// WriteDelay: BL driven low into a cell storing 1, from the WL edge
+	// until Q falls through VDD/2.
+	WriteDelay
 )
 
 func (k MetricKind) String() string {
@@ -46,25 +55,34 @@ func (k MetricKind) String() string {
 		return "hold"
 	case DualRead:
 		return "dualread"
+	case AccessTime:
+		return "access"
+	case WriteDelay:
+		return "writedelay"
 	default:
 		return fmt.Sprintf("MetricKind(%d)", int(k))
 	}
 }
 
 // Metric adapts a cell metric to the mc.Metric margin convention: the
-// sample fails when the margin (metric value minus Spec) is negative.
-// Variation coordinates are standard-Normal; coordinate j drives
-// transistor Which[j] with ΔVth = SigmaVth·x_j.
+// sample fails when the margin is negative. The margin is the metric
+// value minus Spec, except for the timing kinds, which fail high: their
+// margin is Spec minus the delay. Variation coordinates are
+// standard-Normal; coordinate j drives transistor Which[j] with
+// ΔVth = SigmaVth·x_j.
 //
 // Metrics are safe for concurrent use and must not be copied after first
 // use: evaluation leans on a shared engine free list and a once-computed
-// warm-start anchor pool (see plan.go).
+// warm-start anchor (see plan.go).
 type Metric struct {
 	Cell *Cell
 	Kind MetricKind
 	// Spec is the pass/fail threshold in the metric's own unit (volts
-	// for margins, amperes for read current).
+	// for margins, amperes for read current, seconds for delays).
 	Spec float64
+	// Bench tunes the transient test bench of the timing kinds
+	// (nil = defaults).
+	Bench *TranSpec
 	// Which lists the transistors exposed as variation coordinates; the
 	// remaining transistors stay at nominal ΔVth = 0.
 	Which []int
@@ -72,13 +90,13 @@ type Metric struct {
 	// response-surface fitting (default 1).
 	Scale float64
 
-	// Engine free list and the deterministic warm-start anchors
+	// Engine free list and the deterministic warm-start anchor
 	// (plan.go). Zero values are ready to use, keeping literal
 	// construction working.
 	mu         sync.Mutex
 	engines    []*metricEngine
 	anchorOnce sync.Once
-	anchors    []spice.BatchAnchor
+	anchor     *spice.OperatingPoint
 }
 
 // AllTransistors is the full 6-dimensional variation space.
@@ -118,8 +136,8 @@ func (m *Metric) Dim() int { return len(m.Which) }
 // fits in Algorithm 4 from being poisoned by an occasional hard corner.
 //
 // Value is literally ValueBatch with a batch of one — the same engine
-// code against the same anchor pool — which is what makes batched and
-// scalar evaluation bit-identical per sample.
+// code against the same anchor — which is what makes batched and scalar
+// evaluation bit-identical per sample.
 func (m *Metric) Value(x []float64) float64 {
 	var out [1]float64
 	xs := [1][]float64{x}
@@ -129,15 +147,15 @@ func (m *Metric) Value(x []float64) float64 {
 
 // ValueBatch implements mc.BatchMetric: margins for a whole batch of
 // samples, evaluated on one reusable engine (prebuilt netlist templates,
-// cached solver workspaces, nominal-corner warm starts). out must have
-// at least len(xs) entries. Each sample's result depends only on its own
-// coordinates; see the determinism contract in plan.go.
+// cached solver workspaces, the nominal-corner warm start). out must
+// have at least len(xs) entries. Each sample's result depends only on
+// its own coordinates; see the determinism contract in plan.go.
 func (m *Metric) ValueBatch(xs [][]float64, out []float64) {
 	if len(out) < len(xs) {
 		panic(fmt.Sprintf("sram: batch output length %d < %d samples", len(out), len(xs)))
 	}
 	out = out[:len(xs)]
-	m.ensureAnchors()
+	m.ensureAnchor()
 	e := m.getEngine()
 	defer m.putEngine(e)
 	rows := e.dvthRows(m, xs)
@@ -152,18 +170,22 @@ func (m *Metric) ValueBatch(xs [][]float64, out []float64) {
 		if errs[i] != nil || math.IsNaN(raw) || math.IsInf(raw, 0) {
 			raw = m.errorValue()
 		}
-		out[i] = (raw - m.Spec) * scale
+		if m.Kind == AccessTime || m.Kind == WriteDelay {
+			out[i] = (m.Spec - raw) * scale
+		} else {
+			out[i] = (raw - m.Spec) * scale
+		}
 	}
 }
 
 // Raw returns the metric's raw value — volts for margins, amperes for
-// read current, before Spec and Scale apply — at a full per-transistor
-// ΔVth vector in volts (Which is not consulted), with the simulation error
-// that Value would replace by the worst case. It runs Value's own engine
-// code, anchors and guards, so Raw at ΔVth_Which[j] = SigmaVth·x_j is the
-// raw value behind Value(x).
+// read current, seconds for delays, before Spec and Scale apply — at a
+// full per-transistor ΔVth vector in volts (Which is not consulted),
+// with the simulation error that Value would replace by the worst case.
+// It runs Value's own engine code, anchor and guards, so Raw at
+// ΔVth_Which[j] = SigmaVth·x_j is the raw value behind Value(x).
 func (m *Metric) Raw(dvth [NumTransistors]float64) (float64, error) {
-	m.ensureAnchors()
+	m.ensureAnchor()
 	e := m.getEngine()
 	defer m.putEngine(e)
 	var out [1]float64
@@ -180,6 +202,8 @@ func (m *Metric) errorValue() float64 {
 		return WriteTripFloor // write never succeeds
 	case ReadCurrent, DualRead:
 		return 0 // no read current at all
+	case AccessTime, WriteDelay:
+		return m.Bench.defaults().Stop // the cell never resolves
 	default:
 		return -m.Cell.VDD // fully collapsed noise margin
 	}
@@ -191,10 +215,4 @@ func (m *Metric) errorValue() float64 {
 // observational.
 func (m *Metric) SetTelemetry(reg *telemetry.Registry) { m.Cell.Telemetry = reg }
 
-// SetTelemetry is the TranMetric counterpart of Metric.SetTelemetry.
-func (m *TranMetric) SetTelemetry(reg *telemetry.Registry) { m.Cell.Telemetry = reg }
-
-var (
-	_ mc.BatchMetric = (*Metric)(nil)
-	_ mc.BatchMetric = (*TranMetric)(nil)
-)
+var _ mc.BatchMetric = (*Metric)(nil)

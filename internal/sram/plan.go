@@ -6,18 +6,19 @@ import (
 	"repro/internal/spice"
 )
 
-// This file is the metric-side half of the batched solve kernel (the
-// spice side is internal/spice/batch.go). Each Metric owns a set of
-// reusable simulation engines — prebuilt circuit templates plus solver
-// workspaces — and a deterministic anchor pool of nominal-corner
-// solutions used to warm-start every sample's Newton solves.
+// This file is the Metric's simulation engine. Each Metric owns a set of
+// reusable engines — prebuilt circuit templates plus solver workspaces —
+// and a deterministic nominal-corner anchor that warm-starts the read
+// solves. An engine loops over its rows itself: each row's ΔVth goes
+// onto the template's MOSFETs, then one Circuit.SolveDCFrom or
+// Circuit.SolveTran (or a sweep or bisection of them) measures it.
 //
 // Determinism contract: Value IS ValueBatch with a batch of one. Both
 // route every sample through the same engine code against the same
-// anchor pool, so a sample's result is a pure function of its own
+// anchor, so a sample's result is a pure function of its own
 // coordinates — bit-identical across batch sizes, sample order and
-// worker counts. That is only possible because anchors are computed once
-// per Metric from the nominal (ΔVth = 0) cell, never harvested from
+// worker counts. That is only possible because the anchor is computed
+// once per Metric from the nominal (ΔVth = 0) cell, never harvested from
 // other samples in the batch; see DESIGN.md §12 for why chunk-history
 // warm-starting was rejected.
 //
@@ -33,12 +34,13 @@ import (
 //	                      vanishing state-1 branch past the trip point
 //	                      and bias the margin (hysteresis); probes stay
 //	                      cold and gain only template/workspace reuse
-//	access (transient)    template reuse plus the two-rate integrator
+//	access/writedelay     template reuse plus the two-rate integrator
 //	                      schedule; the transient itself warm-chains
 //	                      step to step as it always has
 
 // cellTemplate is a prebuilt 6-T netlist reused across samples: only the
-// MOSFETs' ΔVth (and, for write probes, the BL source) change per sample.
+// MOSFETs' ΔVth (and, for write-trip probes, the BL source) change per
+// sample. The transient bench leaves vbl nil.
 type cellTemplate struct {
 	ckt *spice.Circuit
 	ms  [NumTransistors]*spice.MOSFET
@@ -93,11 +95,12 @@ func newSweepTemplate(c *Cell, cfg BiasConfig, forced, measured string) (*sweepT
 // concurrent callers each hold their own.
 type metricEngine struct {
 	read   *cellTemplate // readcurrent / dualread / wnm
+	tran   *cellTemplate // access / writedelay
 	g1, g2 *sweepTemplate
 	c1, c2 curve // per-sample transfer-curve buffers
 
 	rowBuf []float64   // backing store for rows
-	rows   [][]float64 // per-sample ΔVth rows handed to the batch kernel
+	rows   [][]float64 // per-sample ΔVth rows
 	err    error       // template construction failure (poisons every sample)
 }
 
@@ -116,6 +119,8 @@ func (m *Metric) newEngine() *metricEngine {
 		if e.err == nil {
 			e.g2, e.err = newSweepTemplate(m.Cell, HoldConfig, "qb", "q")
 		}
+	case AccessTime, WriteDelay:
+		e.tran = m.Cell.buildTran(m.Bench.defaults(), m.Kind == WriteDelay)
 	}
 	return e
 }
@@ -138,40 +143,31 @@ func (m *Metric) putEngine(e *metricEngine) {
 	m.mu.Unlock()
 }
 
-// dvthRows maps normalized coordinates to per-transistor ΔVth rows,
-// reusing the engine's backing storage.
+// dvthRows maps normalized coordinates to per-transistor ΔVth rows: row
+// i holds all NumTransistors mismatches of sample i (unlisted
+// transistors stay nominal). The engine's backing storage is reused; a
+// sample with the wrong coordinate count is an API-misuse panic,
+// matching the scalar Value contract.
 func (e *metricEngine) dvthRows(m *Metric, xs [][]float64) [][]float64 {
-	e.rowBuf, e.rows = buildDvthRows(e.rowBuf, e.rows, m.Which, m.Cell.SigmaVth, xs, "metric")
-	return e.rows
-}
-
-// buildDvthRows is the shared coordinate→ΔVth mapper behind the static
-// and transient engines: row i holds all NumTransistors mismatches of
-// sample i (unlisted transistors stay nominal). The backing buffers are
-// reused; a sample with the wrong coordinate count is an API-misuse
-// panic, matching the scalar Value contract.
-func buildDvthRows(rowBuf []float64, rows [][]float64, which []int, sigma float64, xs [][]float64, label string) ([]float64, [][]float64) {
 	need := len(xs) * NumTransistors
-	if cap(rowBuf) < need {
-		rowBuf = make([]float64, need)
-		rows = make([][]float64, 0, len(xs))
+	if cap(e.rowBuf) < need {
+		e.rowBuf = make([]float64, need)
+		e.rows = make([][]float64, 0, len(xs))
 	}
-	rowBuf = rowBuf[:need]
-	for i := range rowBuf {
-		rowBuf[i] = 0
-	}
-	rows = rows[:0]
+	e.rowBuf = e.rowBuf[:need]
+	clear(e.rowBuf)
+	e.rows = e.rows[:0]
 	for i, x := range xs {
-		if len(x) != len(which) {
-			panic(fmt.Sprintf("sram: %s got %d coordinates, want %d", label, len(x), len(which)))
+		if len(x) != len(m.Which) {
+			panic(fmt.Sprintf("sram: metric got %d coordinates, want %d", len(x), len(m.Which)))
 		}
-		row := rowBuf[i*NumTransistors : (i+1)*NumTransistors]
-		for j, tr := range which {
-			row[tr] = sigma * x[j]
+		row := e.rowBuf[i*NumTransistors : (i+1)*NumTransistors]
+		for j, tr := range m.Which {
+			row[tr] = m.Cell.SigmaVth * x[j]
 		}
-		rows = append(rows, row)
+		e.rows = append(e.rows, row)
 	}
-	return rowBuf, rows
+	return e.rows
 }
 
 // readGuess is the initial guess selecting the read-0 state.
@@ -179,12 +175,12 @@ func readGuess(c *Cell) map[string]float64 {
 	return map[string]float64{"q": 0.05, "qb": c.VDD}
 }
 
-// ensureAnchors computes the metric's warm-start anchor pool exactly
-// once: nominal-corner solutions that every sample (scalar or batched)
-// warms from. Anchor solves are plain cold solves on throwaway
-// templates; a failure simply leaves the pool empty and samples solve
-// cold.
-func (m *Metric) ensureAnchors() {
+// ensureAnchor computes the metric's warm-start anchor exactly once:
+// the nominal-corner read solution that every sample (scalar or
+// batched) warms from. The anchor solve is a plain cold solve on a
+// throwaway template; a failure simply leaves the anchor nil and
+// samples solve cold.
+func (m *Metric) ensureAnchor() {
 	m.anchorOnce.Do(func() {
 		c := m.Cell
 		switch m.Kind {
@@ -193,25 +189,19 @@ func (m *Metric) ensureAnchors() {
 			if err != nil {
 				return
 			}
-			op, err := t.ckt.SolveDC(&spice.DCOptions{
+			m.anchor, _ = t.ckt.SolveDC(&spice.DCOptions{
 				InitialGuess: readGuess(c), Telemetry: c.Telemetry,
 			})
-			if err != nil {
-				return
-			}
-			m.anchors = []spice.BatchAnchor{
-				{DeltaVth: make([]float64, NumTransistors), OP: op},
-			}
 		}
-		// RNM and Hold need no anchor pool: their transfer-curve sweeps
+		// RNM and Hold need no anchor: their transfer-curve sweeps
 		// warm-chain each grid point from the sample's own previous
 		// point (see sweepCurve), which is deterministic per sample by
 		// construction.
 	})
 }
 
-// readCurrentBatch solves one read configuration for every row through
-// the spice batch kernel and writes |I(M3)| per sample into out.
+// readCurrentBatch solves one read configuration for every row, warm
+// from the nominal anchor, and writes |I(M3)| per sample into out.
 // outErrs[i] reports sample i's solve failure.
 func (m *Metric) readCurrentBatch(t *cellTemplate, rows [][]float64, out []float64, outErrs []error) {
 	c := m.Cell
@@ -222,25 +212,19 @@ func (m *Metric) readCurrentBatch(t *cellTemplate, rows [][]float64, out []float
 		// path (which may legitimately land flipped) decides.
 		return op.Voltage("q") < 0.5*c.VDD
 	}
-	res := t.ckt.SolveDCBatch(rows, &spice.BatchOptions{
-		// The metric reads only node voltages (MOSFET.Current recomputes
-		// from them), so branch-current recovery is skipped batch-wide.
-		DC: &spice.DCOptions{
-			InitialGuess: readGuess(c), Telemetry: c.Telemetry,
-			NoBranchCurrents: true,
-		},
-		MOSFETs: t.ms[:],
-		Anchors: m.anchors,
-		Guard:   guard,
-	})
-	for i, op := range res.Ops {
-		if res.Errs[i] != nil {
-			outErrs[i] = fmt.Errorf("sram: read-current operating point: %w", res.Errs[i])
+	// The metric reads only node voltages (MOSFET.Current recomputes
+	// from them), so branch-current recovery is skipped.
+	opts := &spice.DCOptions{
+		InitialGuess: readGuess(c), Telemetry: c.Telemetry,
+		NoBranchCurrents: true,
+	}
+	for i, row := range rows {
+		t.setDvth(row)
+		op, err := t.ckt.SolveDCFrom(m.anchor, 0, guard, opts)
+		if err != nil {
+			outErrs[i] = fmt.Errorf("sram: read-current operating point: %w", err)
 			continue
 		}
-		// Current reads the device model at the sample's ΔVth, which the
-		// kernel has since overwritten with the final row's; restore it.
-		t.setDvth(rows[i])
 		cur := t.ms[M3].Current(op)
 		if cur < 0 {
 			cur = -cur
@@ -294,6 +278,8 @@ func (m *Metric) rawBatch(e *metricEngine, rows [][]float64, out []float64, outE
 		for i, row := range rows {
 			out[i], outErrs[i] = m.writeSample(e, row)
 		}
+	case AccessTime, WriteDelay:
+		m.runTranBatch(e.tran, rows, out, outErrs)
 	default:
 		for i := range rows {
 			outErrs[i] = fmt.Errorf("sram: unknown metric kind %v", m.Kind)

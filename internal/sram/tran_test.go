@@ -6,14 +6,14 @@ import (
 )
 
 func TestAccessTimeNominal(t *testing.T) {
-	at := rawValue(t, &TranMetric{Cell: FastRead90nm(), Kind: "access"}, zero)
+	at := rawValue(t, &Metric{Cell: FastRead90nm(), Kind: AccessTime}, zero)
 	if at < 5e-12 || at > 100e-12 {
 		t.Fatalf("nominal access time %v outside plausible range", at)
 	}
 }
 
 func TestAccessTimeMonotoneInReadPath(t *testing.T) {
-	access := &TranMetric{Cell: FastRead90nm(), Kind: "access"}
+	access := &Metric{Cell: FastRead90nm(), Kind: AccessTime}
 	prev := -1.0
 	for _, dv := range []float64{-0.06, 0, 0.06, 0.12} {
 		var d [NumTransistors]float64
@@ -29,7 +29,7 @@ func TestAccessTimeMonotoneInReadPath(t *testing.T) {
 func TestAccessTimeSaturatesOnDeadCell(t *testing.T) {
 	var d [NumTransistors]float64
 	d[M3] = 1.0 // access never turns on
-	at := rawValue(t, &TranMetric{Cell: FastRead90nm(), Kind: "access"}, d)
+	at := rawValue(t, &Metric{Cell: FastRead90nm(), Kind: AccessTime}, d)
 	s := (&TranSpec{}).defaults()
 	if at != s.Stop-s.WLEdge {
 		t.Fatalf("dead cell should saturate at the window: %v", at)
@@ -37,7 +37,7 @@ func TestAccessTimeSaturatesOnDeadCell(t *testing.T) {
 }
 
 func TestWriteDelayNominalAndSensitivity(t *testing.T) {
-	write := &TranMetric{Cell: Default90nm(), Kind: "write"}
+	write := &Metric{Cell: Default90nm(), Kind: WriteDelay}
 	wd0 := rawValue(t, write, zero)
 	if wd0 <= 0 || wd0 > 200e-12 {
 		t.Fatalf("nominal write delay %v outside plausible range", wd0)
@@ -55,7 +55,7 @@ func TestWriteDelayUnwritableSaturates(t *testing.T) {
 	var d [NumTransistors]float64
 	d[M3] = 0.8
 	d[M5] = -0.5
-	wd := rawValue(t, &TranMetric{Cell: Default90nm(), Kind: "write"}, d)
+	wd := rawValue(t, &Metric{Cell: Default90nm(), Kind: WriteDelay}, d)
 	s := (&TranSpec{}).defaults()
 	if wd != s.Stop-s.WLEdge {
 		t.Fatalf("unwritable cell should saturate: %v", wd)
@@ -102,13 +102,4 @@ func TestTranMetricDimPanics(t *testing.T) {
 		}
 	}()
 	m.Value([]float64{0})
-}
-
-func TestTranMetricUnknownKind(t *testing.T) {
-	m := &TranMetric{Cell: Default90nm(), Kind: "bogus", Spec: 1e-10, Which: []int{M1}}
-	// Unknown kind degrades to the maximal delay: a strongly failing
-	// margin, not a panic.
-	if v := m.Value([]float64{0}); v >= 0 {
-		t.Fatalf("unknown kind should fail closed: %v", v)
-	}
 }

@@ -10,7 +10,9 @@ package sram
 //   - WNM:  nominal write-trip 316 mV, ‖∇WTV‖ ≈ 25.4 mV/σ (linear out to
 //     8σ) ⇒ spec 195 mV.
 //   - Read current: FastRead90nm cell, nominal 50.4 µA; Ith = 34.5 µA
-//     puts the 2-D failure probability at ≈ 2e-6 by grid quadrature. The
+//     puts the 2-D failure probability at 2.59e-6 by the 0.25σ grid
+//     quadrature of cmd/calibrate -grid, which runs low (on dual read
+//     it gives 1.02e-6 against the 1.59e-6 closed form). The
 //     failure region is the non-convex banana of §V-B: its boundary bends
 //     from the weak-driver lobe on the +x1 axis (r ≈ 4.7σ) symmetrically
 //     into both half-planes, reaching the read-disturb flip lobes at
