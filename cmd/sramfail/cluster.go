@@ -89,16 +89,16 @@ func renderCluster(base string, sum dist.ClusterSummary, events []client.Event) 
 	if len(sum.Workers) == 0 {
 		lines = append(lines, "  (no workers registered)")
 	} else {
-		lines = append(lines, fmt.Sprintf("  %-20s %5s %4s %6s %5s %5s %12s %10s %9s  %s",
-			"WORKER", "CORES", "ACT", "DONE", "FAIL", "EXP", "SIMS", "RATE", "CLOCK", "HEALTH"))
+		lines = append(lines, fmt.Sprintf("  %-20s %5s %4s %6s %5s %5s %12s %10s  %s",
+			"WORKER", "CORES", "ACT", "DONE", "FAIL", "EXP", "SIMS", "RATE", "HEALTH"))
 		for _, w := range sum.Workers {
 			health := "-"
 			if n := len(w.Health); n > 0 {
 				health = w.Health[n-1].Kind
 			}
-			lines = append(lines, fmt.Sprintf("  %-20s %5d %4d %6d %5d %5d %12d %8.0f/s %8dµs  %s",
+			lines = append(lines, fmt.Sprintf("  %-20s %5d %4d %6d %5d %5d %12d %8.0f/s  %s",
 				clip(w.ID, 20), w.Cores, w.Active, w.Completed, w.Failed, w.Expired,
-				w.Sims, w.SimsPerSec, w.ClockOffsetUS, health))
+				w.Sims, w.SimsPerSec, health))
 		}
 	}
 	if len(events) > 0 {

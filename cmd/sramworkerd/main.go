@@ -43,7 +43,6 @@ import (
 func main() {
 	coordinator := flag.String("coordinator", "http://localhost:8080", "coordinator base URL (sramserverd -dist)")
 	id := flag.String("id", "", "worker ID (default: hostname-pid)")
-	cores := flag.Int("cores", runtime.NumCPU(), "evaluation cores reported to the coordinator")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle delay between lease polls")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address")
 	eventRing := flag.Int("event-ring", 256, "flight-recorder ring size (retained worker events; 0 disables the event plane)")
@@ -143,11 +142,10 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("sramworkerd: %s polling %s (%d cores)\n", *id, *coordinator, *cores)
+	fmt.Printf("sramworkerd: %s polling %s (%d cores)\n", *id, *coordinator, runtime.GOMAXPROCS(0))
 	err = dist.RunWorker(ctx, dist.WorkerConfig{
 		Coordinator:  *coordinator,
 		ID:           *id,
-		Cores:        *cores,
 		PollInterval: *poll,
 		Registry:     reg,
 		Log:          log,

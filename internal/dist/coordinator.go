@@ -113,10 +113,18 @@ type workerState struct {
 	// Federation state from the worker's renew/result heartbeats.
 	points      []telemetry.MetricPoint
 	simsPerSec  float64
-	clockOffset int64
-	clockRTT    int64
 	health      []HealthAlert
 	lastAlertUS int64
+}
+
+// rate is the worker's live sampling rate: its last reported rate while
+// it holds a lease, 0 when idle (a final upload still carries the
+// finished lease's rate).
+func (ws *workerState) rate() float64 {
+	if ws.active == 0 {
+		return 0
+	}
+	return ws.simsPerSec
 }
 
 // NewCoordinator starts a coordinator (and its lease sweeper); call
@@ -314,7 +322,12 @@ func (c *Coordinator) touchWorkerLocked(info WorkerInfo) *workerState {
 	return ws
 }
 
-// gaugesLocked refreshes the dist scope gauges; callers hold c.mu.
+// gaugesLocked refreshes the dist scope gauges and the "cluster"
+// aggregates: every federated counter sums across workers into a gauge
+// of the same scope_name, plus the fleet's folded live sampling rate.
+// Workers are folded in ID order so the float sums are deterministic.
+// Every lease change and report calls it, so an idle fleet reads 0
+// sims/s. Callers hold c.mu.
 func (c *Coordinator) gaugesLocked() {
 	c.workersG.Set(float64(len(c.workers)))
 	c.activeG.Set(float64(len(c.leases)))
@@ -323,6 +336,29 @@ func (c *Coordinator) gaugesLocked() {
 		pending += len(sj.pending)
 	}
 	c.pendingG.Set(float64(pending))
+
+	scope := c.cfg.Registry.Scope(wire.ScopeCluster)
+	sums := make(map[string]float64)
+	var names []string
+	rate := 0.0
+	for _, ws := range c.sortedWorkersLocked() {
+		rate += ws.rate()
+		for _, p := range ws.points {
+			if p.Kind != "counter" {
+				continue
+			}
+			name := p.Scope + "_" + p.Name
+			if _, ok := sums[name]; !ok {
+				names = append(names, name)
+			}
+			sums[name] += p.Value
+		}
+	}
+	scope.Gauge("workers").Set(float64(len(c.workers)))
+	scope.Gauge("sims_per_sec").Set(rate)
+	for _, name := range names {
+		scope.Gauge(name).Set(sums[name])
+	}
 }
 
 // workerScope returns the per-worker metrics scope.
@@ -342,10 +378,10 @@ func (c *Coordinator) sortedWorkersLocked() []*workerState {
 }
 
 // ingestReportLocked stores a worker's federation heartbeat (metrics
-// snapshot and/or health alerts), republishes the metrics under the
-// per-worker scope and refreshes the cluster aggregates. It returns the
-// alerts not yet forwarded to the event stream (emit them after
-// releasing c.mu). Callers hold c.mu.
+// snapshot and/or health alerts) and republishes the metrics under the
+// per-worker scope; the caller's gaugesLocked refreshes the cluster
+// aggregates. It returns the alerts not yet forwarded to the event
+// stream (emit them after releasing c.mu). Callers hold c.mu.
 func (c *Coordinator) ingestReportLocked(ws *workerState, points []telemetry.MetricPoint, alerts []HealthAlert) []HealthAlert {
 	if len(points) > 0 {
 		ws.points = points
@@ -366,7 +402,6 @@ func (c *Coordinator) ingestReportLocked(ws *workerState, points []telemetry.Met
 				}
 			}
 		}
-		c.aggregateClusterLocked()
 	}
 	var fresh []HealthAlert
 	if len(alerts) > 0 {
@@ -383,36 +418,6 @@ func (c *Coordinator) ingestReportLocked(ws *workerState, points []telemetry.Met
 		ws.lastAlertUS = last
 	}
 	return fresh
-}
-
-// aggregateClusterLocked folds the workers' reported counters into the
-// "cluster" scope: every federated counter sums across workers into a
-// gauge of the same scope_name, plus the fleet's folded sampling rate.
-// Workers are folded in ID order so the float sums are deterministic.
-// Callers hold c.mu.
-func (c *Coordinator) aggregateClusterLocked() {
-	scope := c.cfg.Registry.Scope(wire.ScopeCluster)
-	sums := make(map[string]float64)
-	var names []string
-	rate := 0.0
-	for _, ws := range c.sortedWorkersLocked() {
-		rate += ws.simsPerSec
-		for _, p := range ws.points {
-			if p.Kind != "counter" {
-				continue
-			}
-			name := p.Scope + "_" + p.Name
-			if _, ok := sums[name]; !ok {
-				names = append(names, name)
-			}
-			sums[name] += p.Value
-		}
-	}
-	scope.Gauge("workers").Set(float64(len(c.workers)))
-	scope.Gauge("sims_per_sec").Set(rate)
-	for _, name := range names {
-		scope.Gauge(name).Set(sums[name])
-	}
 }
 
 // emitWorkerAlerts forwards a worker's fresh health alerts to the
@@ -481,14 +486,13 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 }
 
 // Handler serves the worker protocol and the fleet summary; mount it at
-// /v1/dist/ (and /v1/cluster) on the server mux.
+// /v1/dist/ and /v1/cluster on the server mux.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/dist/poll", c.handlePoll)
 	mux.HandleFunc("POST /v1/dist/leases/{id}/renew", c.handleRenew)
 	mux.HandleFunc("POST /v1/dist/leases/{id}/result", c.handleResult)
 	mux.HandleFunc("POST /v1/dist/leases/{id}/fail", c.handleFail)
-	mux.HandleFunc("GET /v1/dist/workers", c.handleWorkers)
 	mux.HandleFunc("GET /v1/cluster", c.handleCluster)
 	return mux
 }
@@ -496,7 +500,7 @@ func (c *Coordinator) Handler() http.Handler {
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req PollRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker.ID == "" {
-		writeProblem(w, http.StatusBadRequest, "invalid-request", "dist: poll needs a worker id")
+		jobs.WriteProblem(w, problem(http.StatusBadRequest, wire.ProblemInvalidRequest, "dist: poll needs a worker id"))
 		return
 	}
 	var out *Lease
@@ -535,7 +539,6 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 				Job:          id,
 				Lease:        l.id,
 			},
-			CoordUnixUS: time.Now().UnixMicro(),
 		}
 		jobReg = sj.job.Telemetry()
 		break
@@ -552,7 +555,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	})
 	c.log.Debug("lease granted", "job", out.Job, "lease", out.ID, "worker", req.Worker.ID,
 		"trace", out.Trace.TraceID, "lo", out.Range.Lo, "hi", out.Range.Hi)
-	writeJSON(w, http.StatusOK, out)
+	jobs.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
@@ -561,7 +564,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	// body older workers send.
 	var req RenewRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeProblem(w, http.StatusBadRequest, "invalid-request", "dist: bad renew body: "+err.Error())
+		jobs.WriteProblem(w, problem(http.StatusBadRequest, wire.ProblemInvalidRequest, "dist: bad renew body: "+err.Error()))
 		return
 	}
 	var fresh []HealthAlert
@@ -575,31 +578,29 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 			fresh = c.ingestReportLocked(ws, req.Metrics, req.Alerts)
 			workerID = ws.ID
 		}
+		c.gaugesLocked()
 	}
 	c.mu.Unlock()
 	if l == nil {
-		writeProblem(w, http.StatusGone, "lease-lost", "dist: lease "+id+" is no longer held")
+		jobs.WriteProblem(w, leaseLost(id))
 		return
 	}
 	c.emitWorkerAlerts(workerID, fresh)
-	writeJSON(w, http.StatusOK, RenewResponse{
-		TTLSeconds:  c.cfg.LeaseTTL.Seconds(),
-		CoordUnixUS: time.Now().UnixMicro(),
-	})
+	jobs.WriteJSON(w, http.StatusOK, RenewResponse{TTLSeconds: c.cfg.LeaseTTL.Seconds()})
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var up ResultUpload
 	if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
-		writeProblem(w, http.StatusBadRequest, "invalid-request", "dist: bad result upload: "+err.Error())
+		jobs.WriteProblem(w, problem(http.StatusBadRequest, wire.ProblemInvalidRequest, "dist: bad result upload: "+err.Error()))
 		return
 	}
 	c.mu.Lock()
 	l := c.leases[id]
 	if l == nil {
 		c.mu.Unlock()
-		writeProblem(w, http.StatusGone, "lease-lost", "dist: lease "+id+" is no longer held")
+		jobs.WriteProblem(w, leaseLost(id))
 		return
 	}
 	delete(c.leases, id)
@@ -612,7 +613,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		endLeaseSpan(l, "orphaned")
 		c.gaugesLocked()
 		c.mu.Unlock()
-		writeProblem(w, http.StatusGone, "lease-lost", "dist: job "+l.jobID+" is no longer running")
+		jobs.WriteProblem(w, problem(http.StatusGone, wire.ProblemLeaseLost, "dist: job "+l.jobID+" is no longer running"))
 		return
 	}
 	if sj.digest == "" {
@@ -620,10 +621,10 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// and the digest must be the prefix's own.
 		switch {
 		case up.Prefix == nil:
-			c.rejectLocked(w, sj, l, ws, http.StatusBadRequest, "invalid-request", "dist: first result must include the prefix")
+			c.rejectLocked(w, sj, l, ws, problem(http.StatusBadRequest, wire.ProblemInvalidRequest, "dist: first result must include the prefix"))
 			return
 		case up.Prefix.Digest() != up.PrefixDigest:
-			c.rejectLocked(w, sj, l, ws, http.StatusBadRequest, "invalid-request", "dist: uploaded prefix does not match its claimed digest")
+			c.rejectLocked(w, sj, l, ws, problem(http.StatusBadRequest, wire.ProblemInvalidRequest, "dist: uploaded prefix does not match its claimed digest"))
 			return
 		}
 		sj.prefix = up.Prefix
@@ -631,23 +632,23 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	} else if up.PrefixDigest != sj.digest {
 		// A worker that replayed a different first stage (version skew,
 		// nondeterministic metric) must not contribute partials.
-		c.rejectLocked(w, sj, l, ws, http.StatusConflict, "prefix-mismatch",
-			fmt.Sprintf("dist: worker %s prefix digest %.12s… differs from job's %.12s…", l.worker, up.PrefixDigest, sj.digest))
+		c.rejectLocked(w, sj, l, ws, problem(http.StatusConflict, wire.ProblemPrefixMismatch,
+			fmt.Sprintf("dist: worker %s prefix digest %.12s… differs from job's %.12s…", l.worker, up.PrefixDigest, sj.digest)))
 		return
 	}
 	if sj.prefix.Final == nil {
 		covered := 0
 		for _, ch := range up.Chunks {
 			if ch.Start < l.r.Lo || ch.Start+ch.Count > l.r.Hi {
-				c.rejectLocked(w, sj, l, ws, http.StatusBadRequest, "invalid-request",
-					fmt.Sprintf("dist: chunk [%d,%d) outside leased [%d,%d)", ch.Start, ch.Start+ch.Count, l.r.Lo, l.r.Hi))
+				c.rejectLocked(w, sj, l, ws, problem(http.StatusBadRequest, wire.ProblemInvalidRequest,
+					fmt.Sprintf("dist: chunk [%d,%d) outside leased [%d,%d)", ch.Start, ch.Start+ch.Count, l.r.Lo, l.r.Hi)))
 				return
 			}
 			covered += ch.Count
 		}
 		if covered != l.r.Count() {
-			c.rejectLocked(w, sj, l, ws, http.StatusBadRequest, "invalid-request",
-				fmt.Sprintf("dist: upload covers %d of %d leased samples", covered, l.r.Count()))
+			c.rejectLocked(w, sj, l, ws, problem(http.StatusBadRequest, wire.ProblemInvalidRequest,
+				fmt.Sprintf("dist: upload covers %d of %d leased samples", covered, l.r.Count())))
 			return
 		}
 	}
@@ -661,10 +662,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		ws.completed++
 		ws.samples += int64(l.r.Count())
 		ws.sims += sims
-		if up.TraceStartUnixUS != 0 {
-			ws.clockOffset = up.ClockOffsetUS
-			ws.clockRTT = up.ClockRTTUS
-		}
 		s := c.workerScope(l.worker)
 		s.Counter("leases_completed_total").Inc()
 		s.Counter("samples_total").Add(int64(l.r.Count()))
@@ -674,11 +671,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	sj.chunks = append(sj.chunks, up.Chunks...)
 	sj.remaining -= l.r.Count()
 	c.completed.Inc()
+	// The last result marks the job closed here but wakes Run only once
+	// the lease's span, grafted spans and result event are in, so the
+	// finished job's trace and event stream already hold them.
 	finished := sj.remaining == 0
-	if finished && !sj.closed {
-		sj.closed = true
-		close(sj.done)
-	}
+	sj.closed = finished
 	jobReg := sj.job.Telemetry()
 	c.gaugesLocked()
 	c.mu.Unlock()
@@ -690,28 +687,25 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		"job": l.jobID, "lease": id, "worker": l.worker,
 		"lo": l.r.Lo, "hi": l.r.Hi, "sims": sims, "complete": finished,
 	})
+	if finished {
+		close(sj.done)
+	}
 	c.log.Debug("lease result accepted", "job", l.jobID, "lease", id, "worker", l.worker,
 		"sims", sims, "spans", grafted, "complete", finished)
-	writeJSON(w, http.StatusOK, map[string]bool{"accepted": true})
+	jobs.WriteJSON(w, http.StatusOK, map[string]bool{"accepted": true})
 }
 
 // stitchSpans grafts a worker's uploaded spans into the job's trace
-// under the finished lease span, converting the worker's trace clock to
-// the job trace's: the worker anchors its trace start to its own wall
-// clock (TraceStartUnixUS) and reports its round-trip offset estimate
-// to the coordinator's wall clock, so
-//
-//	job_trace_us = TraceStartUnixUS + ClockOffsetUS + span.StartUS
-//	             − job_trace_start_unix_us
-//
-// Graft then clamps every span into the lease span's own window, which
-// bounds any residual clock-offset error by the lease's true lifetime
+// under the finished lease span. The worker times its spans from when it
+// started on the lease, so each is placed from the start of the lease
+// span; no wall clocks are compared. Graft then clamps every span into
+// the lease span's own window, which absorbs the grant's one-way delay
 // and keeps the stitched trace monotonic. Returns the grafted count.
 func (c *Coordinator) stitchSpans(trace *telemetry.Trace, l *lease, up *ResultUpload) int {
-	if trace == nil || len(up.Spans) == 0 || up.TraceStartUnixUS == 0 {
+	if trace == nil || len(up.Spans) == 0 {
 		return 0
 	}
-	shift := up.TraceStartUnixUS + up.ClockOffsetUS - trace.StartUnixUS()
+	shift := l.span.StartUS()
 	shifted := make([]telemetry.SpanSnapshot, 0, len(up.Spans))
 	for _, s := range up.Spans {
 		attrs := make(map[string]any, len(s.Attrs)+2)
@@ -730,34 +724,34 @@ func (c *Coordinator) stitchSpans(trace *telemetry.Trace, l *lease, up *ResultUp
 // rejectLocked refuses a lease's upload: the range goes back to the
 // queue (attempt counted) and the caller's problem is written. Callers
 // hold c.mu, which is released here.
-func (c *Coordinator) rejectLocked(w http.ResponseWriter, sj *shardJob, l *lease, ws *workerState, status int, slug, detail string) {
+func (c *Coordinator) rejectLocked(w http.ResponseWriter, sj *shardJob, l *lease, ws *workerState, p *jobs.Problem) {
 	if ws != nil {
 		ws.active--
 		ws.failed++
 		c.workerScope(l.worker).Counter("leases_failed_total").Inc()
 	}
 	c.failed.Inc()
-	c.requeueLocked(sj, l.r, detail)
+	c.requeueLocked(sj, l.r, p.Detail)
 	c.gaugesLocked()
 	c.mu.Unlock()
 	endLeaseSpan(l, "rejected")
 	c.log.Warn("lease upload rejected", "job", l.jobID, "lease", l.id, "worker", l.worker,
-		"status", status, "detail", detail)
-	writeProblem(w, status, slug, detail)
+		"status", p.Status, "detail", p.Detail)
+	jobs.WriteProblem(w, p)
 }
 
 func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var up FailUpload
 	if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
-		writeProblem(w, http.StatusBadRequest, "invalid-request", "dist: bad fail upload: "+err.Error())
+		jobs.WriteProblem(w, problem(http.StatusBadRequest, wire.ProblemInvalidRequest, "dist: bad fail upload: "+err.Error()))
 		return
 	}
 	c.mu.Lock()
 	l := c.leases[id]
 	if l == nil {
 		c.mu.Unlock()
-		writeProblem(w, http.StatusGone, "lease-lost", "dist: lease "+id+" is no longer held")
+		jobs.WriteProblem(w, leaseLost(id))
 		return
 	}
 	delete(c.leases, id)
@@ -776,7 +770,7 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	c.gaugesLocked()
 	c.mu.Unlock()
 	c.log.Warn("lease failed", "job", l.jobID, "lease", id, "worker", l.worker, "error", up.Error)
-	writeJSON(w, http.StatusOK, map[string]bool{"accepted": true})
+	jobs.WriteJSON(w, http.StatusOK, map[string]bool{"accepted": true})
 }
 
 // statusLocked renders one worker's wire status; callers hold c.mu.
@@ -787,20 +781,9 @@ func statusLocked(ws *workerState) WorkerStatus {
 		Active:    ws.active,
 		Completed: ws.completed, Failed: ws.failed, Expired: ws.expired,
 		Samples: ws.samples, Sims: ws.sims,
-		SimsPerSec:    ws.simsPerSec,
-		ClockOffsetUS: ws.clockOffset, ClockRTTUS: ws.clockRTT,
-		Health: ws.health,
+		SimsPerSec: ws.rate(),
+		Health:     ws.health,
 	}
-}
-
-func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	out := make([]WorkerStatus, 0, len(c.workers))
-	for _, ws := range c.sortedWorkersLocked() {
-		out = append(out, statusLocked(ws))
-	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
 }
 
 // Cluster returns the coordinator's current fleet summary — what
@@ -823,7 +806,7 @@ func (c *Coordinator) Cluster() ClusterSummary {
 	}
 	for _, ws := range c.sortedWorkersLocked() {
 		sum.Workers = append(sum.Workers, statusLocked(ws))
-		sum.SimsPerSec += ws.simsPerSec
+		sum.SimsPerSec += ws.rate()
 		sum.Samples += ws.samples
 		sum.Sims += ws.sims
 	}
@@ -831,21 +814,15 @@ func (c *Coordinator) Cluster() ClusterSummary {
 }
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Cluster())
+	jobs.WriteJSON(w, http.StatusOK, c.Cluster())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+// problem builds the RFC 9457 document for a refused protocol request.
+func problem(status int, typ, detail string) *jobs.Problem {
+	return &jobs.Problem{Type: typ, Title: http.StatusText(status), Status: status, Detail: detail}
 }
 
-func writeProblem(w http.ResponseWriter, status int, slug, detail string) {
-	p := &jobs.Problem{
-		Type: jobs.ProblemType + slug, Title: http.StatusText(status),
-		Status: status, Detail: detail,
-	}
-	w.Header().Set("Content-Type", "application/problem+json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(p)
+// leaseLost is the 410 a worker gets for a lease it no longer holds.
+func leaseLost(id string) *jobs.Problem {
+	return problem(http.StatusGone, wire.ProblemLeaseLost, "dist: lease "+id+" is no longer held")
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/surrogate"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // spinMetric burns CPU per evaluation so a distributed job runs long
@@ -191,19 +192,19 @@ func TestDistributedBitIdentical(t *testing.T) {
 	}
 }
 
-// workerStatuses fetches GET /v1/dist/workers.
+// workerStatuses fetches the workers of GET /v1/cluster.
 func workerStatuses(t *testing.T, h *harness) []WorkerStatus {
 	t.Helper()
-	resp, err := http.Get(h.srv.URL + "/v1/dist/workers")
+	resp, err := http.Get(h.srv.URL + "/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ws []WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
+	var sum ClusterSummary
+	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
 		t.Fatal(err)
 	}
-	return ws
+	return sum.Workers
 }
 
 // Killing a worker mid-job loses nothing: its lease expires, the range
@@ -332,7 +333,7 @@ func TestPrefixDigestMismatch(t *testing.T) {
 		t.Fatalf("rogue upload: status %d, body %s", resp.StatusCode, body)
 	}
 	var p jobs.Problem
-	if err := json.Unmarshal(body, &p); err != nil || p.Type != jobs.ProblemType+"prefix-mismatch" {
+	if err := json.Unmarshal(body, &p); err != nil || p.Type != wire.ProblemPrefixMismatch {
 		t.Fatalf("rogue problem: %s (err %v)", body, err)
 	}
 
@@ -364,15 +365,16 @@ func TestWorkerRegistry(t *testing.T) {
 	h.startWorkers(t, 2)
 	runDistributed(t, h, jobs.Request{Workload: "lin", Method: "g-s", Seed: 51, K: 200, N: 2000})
 
-	resp, err := http.Get(h.srv.URL + "/v1/dist/workers")
+	resp, err := http.Get(h.srv.URL + "/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ws []WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
+	var sum ClusterSummary
+	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
 		t.Fatal(err)
 	}
+	ws := sum.Workers
 	if len(ws) == 0 {
 		t.Fatal("no workers registered")
 	}

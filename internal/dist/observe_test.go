@@ -153,17 +153,20 @@ func TestClusterFederation(t *testing.T) {
 			t.Fatalf("workers not sorted by ID: %s before %s", sum.Workers[i-1].ID, sum.Workers[i].ID)
 		}
 	}
+	// The job is done and no worker holds a lease, so the fleet is idle:
+	// a finished lease's rate must not read as live throughput.
+	if sum.SimsPerSec != 0 {
+		t.Fatalf("idle fleet reports %.0f sims/s", sum.SimsPerSec)
+	}
 	for _, w := range sum.Workers {
-		// Clock estimates come from same-host round trips here; a huge
-		// offset means the normalization math regressed.
-		if w.ClockOffsetUS > 10_000_000 || w.ClockOffsetUS < -10_000_000 {
-			t.Fatalf("worker %s clock offset %dus implausible for same-host", w.ID, w.ClockOffsetUS)
+		if w.SimsPerSec != 0 {
+			t.Fatalf("idle worker %s reports %.0f sims/s", w.ID, w.SimsPerSec)
 		}
 	}
 
 	// Federated series: per-worker scopes plus cluster aggregates on the
 	// coordinator registry.
-	var perWorker, cluster bool
+	var perWorker, cluster, idleRate bool
 	for _, p := range h.reg.Snapshot() {
 		if strings.HasPrefix(p.Scope, "dist_worker_w") {
 			perWorker = true
@@ -171,12 +174,21 @@ func TestClusterFederation(t *testing.T) {
 		if p.Scope == "cluster" && p.Name == "workers" && p.Value >= 2 {
 			cluster = true
 		}
+		if p.Scope == "cluster" && p.Name == "sims_per_sec" {
+			if p.Value != 0 {
+				t.Fatalf("idle fleet's cluster sims_per_sec gauge reads %.0f", p.Value)
+			}
+			idleRate = true
+		}
 	}
 	if !perWorker {
 		t.Fatal("no dist_worker_<id> series federated into the coordinator registry")
 	}
 	if !cluster {
 		t.Fatal("cluster scope missing the workers gauge")
+	}
+	if !idleRate {
+		t.Fatal("cluster scope missing the sims_per_sec gauge")
 	}
 }
 

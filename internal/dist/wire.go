@@ -15,13 +15,12 @@
 //
 // The protocol also carries the cluster observability plane. Every
 // lease grants a trace context (trace id, parent span id, job, lease —
-// the W3C traceparent decomposition) and the coordinator's wall clock;
-// workers evaluate their range under that context, estimate their clock
-// offset from poll/renew round trips (Cristian's algorithm, see
-// telemetry.ClockSync) and upload finished span records with the
-// partials, which the coordinator normalizes onto the job's own trace
-// clock and grafts under the lease's span — one stitched Chrome trace
-// per distributed job. Renewals double as the metrics-federation
+// the W3C traceparent decomposition); workers evaluate their range
+// under that context and upload finished span records, timed from the
+// start of their lease work, with the partials. The coordinator places
+// them from the start of the lease's own span and grafts them under it
+// — one stitched Chrome trace per distributed job, with no wall clocks
+// compared across processes. Renewals double as the metrics-federation
 // heartbeat: each carries the worker's registry snapshot and recent
 // health alerts, which the coordinator republishes per-worker and
 // aggregated at /metrics, GET /v1/cluster and the global event stream.
@@ -30,7 +29,6 @@
 //	POST /v1/dist/leases/{id}/renew  extend a held lease (410 when lost)
 //	POST /v1/dist/leases/{id}/result upload the range's partials + spans
 //	POST /v1/dist/leases/{id}/fail   report a failed range
-//	GET  /v1/dist/workers            registered workers and their health
 //	GET  /v1/cluster                 fleet summary (workers, leases, rates)
 package dist
 
@@ -49,7 +47,8 @@ type WorkerInfo struct {
 	// ID names the worker; every poll from the same ID accrues to the
 	// same health record and per-worker metrics.
 	ID string `json:"id"`
-	// Cores is the worker's evaluation-pool size (informational).
+	// Cores is the worker's GOMAXPROCS, the size of the pool a job
+	// with Workers 0 evaluates on (informational).
 	Cores int `json:"cores,omitempty"`
 }
 
@@ -98,10 +97,6 @@ type Lease struct {
 	// Trace is the distributed trace context the worker evaluates under;
 	// its uploaded spans stitch in below Trace.ParentSpanID.
 	Trace TraceContext `json:"trace"`
-	// CoordUnixUS is the coordinator's wall clock (microseconds since
-	// the Unix epoch) when the lease was granted — one half of the
-	// worker's round-trip clock-offset estimate.
-	CoordUnixUS int64 `json:"coord_unix_us,omitempty"`
 }
 
 // RenewRequest is the renew POST body: the federation heartbeat. All
@@ -118,9 +113,6 @@ type RenewRequest struct {
 // RenewResponse acknowledges a renewal.
 type RenewResponse struct {
 	TTLSeconds float64 `json:"ttl_seconds"`
-	// CoordUnixUS is the coordinator's wall clock at the renewal —
-	// another clock-offset sample for the worker.
-	CoordUnixUS int64 `json:"coord_unix_us,omitempty"`
 }
 
 // HealthAlert is one worker watchdog alert on the wire.
@@ -142,18 +134,10 @@ type ResultUpload struct {
 	Prefix *repro.Prefix `json:"prefix,omitempty"`
 	// Chunks are the partial statistics of the leased range.
 	Chunks []mc.Partial `json:"chunks,omitempty"`
-	// Spans are the finished spans of the worker's lease evaluation, on
-	// the worker's own trace clock. TraceStartUnixUS anchors that clock
-	// to the worker's wall clock, and ClockOffsetUS/ClockRTTUS are the
-	// worker's round-trip estimate of (coordinator wall − worker wall),
-	// so the coordinator can place the spans on the job trace:
-	//
-	//	coord_trace_us = TraceStartUnixUS + ClockOffsetUS + span.StartUS
-	//	               − job_trace_start_unix_us
-	Spans            []telemetry.SpanSnapshot `json:"spans,omitempty"`
-	TraceStartUnixUS int64                    `json:"trace_start_unix_us,omitempty"`
-	ClockOffsetUS    int64                    `json:"clock_offset_us,omitempty"`
-	ClockRTTUS       int64                    `json:"clock_rtt_us,omitempty"`
+	// Spans are the finished spans of the worker's lease evaluation,
+	// timed from when the worker started on the lease; the coordinator
+	// places them from the start of the lease's span.
+	Spans []telemetry.SpanSnapshot `json:"spans,omitempty"`
 	// Metrics piggybacks a final registry snapshot on the upload, so
 	// short leases that never renewed still federate their counters.
 	Metrics []telemetry.MetricPoint `json:"metrics,omitempty"`
@@ -165,7 +149,7 @@ type FailUpload struct {
 }
 
 // WorkerStatus is one worker's health record as served by
-// GET /v1/dist/workers and GET /v1/cluster.
+// GET /v1/cluster.
 type WorkerStatus struct {
 	ID    string `json:"id"`
 	Cores int    `json:"cores,omitempty"`
@@ -182,12 +166,9 @@ type WorkerStatus struct {
 	Samples   int64 `json:"samples"`
 	Sims      int64 `json:"sims"`
 	// SimsPerSec is the worker's self-reported live sampling rate (from
-	// its progress gauge, via the federation heartbeat).
+	// its progress gauge, via the federation heartbeat); 0 while it
+	// holds no lease.
 	SimsPerSec float64 `json:"sims_per_sec,omitempty"`
-	// ClockOffsetUS/ClockRTTUS are the worker's last reported clock
-	// offset estimate relative to the coordinator.
-	ClockOffsetUS int64 `json:"clock_offset_us,omitempty"`
-	ClockRTTUS    int64 `json:"clock_rtt_us,omitempty"`
 	// Health lists the worker's recent watchdog alerts.
 	Health []HealthAlert `json:"health,omitempty"`
 }
@@ -202,7 +183,7 @@ type ClusterSummary struct {
 	PendingRanges int `json:"pending_ranges"`
 	DistJobs      int `json:"dist_jobs"`
 	// SimsPerSec is the fleet's folded live sampling rate (sum of the
-	// workers' self-reported rates); Samples and Sims are lifetime
+	// busy workers' self-reported rates); Samples and Sims are lifetime
 	// contribution totals.
 	SimsPerSec float64 `json:"sims_per_sec"`
 	Samples    int64   `json:"samples"`

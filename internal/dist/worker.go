@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"time"
 
@@ -23,9 +24,6 @@ type WorkerConfig struct {
 	Coordinator string
 	// ID names this worker to the coordinator (required).
 	ID string
-	// Cores is reported to the coordinator for operator visibility
-	// (informational; the evaluation pool is sized by the job spec).
-	Cores int
 	// PollInterval is the idle delay between polls (default 500ms).
 	PollInterval time.Duration
 	// Resolve maps workload names to metrics; nil selects
@@ -51,11 +49,11 @@ type WorkerConfig struct {
 // range to someone else) aborts the evaluation mid-chunk.
 //
 // Every lease is evaluated under the trace context it granted: the
-// worker records its own span tree for the evaluation, estimates its
-// clock offset to the coordinator from poll/renew round trips, and
-// uploads both with the result so the coordinator can stitch one
-// cluster-wide trace. Renewals carry the worker's metrics snapshot and
-// recent health alerts — the metrics-federation heartbeat.
+// worker records its own span tree for the evaluation, timed from the
+// start of the lease work, and uploads it with the result so the
+// coordinator can stitch one cluster-wide trace. Renewals carry the
+// worker's metrics snapshot and recent health alerts — the
+// metrics-federation heartbeat.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.ID == "" {
 		return errors.New("dist: worker needs an ID")
@@ -79,7 +77,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// worker daemon's watchdog publishes health.* on the registry bus.
 	w.healthSub = cfg.Registry.Bus().Subscribe(64)
 	defer w.healthSub.Close()
-	w.log.Info("worker polling", "coordinator", cfg.Coordinator, "cores", cfg.Cores)
+	w.log.Info("worker polling", "coordinator", cfg.Coordinator, "cores", runtime.GOMAXPROCS(0))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -102,9 +100,6 @@ type worker struct {
 	cfg                               WorkerConfig
 	log                               *obslog.Logger
 	leases, completed, failures, lost *telemetry.Counter
-	// clock accumulates round-trip offset samples against the
-	// coordinator's wall clock (poll and renew responses).
-	clock telemetry.ClockSync
 	// healthSub and alerts collect the registry bus's health.* events
 	// between heartbeats. Both are touched only from the lease loop and
 	// its renew goroutine, never concurrently (the renew loop is joined
@@ -157,17 +152,12 @@ func (w *worker) heartbeat() RenewRequest {
 	}
 }
 
-// poll asks for a lease; nil without error means no work. A granted
-// lease's response carries the coordinator's wall clock, which —
-// bracketed by the request round trip — feeds the clock-offset
-// estimate.
+// poll asks for a lease; nil without error means no work.
 func (w *worker) poll(ctx context.Context) (*Lease, error) {
 	var lease Lease
-	send := time.Now().UnixMicro()
 	status, err := w.post(ctx, "/v1/dist/poll", PollRequest{
-		Worker: WorkerInfo{ID: w.cfg.ID, Cores: w.cfg.Cores},
+		Worker: WorkerInfo{ID: w.cfg.ID, Cores: runtime.GOMAXPROCS(0)},
 	}, &lease)
-	recv := time.Now().UnixMicro()
 	if err != nil {
 		return nil, err
 	}
@@ -176,9 +166,6 @@ func (w *worker) poll(ctx context.Context) (*Lease, error) {
 	}
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("dist: poll status %d", status)
-	}
-	if lease.CoordUnixUS != 0 {
-		w.clock.Observe(send, recv, lease.CoordUnixUS)
 	}
 	return &lease, nil
 }
@@ -237,9 +224,6 @@ func (w *worker) process(ctx context.Context, lease *Lease) {
 				up.Prefix = &run.Prefix
 			}
 			up.Spans = tr.Snapshot()
-			up.TraceStartUnixUS = tr.StartUnixUS()
-			up.ClockOffsetUS, _ = w.clock.OffsetUS()
-			up.ClockRTTUS = w.clock.RTTUS()
 			up.Metrics = WirePoints(w.cfg.Registry.Snapshot())
 			status, postErr := w.post(ctx, "/v1/dist/leases/"+lease.ID+"/result", up, nil)
 			switch {
@@ -250,8 +234,7 @@ func (w *worker) process(ctx context.Context, lease *Lease) {
 				w.cfg.Registry.Emit(wire.EvWorkerLeaseDone, map[string]any{
 					"job": lease.Job, "lease": lease.ID, "spans": len(up.Spans),
 				})
-				log.Debug("lease completed", "spans", len(up.Spans),
-					"clock_offset_us", up.ClockOffsetUS, "clock_rtt_us", up.ClockRTTUS)
+				log.Debug("lease completed", "spans", len(up.Spans))
 				return
 			default:
 				err = fmt.Errorf("dist: result upload status %d", status)
@@ -279,7 +262,7 @@ func (w *worker) process(ctx context.Context, lease *Lease) {
 
 // renewLoop heartbeats the lease at a third of its TTL; a 410 means the
 // lease was reassigned, so the evaluation is cancelled. Each beat
-// carries the federation payload and returns a clock-offset sample.
+// carries the federation payload.
 func (w *worker) renewLoop(ctx context.Context, cancel context.CancelFunc, lease *Lease) {
 	ttl := time.Duration(lease.TTLSeconds * float64(time.Second))
 	period := max(ttl/3, 10*time.Millisecond)
@@ -290,16 +273,10 @@ func (w *worker) renewLoop(ctx context.Context, cancel context.CancelFunc, lease
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			var resp RenewResponse
-			send := time.Now().UnixMicro()
-			status, err := w.post(ctx, "/v1/dist/leases/"+lease.ID+"/renew", w.heartbeat(), &resp)
-			recv := time.Now().UnixMicro()
+			status, err := w.post(ctx, "/v1/dist/leases/"+lease.ID+"/renew", w.heartbeat(), nil)
 			if err == nil && status == http.StatusGone {
 				cancel()
 				return
-			}
-			if err == nil && status == http.StatusOK && resp.CoordUnixUS != 0 {
-				w.clock.Observe(send, recv, resp.CoordUnixUS)
 			}
 			// Transient errors are fine — the TTL absorbs a missed beat.
 		}

@@ -49,32 +49,32 @@ func Handler(m *Manager) http.Handler {
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeProblem(w, badRequest(err))
+			WriteProblem(w, badRequest(err))
 			return
 		}
 		job, replay, err := m.SubmitIdempotent(req, r.Header.Get("Idempotency-Key"))
 		if err != nil {
-			writeProblem(w, err)
+			WriteProblem(w, err)
 			return
 		}
 		if replay {
 			w.Header().Set("Idempotent-Replay", "true")
-			writeJSON(w, http.StatusOK, job.Snapshot())
+			WriteJSON(w, http.StatusOK, job.Snapshot())
 			return
 		}
 		if r.URL.Query().Get("wait") == "" {
-			writeJSON(w, http.StatusAccepted, job.Snapshot())
+			WriteJSON(w, http.StatusAccepted, job.Snapshot())
 			return
 		}
 		// Wait mode: the client's connection is the job's lifeline.
 		select {
 		case <-job.Done():
-			writeJSON(w, http.StatusOK, job.Snapshot())
+			WriteJSON(w, http.StatusOK, job.Snapshot())
 		case <-r.Context().Done():
 			m.Cancel(job.ID())
 			<-job.Done()
 			// The client is gone; this write is best-effort.
-			writeJSON(w, statusRequestCancelled, job.Snapshot())
+			WriteJSON(w, statusRequestCancelled, job.Snapshot())
 		}
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -83,20 +83,20 @@ func Handler(m *Manager) http.Handler {
 		switch state {
 		case "", StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
 		default:
-			writeProblem(w, badRequest(fmt.Errorf("jobs: unknown state filter %q", state)))
+			WriteProblem(w, badRequest(fmt.Errorf("jobs: unknown state filter %q", state)))
 			return
 		}
 		limit, err := intParam(q.Get("limit"), 100, maxPageSize)
 		if err != nil {
-			writeProblem(w, badRequest(err))
+			WriteProblem(w, badRequest(err))
 			return
 		}
 		offset, err := intParam(q.Get("offset"), 0, math.MaxInt)
 		if err != nil {
-			writeProblem(w, badRequest(err))
+			WriteProblem(w, badRequest(err))
 			return
 		}
-		writeJSON(w, http.StatusOK, m.ListPage(state, limit, offset))
+		WriteJSON(w, http.StatusOK, m.ListPage(state, limit, offset))
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, err := m.Get(r.PathValue("id"))
@@ -104,7 +104,7 @@ func Handler(m *Manager) http.Handler {
 			writeError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, job.Snapshot())
+		WriteJSON(w, http.StatusOK, job.Snapshot())
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, err := m.Cancel(r.PathValue("id"))
@@ -112,7 +112,7 @@ func Handler(m *Manager) http.Handler {
 			writeError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, job.Snapshot())
+		WriteJSON(w, http.StatusOK, job.Snapshot())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/metrics", func(w http.ResponseWriter, r *http.Request) {
 		job, err := m.Get(r.PathValue("id"))
@@ -166,7 +166,7 @@ func Handler(m *Manager) http.Handler {
 		for _, mth := range repro.AllMethods() {
 			out = append(out, method{Name: mth.String(), Description: mth.Describe()})
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		type workload struct {
@@ -179,7 +179,7 @@ func Handler(m *Manager) http.Handler {
 		for _, wl := range ws {
 			out = append(out, workload{Name: wl.Name, Description: wl.Description, Dim: wl.Dim})
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 	if m.cfg.Registry != nil {
 		metrics := m.cfg.Registry.MetricsHandler()
@@ -216,7 +216,8 @@ func intParam(s string, def, limit int) (int, error) {
 	return min(v, limit), nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON sends v as an indented JSON document with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -226,9 +227,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError reports a handler-local error as a problem document with
 // an explicit status (errors carrying a sentinel go through
-// writeProblem directly and classify themselves).
+// WriteProblem directly and classify themselves).
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeProblem(w, &Problem{
+	WriteProblem(w, &Problem{
 		Type:   ProblemType + statusSlug(status),
 		Title:  http.StatusText(status),
 		Status: status,

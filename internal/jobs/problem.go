@@ -102,8 +102,9 @@ func leaves(err error) []string {
 	return []string{msg}
 }
 
-// writeProblem sends err as its problem document.
-func writeProblem(w http.ResponseWriter, err error) {
+// WriteProblem sends err as its problem document: a *Problem passes
+// through as is, any other error is classified by its sentinel.
+func WriteProblem(w http.ResponseWriter, err error) {
 	var p *Problem
 	if !errors.As(err, &p) {
 		p = problemFrom(err)

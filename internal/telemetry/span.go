@@ -58,16 +58,6 @@ type Trace struct {
 // NewTrace returns an empty trace whose clock starts now.
 func NewTrace() *Trace { return &Trace{start: time.Now()} }
 
-// StartUnixUS returns the wall-clock time of the trace's start as
-// microseconds since the Unix epoch (0 on nil). Cross-process trace
-// stitching uses it to convert span offsets between trace clocks.
-func (t *Trace) StartUnixUS() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.start.UnixMicro()
-}
-
 // Span is one named interval of a trace. Create spans with
 // Registry.StartSpan, StartSpan (context-aware) or Span.Child; finish
 // them with End. A nil *Span is fully inert.
@@ -282,13 +272,13 @@ type SpanSnapshot struct {
 // under the given parent span of this trace: ids are remapped into this
 // trace's id space, parent links inside the batch are preserved, and
 // spans whose parent is not in the batch attach to parent (or become
-// roots when parent is nil). The caller must already have converted
-// each snapshot's StartUS onto this trace's clock (see internal/dist's
-// worker-clock normalization); Graft clamps grafted spans into
-// [minStartUS, maxEndUS] when maxEndUS > 0 so a badly estimated remote
-// clock offset cannot produce spans outside their enclosing lease.
-// Attrs maps are retained as-is and treated read-only. Returns the
-// number of spans grafted; nil-safe.
+// roots when parent is nil). The caller must already have placed each
+// snapshot's StartUS on this trace's clock (internal/dist offsets a
+// worker's spans by the start of their lease span); Graft clamps
+// grafted spans into [minStartUS, maxEndUS] when maxEndUS > 0 so no
+// span lands outside its enclosing lease. Attrs maps are retained
+// as-is and treated read-only. Returns the number of spans grafted;
+// nil-safe.
 func (t *Trace) Graft(parent *Span, spans []SpanSnapshot, minStartUS, maxEndUS int64) int {
 	if t == nil || len(spans) == 0 {
 		return 0

@@ -89,7 +89,8 @@ const (
 	ScopeDistWorkerPrefix = "dist_worker_"
 )
 
-// Problem URNs (RFC 9457 problem+json Type members, v1 jobs API).
+// Problem URNs (RFC 9457 problem+json Type members, v1 jobs API and
+// the dist lease protocol).
 const (
 	ProblemURNPrefix = "urn:repro:problem:"
 
@@ -101,4 +102,6 @@ const (
 	ProblemNotDistributable     = ProblemURNPrefix + "not-distributable"
 	ProblemInvalidRequest       = ProblemURNPrefix + "invalid-request"
 	ProblemInternal             = ProblemURNPrefix + "internal"
+	ProblemLeaseLost            = ProblemURNPrefix + "lease-lost"
+	ProblemPrefixMismatch       = ProblemURNPrefix + "prefix-mismatch"
 )

@@ -79,12 +79,12 @@ DIST_SNAP=$(submit_wait '{"seed":7,"distribute":true}')
 [ "$(jq -r .distributed <<<"$DIST_SNAP")" = true ] || fail "job not marked distributed"
 [ "$(canonical_result "$DIST_SNAP")" = "$BASELINE" ] \
   || fail "distributed result differs from single-node baseline"
-WORKERS=$(curl -fsS "http://$ADDR/v1/dist/workers")
+WORKERS=$(curl -fsS "http://$ADDR/v1/cluster" | jq -c .workers)
 [ "$(jq 'map(.completed) | add' <<<"$WORKERS")" -gt 0 ] || fail "no worker completed a lease"
 echo "dist_smoke: 2-worker result byte-identical ($(jq 'length' <<<"$WORKERS") workers registered)"
 
 # The stitched trace: one Chrome trace for the distributed job, with
-# the workers' clock-normalized spans grafted in and tagged.
+# the workers' spans grafted under their leases and tagged.
 DIST_ID=$(jq -r .id <<<"$DIST_SNAP")
 TRACE=$(curl -fsS "http://$ADDR/v1/jobs/$DIST_ID/trace")
 jq -e '.traceEvents | length > 0' <<<"$TRACE" >/dev/null || fail "stitched trace is empty"
@@ -103,7 +103,7 @@ echo "dist_smoke: /v1/cluster folds $(jq -r .samples <<<"$CLUSTER") samples acro
 # worker holds a lease, SIGKILL it, and require the same bytes again.
 KILL_JOB=$(curl -fsS -X POST "http://$ADDR/v1/jobs" -d "$(jq -c '. + {distribute:true, n:200000}' <<<"$JOBSPEC")" | jq -r .id)
 for _ in $(seq 1 200); do
-  ACTIVE=$(curl -fsS "http://$ADDR/v1/dist/workers" | jq '[.[] | select(.id=="smoke-w1")][0].active // 0')
+  ACTIVE=$(curl -fsS "http://$ADDR/v1/cluster" | jq '[.workers[] | select(.id=="smoke-w1")][0].active // 0')
   [ "$ACTIVE" -gt 0 ] && break
   sleep 0.05
 done
