@@ -109,7 +109,11 @@ func (op *OperatingPoint) PredictFrom(prev *OperatingPoint) *OperatingPoint {
 
 // DCOptions tunes the Newton solve. The zero value picks robust defaults.
 type DCOptions struct {
-	// MaxIter bounds Newton iterations per attempt (default 150).
+	// MaxIter bounds Newton iterations per attempt (default 150). The
+	// cold escalation's first plain Newton also stops early once it has
+	// gone 8 iterations without lowering its best max-|KCL| residual;
+	// every gmin stage, the final gmin = Gmin solve and every source
+	// step keep the full MaxIter budget.
 	MaxIter int
 	// VTol is the voltage-update convergence tolerance (default 1e-9 V).
 	VTol float64
@@ -168,9 +172,12 @@ func (o *DCOptions) defaults() DCOptions {
 // SolveDC computes the DC operating point. It first tries plain damped
 // Newton from the initial guess; on failure it falls back to gmin stepping
 // and then source stepping, mirroring production SPICE practice. The
-// returned operating point records which strategy converged (Strategy),
-// the Newton iterations consumed and the residual at convergence. It is
-// SolveDCFrom without a warm start.
+// plain attempt gives up early once it stalls (8 iterations without a
+// lower residual), since the ladder behind it is what rescues such
+// solves; the ladder's own attempts keep the full MaxIter budget.
+// The returned operating point records which strategy converged
+// (Strategy), the Newton iterations consumed and the residual at
+// convergence. It is SolveDCFrom without a warm start.
 func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
 	return c.SolveDCFrom(nil, 0, nil, opts)
 }
@@ -178,8 +185,19 @@ func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
 // DefaultWarmMaxIter is the Newton budget for a warm-start attempt. Warm
 // starts that are going to converge do so in a handful of iterations;
 // anything still wandering after this budget is cheaper to restart cold
-// than to keep polishing.
+// than to keep polishing. A warm attempt that stalls (8 iterations
+// without a lower residual) stops before the budget runs out.
 const DefaultWarmMaxIter = 40
+
+// stallWindow is how many consecutive Newton iterations an attempt may
+// spend without lowering its best max-|KCL| residual before it gives up.
+// It applies only to the warm attempt and the cold escalation's first
+// plain Newton, the two attempts whose failure just starts the next
+// strategy: a converging attempt lowers its residual almost every
+// iteration, while one oscillating between basins (a cell that flips
+// during the read) would otherwise burn its whole budget. The gmin and
+// source-stepping ladder is the rescue path and never stalls out.
+const stallWindow = 8
 
 // SolveDCFrom computes the DC operating point, first attempting damped
 // Newton from the anchor solution with a warmIter iteration budget
@@ -262,7 +280,7 @@ func (c *Circuit) warmDC(anchor *OperatingPoint, warmIter int, guard func(*Opera
 	}
 	c.indexBranches()
 	x := linalg.CopyVec(anchor.x)
-	st, err := c.newton(x, &o, o.Gmin, 1.0)
+	st, err := c.newton(x, &o, o.Gmin, 1.0, stallWindow)
 	if err != nil {
 		return nil, st.iters
 	}
@@ -275,7 +293,9 @@ func (c *Circuit) warmDC(anchor *OperatingPoint, warmIter int, guard func(*Opera
 }
 
 // solveDC runs the cold strategy escalation; o must already have
-// defaults applied.
+// defaults applied. Only the first plain Newton stops on a stall; each
+// gmin stage, the final gmin = Gmin solve and each source step run to
+// convergence or to o.MaxIter.
 func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	c.indexBranches()
 	n := c.NumUnknowns()
@@ -298,7 +318,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	}
 
 	totalIters := 0
-	if st, err := c.newton(x, o, o.Gmin, 1.0); err == nil {
+	if st, err := c.newton(x, o, o.Gmin, 1.0, stallWindow); err == nil {
 		return &OperatingPoint{circuit: c, x: x, strategy: StrategyNewton,
 			iters: st.iters, residual: st.residual}, nil
 	} else {
@@ -309,7 +329,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	xg := linalg.CopyVec(x)
 	ok := true
 	for gmin := 1e-2; gmin >= o.Gmin; gmin /= 10 {
-		st, err := c.newton(xg, o, gmin, 1.0)
+		st, err := c.newton(xg, o, gmin, 1.0, 0)
 		totalIters += st.iters
 		if err != nil {
 			ok = false
@@ -317,7 +337,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 		}
 	}
 	if ok {
-		st, err := c.newton(xg, o, o.Gmin, 1.0)
+		st, err := c.newton(xg, o, o.Gmin, 1.0, 0)
 		totalIters += st.iters
 		if err == nil {
 			return &OperatingPoint{circuit: c, x: xg, strategy: StrategyGmin,
@@ -335,7 +355,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	for frac < 1.0 {
 		next := math.Min(frac+step, 1.0)
 		copy(trial, xs)
-		st, err := c.newton(trial, o, o.Gmin, next)
+		st, err := c.newton(trial, o, o.Gmin, next, 0)
 		totalIters += st.iters
 		if err != nil {
 			step /= 2
@@ -367,8 +387,10 @@ type newtonStats struct {
 // nodes pinned by single-ended voltage sources are set once up front and
 // their branch currents recovered after convergence, which shrinks the
 // factored system from NumUnknowns to a handful of genuinely nonlinear
-// voltages.
-func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64) (newtonStats, error) {
+// voltages. A positive stall gives up with ErrNoConvergence once that many
+// consecutive iterations have not lowered the best residual so far; the
+// convergence test runs first, so a converging iterate is never cut off.
+func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64, stall int) (newtonStats, error) {
 	plan, ws := c.solverState()
 	f, jFull, jRed := ws.f, ws.jFull, ws.jRed
 	neg, dx := ws.neg, ws.dx
@@ -396,6 +418,7 @@ func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64) (new
 		x[pin.vs.branch] = 0
 	}
 
+	best, since := math.Inf(1), 0
 	for iter := 0; iter < o.MaxIter; iter++ {
 		for i := range f {
 			f[i] = 0
@@ -457,6 +480,13 @@ func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64) (new
 		for _, ia := range plan.free {
 			if math.IsNaN(x[ia]) || math.IsInf(x[ia], 0) {
 				return newtonStats{iters: iter + 1}, fmt.Errorf("spice: iterate diverged at iteration %d", iter)
+			}
+		}
+		if stall > 0 {
+			if maxRes < best {
+				best, since = maxRes, 0
+			} else if since++; since >= stall {
+				return newtonStats{iters: iter + 1}, ErrNoConvergence
 			}
 		}
 	}

@@ -15,6 +15,10 @@ import (
 //
 //   - never panics, whatever the topology or sample set;
 //   - an operating point is nil exactly when its error is non-nil;
+//   - every returned operating point converged: its residual is within
+//     the default ITol (1e-9 A) and it took at least one Newton
+//     iteration, so no attempt that gave up (on its budget or on a
+//     stall) ever hands back its last iterate;
 //   - no solution shares storage with another sample's or with the
 //     anchor — each converged operating point owns its vector;
 //   - re-solving any sample after all the others reproduces it bit for
@@ -65,6 +69,10 @@ func FuzzSolveDCFrom(f *testing.F) {
 			op, err := c.SolveDCFrom(anchor, 0, guard, nil)
 			if (op == nil) != (err != nil) {
 				t.Fatalf("op/err disagree: %v / %v", op, err)
+			}
+			if op != nil && (op.Residual() > 1e-9 || op.NewtonIterations() < 1) {
+				t.Fatalf("unconverged operating point returned (%v): residual %v, %d iterations",
+					op.Strategy(), op.Residual(), op.NewtonIterations())
 			}
 			return op
 		}
