@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sram"
@@ -73,7 +74,7 @@ func methodBitIdentical(t *testing.T, method Method, metric *sram.Metric) {
 }
 
 // compareResults requires exact (==) agreement on every published
-// estimate and cost field.
+// estimate and cost field, and on the Gibbs chain's samples bit for bit.
 func compareResults(t *testing.T, want, got *Result, label string, v int) {
 	t.Helper()
 	if got.Pf != want.Pf {
@@ -90,4 +91,26 @@ func compareResults(t *testing.T, want, got *Result, label string, v int) {
 			got.TotalSims, got.Stage1Sims, got.Stage2Sims,
 			want.TotalSims, want.Stage1Sims, want.Stage2Sims)
 	}
+	if !sameSamples(got.GibbsSamples, want.GibbsSamples) {
+		t.Fatalf("%s=%d: the Gibbs samples differ", label, v)
+	}
+}
+
+// sameSamples reports whether two chains hold the same samples bit for
+// bit.
+func sameSamples(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -422,6 +422,43 @@ func BenchmarkStage2Workers(b *testing.B) {
 	}
 }
 
+// BenchmarkStage1Workers measures the Gibbs chain on the read noise
+// margin, whose every probe is a DC transfer-curve sweep, at one and two
+// workers. At two, each interval search probes its upper and lower edge
+// at once, so the chain's wall time approaches its critical path
+// (about 9 of 15 probes per update on rnm). The chain is the same
+// either way: the sweep fails if the samples or the stage-1 simulation
+// count differ.
+func BenchmarkStage1Workers(b *testing.B) {
+	ctx := context.Background()
+	metric := sram.RNMWorkload()
+	start, err := model.FindFailurePointContext(ctx, metric, nil, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ref *gibbs.TwoStageResult
+	for _, workers := range []int{1, 2} {
+		b.Run(map[int]string{1: "workers1", 2: "workers2"}[workers], func(b *testing.B) {
+			var res *gibbs.TwoStageResult
+			for i := 0; i < b.N; i++ {
+				r, _, err := gibbs.TwoStagePrefix(ctx, mc.NewCounter(metric), gibbs.TwoStageOptions{
+					Coord: gibbs.Spherical, K: 60, N: 1, StartPoint: start, Workers: workers,
+				}, rand.New(rand.NewSource(7)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res = r
+			}
+			if ref == nil {
+				ref = res
+			} else if res.Stage1Sims != ref.Stage1Sims || !sameSamples(res.Samples, ref.Samples) {
+				b.Fatalf("workers=%d changed the chain: %d stage-1 sims vs %d", workers, res.Stage1Sims, ref.Stage1Sims)
+			}
+			b.ReportMetric(float64(res.Stage1Sims), "sims/op")
+		})
+	}
+}
+
 // BenchmarkEvaluatorOverhead isolates the pool's scheduling cost on a
 // near-free analytic metric — the worst case for parallel dispatch.
 func BenchmarkEvaluatorOverhead(b *testing.B) {

@@ -26,8 +26,10 @@ import (
 var probeBuckets = telemetry.ExpBuckets(1, 2, 8) // 1 .. 128 sims/update
 
 // chainTelemetry accumulates one chain's interval-search statistics.
-// The live counters feed /metrics; the plain-int tallies (the chain is
-// single-goroutine) feed the end-of-chain event. A nil *chainTelemetry
+// The live counters feed /metrics; the plain-int tallies feed the
+// end-of-chain event. The chain updates both on its own goroutine after
+// each update's interval search has joined (the two edges may have been
+// probed at once), so the tallies need no lock. A nil *chainTelemetry
 // is fully inert.
 type chainTelemetry struct {
 	reg        *telemetry.Registry
