@@ -24,8 +24,8 @@ const (
 // the fork-join, whose cost is mostly the ~70 µs it takes to wake an
 // idle core (2-vCPU Xeon): two 200 µs halves join in ~290 µs, two 50 µs
 // halves in ~106 µs. Analytic metrics (nanoseconds a probe) and most
-// readcurrent probes (3–11 µs) stay below it; rnm (≥ 140 µs) and access
-// (≥ 75 µs) probes are far above it.
+// readcurrent probes (3–11 µs) stay below it; rnm (p1 ≈ 135 µs, p50
+// ≈ 215 µs) and access (≥ 75 µs) probes are far above it.
 const forkMinProbe = 20 * time.Microsecond
 
 // failureIntervalStat implements step 2 of the paper's Algorithm 3:

@@ -87,14 +87,23 @@ func TestSoftplusSqAsymptotes(t *testing.T) {
 			t.Fatalf("NaN at %v", u)
 		}
 	}
-	// Branch agreement at the switch point: the asymptotic branch must
-	// match the exact formula to near machine precision where it takes
-	// over (softplus(34) − 34 ≈ 1.7e-15).
-	fAsym, _ := softplusSq(34.5)
-	spExact := math.Log1p(math.Exp(34.5-34.5)) + 34.5 // log1p(e^0)+u == softplus via shift
-	_ = spExact
-	if math.Abs(fAsym-34.5*34.5)/fAsym > 1e-12 {
-		t.Fatalf("asymptotic branch off: %v", fAsym)
+	// Branch agreement: where each asymptotic branch takes over, f and df
+	// must match the overflow-safe exact form, softplus(u) =
+	// max(u, 0) + log1p(e^−|u|) with σ(u) on its stable side, to near
+	// machine precision (e^−34 ≈ 1.7e-15).
+	above := math.Nextafter(softplusAsym, math.Inf(1))
+	for _, u := range []float64{above, softplusAsym + 0.5, -above, -softplusAsym - 0.5} {
+		sp := math.Max(u, 0) + math.Log1p(math.Exp(-math.Abs(u)))
+		sg := 1 / (1 + math.Exp(-u))
+		if u < 0 {
+			e := math.Exp(u)
+			sg = e / (1 + e)
+		}
+		fExact, dfExact := sp*sp, 2*sp*sg
+		f, df := softplusSq(u)
+		if math.Abs(f-fExact) > 1e-12*fExact || math.Abs(df-dfExact) > 1e-12*dfExact {
+			t.Fatalf("asymptotic branch at u=%v: f %v, df %v; exact %v, %v", u, f, df, fExact, dfExact)
+		}
 	}
 }
 

@@ -69,11 +69,52 @@ func (m *MOSModel) slope() float64 {
 // MOSFET is a model instance bound to circuit nodes. DeltaVth is the
 // per-instance local threshold-voltage mismatch — the random variable of
 // the paper's variation space (ΔVth1 … ΔVth6 for the 6-T cell).
+//
+// Each MOSFET remembers its last forward and reverse softplus evaluation
+// (see spMemo), so it carries mutable state: Eval, Stamp and Current on
+// one MOSFET must not run on two goroutines at once. That is the
+// Circuit's single-goroutine solving contract, and it needs no lock.
+// The zero value of the memo is empty, so a MOSFET literal is ready to
+// use.
 type MOSFET struct {
+	// Memos of the source-side (forward) and drain-side (reverse)
+	// softplusSq calls.
+	fwd, rev spMemo
+
 	name       string
 	d, g, s, b int
 	Model      *MOSModel
 	DeltaVth   float64
+}
+
+// spMemo holds one softplusSq argument, keyed by its bits, and the
+// result computed for it. softplusSq is a pure function of its argument,
+// and ΔVth, the model card and the terminal voltages reach it only
+// through that argument, so a hit returns exactly the bits a fresh call
+// would compute: the memo needs no invalidation. It pays where an
+// argument repeats between consecutive evaluations of one device, as in
+// a forced transfer-curve point, whose rail-sourced devices keep their
+// forward argument for the whole solve. The zero value is empty; ok
+// marks a filled slot, since an argument of +0 has bits 0.
+type spMemo struct {
+	arg   uint64
+	f, df float64
+	ok    bool
+}
+
+// softplusSq returns softplusSq(u), from the memo when u's bits match
+// the last argument. The hit path is small enough to inline.
+func (c *spMemo) softplusSq(u float64) (f, df float64) {
+	if !c.ok || c.arg != math.Float64bits(u) {
+		c.fill(u)
+	}
+	return c.f, c.df
+}
+
+// fill computes softplusSq(u) and remembers it.
+func (c *spMemo) fill(u float64) {
+	f, df := softplusSq(u)
+	*c = spMemo{arg: math.Float64bits(u), f: f, df: df, ok: true}
 }
 
 // Name returns the device name.
@@ -95,8 +136,8 @@ func (t *MOSFET) mosEval(vd, vg, vs, vb float64) (id, dId_dVd, dId_dVg, dId_dVs,
 
 	vp := (vgb - (m.VT0 + t.DeltaVth)) / n
 
-	fF, dF := softplusSq((vp - vsb) / (2 * vt)) // forward
-	fR, dR := softplusSq((vp - vdb) / (2 * vt)) // reverse
+	fF, dF := t.fwd.softplusSq((vp - vsb) / (2 * vt))
+	fR, dR := t.rev.softplusSq((vp - vdb) / (2 * vt))
 	// d/du of F wrt its voltage argument u carries the 1/(2vt) factor.
 	dFdu := dF / (2 * vt)
 	dRdu := dR / (2 * vt)
@@ -124,14 +165,19 @@ func (t *MOSFET) mosEval(vd, vg, vs, vb float64) (id, dId_dVd, dId_dVg, dId_dVs,
 	return id, dId_dVd, dId_dVg, dId_dVs, dId_dVb
 }
 
+// softplusAsym is the |u| beyond which softplusSq switches to its
+// asymptotic forms. They drop terms of relative size about e^−|u|,
+// 1.7e-15 at the switch, within a few ulps of the exact form.
+const softplusAsym = 34
+
 // softplusSq returns f = softplus(u)² and df = d f / d u = 2·softplus(u)·σ(u),
 // with overflow-safe asymptotics.
 func softplusSq(u float64) (f, df float64) {
 	switch {
-	case u > 34:
+	case u > softplusAsym:
 		// softplus(u) ≈ u, σ(u) ≈ 1.
 		return u * u, 2 * u
-	case u < -34:
+	case u < -softplusAsym:
 		// softplus(u) ≈ e^u → squares underflow harmlessly.
 		e := math.Exp(u)
 		return e * e, 2 * e * e
@@ -146,6 +192,11 @@ func softplusSq(u float64) (f, df float64) {
 // node voltages, handling polarity. For PMOS the returned current keeps
 // the NMOS sign convention of current flowing into the drain terminal
 // (so a conducting PMOS pulling its drain up has negative id).
+//
+// Eval reads and updates the device's softplus memo. Its results are
+// bit for bit those of a fresh MOSFET at the same inputs, whatever the
+// device evaluated before, but two goroutines must not call it on one
+// MOSFET at once.
 func (t *MOSFET) Eval(vd, vg, vs, vb float64) (id, gd, gg, gs, gb float64) {
 	if t.Model.Type == NMOS {
 		return t.mosEval(vd, vg, vs, vb)
@@ -186,7 +237,9 @@ func (t *MOSFET) Stamp(x []float64, f []float64, j *linalg.Matrix) {
 	}
 }
 
-// Current returns the drain current at a solved operating point.
+// Current returns the drain current at a solved operating point. Like
+// Eval it updates the softplus memo, so it must not run on one MOSFET
+// from two goroutines at once.
 func (t *MOSFET) Current(op *OperatingPoint) float64 {
 	id, _, _, _, _ := t.Eval(
 		voltageAt(op.x, t.d), voltageAt(op.x, t.g),

@@ -220,6 +220,74 @@ func TestPMOSMirror(t *testing.T) {
 	}
 }
 
+// TestMOSFETMemoIsExact: the softplus memo must never show. Every Eval
+// on a device with a history returns, bit for bit, the outputs of a
+// fresh device at the same inputs, through repeated calls, repeats of
+// only the forward or only the reverse argument, both ±34 switch points
+// of softplusSq, signed zeros (an argument of exactly +0 included),
+// subnormal, infinite and NaN voltages, and ΔVth, VT0 and Vt changes
+// between calls at the same voltages. Bits are compared, so NaN
+// outputs must match too.
+func TestMOSFETMemoIsExact(t *testing.T) {
+	for _, model := range []*MOSModel{nmosModel(), pmosModel()} {
+		// NMOS-polarity voltages; Eval sees them mirrored for PMOS.
+		name, pol := "NMOS", 1.0
+		if model.Type == PMOS {
+			name, pol = "PMOS", -1
+		}
+		dev := &MOSFET{d: -1, g: -1, s: -1, b: -1, Model: model}
+		eval := func(vd, vg, vs, vb float64) {
+			t.Helper()
+			v := [4]float64{pol * vd, pol * vg, pol * vs, pol * vb}
+			fresh := &MOSFET{d: -1, g: -1, s: -1, b: -1, Model: model, DeltaVth: dev.DeltaVth}
+			got, want := evalBits(dev, v), evalBits(fresh, v)
+			if got != want {
+				t.Fatalf("%s at V=%v, ΔVth=%v, VT0=%v, Vt=%v: outputs %x, fresh device %x",
+					name, v, dev.DeltaVth, model.VT0, model.Vt, got, want)
+			}
+		}
+		eval(0.8, 0.6, 0.1, 0)
+		eval(0.8, 0.6, 0.1, 0) // both arguments repeat
+		eval(1.0, 0.6, 0.1, 0) // only the forward argument repeats
+		eval(1.0, 0.6, 0.2, 0) // only the reverse argument repeats
+		dev.DeltaVth = 0.05
+		eval(1.0, 0.6, 0.2, 0)
+		model.VT0 += 0.02
+		eval(1.0, 0.6, 0.2, 0)
+		model.Vt = 0.03
+		eval(1.0, 0.6, 0.2, 0)
+		model.Vt = 0
+		// Both arguments sweep through −34 and +34 (|u| reaches ~60).
+		for k := -60; k <= 60; k++ {
+			vs := 0.05 * float64(k)
+			eval(-vs, 0, vs, 0)
+			eval(-vs, 0, vs, 0)
+		}
+		// vg = VT0 + ΔVth with vs = vb = 0 makes the forward argument
+		// exactly +0, the bits of an empty memo slot.
+		vth := model.VT0 + dev.DeltaVth
+		negZero := math.Copysign(0, -1)
+		nan, inf := math.NaN(), math.Inf(1)
+		for _, v := range [][4]float64{
+			{0.5, vth, 0, 0}, {0.5, vth, 0, 0}, {0.5, vth, negZero, negZero},
+			{0, 0.6, 0, 0}, {negZero, 0.6, negZero, negZero},
+			{math.SmallestNonzeroFloat64, 0.6, -math.SmallestNonzeroFloat64, 0},
+			{inf, 0.6, 0.1, 0}, {-inf, 0.6, 0.1, 0}, {0.8, inf, 0.1, 0}, {0.8, -inf, 0.1, 0},
+			{nan, 0.6, 0.1, 0}, {nan, 0.6, 0.1, 0}, {0.8, nan, 0.1, 0}, {0.8, 0.6, nan, 0},
+			{0.8, 0.6, 0.1, 0},
+		} {
+			eval(v[0], v[1], v[2], v[3])
+		}
+	}
+}
+
+// evalBits returns the Float64bits of m.Eval's five outputs at v.
+func evalBits(m *MOSFET, v [4]float64) [5]uint64 {
+	id, gd, gg, gs, gb := m.Eval(v[0], v[1], v[2], v[3])
+	return [5]uint64{math.Float64bits(id), math.Float64bits(gd), math.Float64bits(gg),
+		math.Float64bits(gs), math.Float64bits(gb)}
+}
+
 // A CMOS inverter VTC must be monotonically decreasing and rail-to-rail.
 func TestInverterVTC(t *testing.T) {
 	const vdd = 1.0

@@ -52,3 +52,10 @@ func BenchmarkReadCurrentFlipKernel(b *testing.B) {
 }
 
 func BenchmarkRNMKernel(b *testing.B) { benchKernel(b, RNMWorkload(), 64, normal) }
+
+func BenchmarkWNMKernel(b *testing.B) { benchKernel(b, WNMWorkload(), 64, normal) }
+
+// BenchmarkAccessKernel times the transient access-time engine, whose
+// bitlines are capacitor nodes: its device arguments almost never
+// repeat between evaluations, unlike the DC kernels' forced sweeps.
+func BenchmarkAccessKernel(b *testing.B) { benchKernel(b, AccessTimeWorkload(), 64, normal) }

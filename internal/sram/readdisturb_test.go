@@ -1,9 +1,6 @@
 package sram
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -109,13 +106,7 @@ func TestReadCurrentFoldBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digest recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	h := sha256.New()
-	var buf [8]byte
-	for _, v := range out {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != foldDigest {
+	if got := bitsDigest(out); got != foldDigest {
 		t.Fatalf("read-current Value bits over %d fold samples: digest %s, want %s", len(xs), got, foldDigest)
 	}
 }
