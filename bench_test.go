@@ -309,9 +309,9 @@ func BenchmarkAblationStart(b *testing.B) {
 	b.Run("random-direction", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkAblationBisections sweeps the per-boundary bisection budget of
-// Algorithm 3 (D4): accuracy of the interval endpoints against chain
-// cost.
+// BenchmarkAblationBisections sweeps the refinement tolerance of
+// Algorithm 3 (D4), each interval edge located to 1/2^Bisections of its
+// bracket: accuracy of the interval endpoints against chain cost.
 func BenchmarkAblationBisections(b *testing.B) {
 	sh := &surrogate.Shell{M: 3, R: 4}
 	exact := sh.ExactPf()

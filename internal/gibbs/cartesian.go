@@ -24,11 +24,11 @@ var ErrStartNotFailing = errors.New("gibbs: starting point is not in the failure
 // Normal over the coordinate's failure interval, sampled by inverse
 // transform (Algorithm 3). Every coordinate update appends one sample, so
 // the returned slice has exactly k samples (k simulations ≫ k because
-// each update performs a bracketing/bisection search).
+// each update brackets and refines its interval's two edges).
 //
 // ctx is polled before each coordinate update (one update is a handful
-// of bracketing/bisection simulations — the chain's natural chunk), so a
-// cancel aborts promptly with the context's error.
+// of bracketing and refinement simulations — the chain's natural
+// chunk), so a cancel aborts promptly with the context's error.
 func CartesianChainContext(ctx context.Context, metric mc.Metric, start []float64, k int, opts *Options, rng *rand.Rand) ([][]float64, error) {
 	o := opts.defaults()
 	dim := metric.Dim()
@@ -55,10 +55,10 @@ func CartesianChainContext(ctx context.Context, metric mc.Metric, start []float6
 	// Each side of an interval search probes its own copy of x (the two
 	// edges may be searched at once); x changes only after the join.
 	pts := [2][]float64{make([]float64, dim), make([]float64, dim)}
-	probe := func(side int, t float64) bool {
+	probe := func(side int, t float64) float64 {
 		p := pts[side]
 		p[m] = t
-		return mc.Fail(metric, p)
+		return metric.Value(p)
 	}
 	for len(samples) < k {
 		if err := ctx.Err(); err != nil {

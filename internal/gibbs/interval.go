@@ -1,6 +1,9 @@
 package gibbs
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // intervalStatus classifies one interval search, the chain-telemetry
 // distinction between a healthy update and one that needed rescuing.
@@ -19,7 +22,7 @@ const (
 )
 
 // forkMinProbe is how long the start probe must take before an interval
-// search hands its upper edge to a second goroutine. An edge is 5–8
+// search hands its upper edge to a second goroutine. An edge is ~5
 // probes, and overlapping the two edges pays only when an edge outlasts
 // the fork-join, whose cost is mostly the ~70 µs it takes to wake an
 // idle core (2-vCPU Xeon): two 200 µs halves join in ~290 µs, two 50 µs
@@ -30,10 +33,11 @@ const forkMinProbe = 20 * time.Microsecond
 
 // failureIntervalStat implements step 2 of the paper's Algorithm 3:
 // locate a contiguous 1-D failure interval [u, v] ⊆ [lo, hi] along the
-// coordinate being resampled, by bracketing and bisection against the
-// pass/fail indicator. probe(side, t) reports failure at coordinate
-// value t and costs one transistor-level simulation; probes is how many
-// it made.
+// coordinate being resampled, by bracketing each edge and refining it
+// on the margin (see refine). probe(side, t) returns the metric's margin
+// at coordinate value t — negative fails, anything else (NaN included,
+// as in mc.Fail) passes — and costs one transistor-level simulation;
+// probes is how many it made.
 //
 // The search starts from t0 (the chain's current coordinate value, which
 // normally fails). If t0 passes — the chain can drift out when other
@@ -42,28 +46,30 @@ const forkMinProbe = 20 * time.Microsecond
 // nothing, st is intervalNone and the caller keeps the current value.
 // The status also classifies the search for telemetry.
 //
-// From the failing point the two edges are independent searches. With
-// o.workers ≥ 2, and a start probe that took at least forkMinProbe, the
-// upper edge runs on a second goroutine while the caller searches the
-// lower one, and both have joined before the function returns. The
-// upper edge probes with side 1, everything else with side 0, so a
-// probe that builds its point in a per-side buffer never shares one
-// between goroutines; probes of different sides must be safe to run at
-// once. Each side probes the same points either way, so u, v and probes
-// do not depend on the worker count or the timing; when the search does
-// not fork, the upper edge is searched first, then the lower.
+// From the failing point the two edges are independent searches: each
+// refines from the failing point's margin and its own side's probes
+// only. With o.workers ≥ 2, and a start probe that took at least
+// forkMinProbe, the upper edge runs on a second goroutine while the
+// caller searches the lower one, and both have joined before the
+// function returns. The upper edge probes with side 1, everything else
+// with side 0, so a probe that builds its point in a per-side buffer
+// never shares one between goroutines; probes of different sides must be
+// safe to run at once. Each side probes the same points either way, so
+// u, v and probes do not depend on the worker count or the timing; when
+// the search does not fork, the upper edge is searched first, then the
+// lower.
 //
 // When the failure region touches a bound, that bound is returned as the
 // boundary (the paper's "bound the high-probability failure region by
 // constraining x_m within [−ζ, ζ]").
-func failureIntervalStat(probe func(side int, t float64) bool, t0, lo, hi float64, o *Options) (u, v float64, st intervalStatus, probes int) {
+func failureIntervalStat(probe func(side int, t float64) float64, t0, lo, hi float64, o *Options) (u, v float64, st intervalStatus, probes int) {
 	if t0 < lo {
 		t0 = lo
 	}
 	if t0 > hi {
 		t0 = hi
 	}
-	lower := func(t float64) bool {
+	lower := func(t float64) float64 {
 		probes++
 		return probe(0, t)
 	}
@@ -72,20 +78,20 @@ func failureIntervalStat(probe func(side int, t float64) bool, t0, lo, hi float6
 	if o.workers >= 2 {
 		began = time.Now()
 	}
-	failing := lower(t0)
+	y0 := lower(t0)
 	fork := o.workers >= 2 && time.Since(began) >= forkMinProbe
-	if !failing {
+	if !(y0 < 0) {
 		best, found := 0.0, false
 		bestDist := hi - lo + 1
 		for i := 0; i < o.ScanPoints; i++ {
 			t := lo + (hi-lo)*(float64(i)+0.5)/float64(o.ScanPoints)
-			if lower(t) {
+			if y := lower(t); y < 0 {
 				d := t - t0
 				if d < 0 {
 					d = -d
 				}
 				if d < bestDist {
-					best, bestDist, found = t, d, true
+					best, y0, bestDist, found = t, y, d, true
 				}
 			}
 		}
@@ -96,62 +102,110 @@ func failureIntervalStat(probe func(side int, t float64) bool, t0, lo, hi float6
 		st = intervalRecovered
 	}
 	if !fork {
-		v = expand(func(t float64) bool {
+		v = expand(func(t float64) float64 {
 			probes++
 			return probe(1, t)
-		}, t0, hi, +o.ExpandStep, o.Bisections)
-		u = expand(lower, t0, lo, -o.ExpandStep, o.Bisections)
+		}, t0, y0, hi, +o.ExpandStep, o.Bisections)
+		u = expand(lower, t0, y0, lo, -o.ExpandStep, o.Bisections)
 		return u, v, st, probes
 	}
-	// The goroutine gets its start and step as arguments: capturing t0,
-	// which is reassigned above, would put it on the heap on every call,
-	// and capturing o would put the chain's Options there. upperProbes
-	// is read only after the receive.
+	// The goroutine gets its start, margin and step as arguments:
+	// capturing t0 and y0, which are reassigned above, would put them on
+	// the heap on every call, and capturing o would put the chain's
+	// Options there. upperProbes is read only after the receive.
 	upperProbes := 0
 	edge := make(chan float64, 1)
-	go func(from, step float64, bisections int) {
-		edge <- expand(func(t float64) bool {
+	go func(from, margin, step float64, bisections int) {
+		edge <- expand(func(t float64) float64 {
 			upperProbes++
 			return probe(1, t)
-		}, from, hi, step, bisections)
-	}(t0, o.ExpandStep, o.Bisections)
-	u = expand(lower, t0, lo, -o.ExpandStep, o.Bisections)
+		}, from, margin, hi, step, bisections)
+	}(t0, y0, o.ExpandStep, o.Bisections)
+	u = expand(lower, t0, y0, lo, -o.ExpandStep, o.Bisections)
 	v = <-edge
 	return u, v, st, probes + upperProbes
 }
 
-// expand walks from the failing point t0 toward bound in geometrically
-// growing steps until the indicator passes or the bound is hit, then
-// bisects the boundary. A positive step walks up, negative walks down.
-func expand(probe func(float64) bool, t0, bound, step float64, bisections int) float64 {
-	tFail := t0
+// expand walks from the failing point t0 (margin y0) toward bound in
+// geometrically growing steps until a probe passes or the bound is hit,
+// then refines the edge between the last failing point and the passing
+// one. A positive step walks up, negative walks down.
+func expand(probe func(float64) float64, t0, y0, bound, step float64, bisections int) float64 {
+	tFail, yFail := t0, y0
 	for {
 		tn := tFail + step
 		if (step > 0 && tn >= bound) || (step < 0 && tn <= bound) {
-			if probe(bound) {
+			y := probe(bound)
+			if y < 0 {
 				return bound
 			}
-			return bisect(probe, tFail, bound, bisections)
+			return refine(probe, tFail, yFail, bound, y, bisections)
 		}
-		if probe(tn) {
-			tFail = tn
-			step *= 2
-		} else {
-			return bisect(probe, tFail, tn, bisections)
+		y := probe(tn)
+		if !(y < 0) {
+			return refine(probe, tFail, yFail, tn, y, bisections)
 		}
+		tFail, yFail = tn, y
+		step *= 2
 	}
 }
 
-// bisect refines the boundary between a failing point and a passing point,
-// returning the failing-side estimate.
-func bisect(probe func(float64) bool, tFail, tPass float64, iters int) float64 {
-	for i := 0; i < iters; i++ {
-		mid := 0.5 * (tFail + tPass)
-		if probe(mid) {
-			tFail = mid
+// The ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021): a
+// step's truncation is δ = itpKappa1·w²/w₀ on a bracket of width w out
+// of an initial w₀ (κ₁ = 0.1/w₀, κ₂ = 2), and an edge may take itpSlack
+// probes beyond bisection's count (n₀).
+const (
+	itpKappa1 = 0.1
+	itpSlack  = 1
+)
+
+// refine locates the edge between a failing point a (margin ya < 0) and
+// a passing point b (margin yb, NaN included), on either side of a, with
+// the ITP method. Each probe goes to the margin's linear interpolant,
+// truncated toward the bracket's midpoint and projected into the ball
+// around the midpoint that keeps bisection's worst case. It stops once
+// the bracket is no wider than |b − a|/2^bisections (to a few ulps),
+// where bisection stops, after at most bisections+1 probes; on a smooth
+// margin it converges superlinearly and needs fewer probes than
+// bisection. It returns the bracket's failing end: a point seen to
+// fail, or a itself. While either end's margin is NaN or ±Inf the step
+// is a bisection. Only this bracket's own probes steer it, so the two
+// edges of an interval never depend on each other.
+func refine(probe func(float64) float64, a, ya, b, yb float64, bisections int) float64 {
+	w0 := math.Abs(b - a)
+	tol := math.Ldexp(w0, -bisections)
+	// The bracket's ends round, which can leave the last bracket a few
+	// ulps wider than the projection aimed for; stopping there keeps
+	// the probe bound.
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	stop := tol + 4*(math.Nextafter(scale, math.Inf(1))-scale)
+	for j := 0; math.Abs(b-a) > stop; j++ {
+		lo, hi := math.Min(a, b), math.Max(a, b)
+		mid := a + 0.5*(b-a)
+		x := mid
+		// ya < 0, so only yb can be NaN.
+		if !math.IsInf(ya, 0) && !math.IsNaN(yb) && !math.IsInf(yb, 0) {
+			// Interpolate, truncate δ toward the midpoint, then project
+			// within r of it: r is the slack that still lets the
+			// remaining probes shrink the bracket to tol.
+			w := hi - lo
+			xf := (yb*a - ya*b) / (yb - ya)
+			sigma := math.Copysign(1, mid-xf)
+			if delta := itpKappa1 * w * w / w0; delta <= math.Abs(mid-xf) {
+				x = xf + sigma*delta
+			}
+			if r := math.Ldexp(tol, bisections+itpSlack-j-1) - 0.5*w; math.Abs(x-mid) > r {
+				x = mid - sigma*r
+			}
+			if !(x > lo && x < hi) {
+				x = mid
+			}
+		}
+		if y := probe(x); y < 0 {
+			a, ya = x, y
 		} else {
-			tPass = mid
+			b, yb = x, y
 		}
 	}
-	return tFail
+	return a
 }

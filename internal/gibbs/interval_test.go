@@ -13,9 +13,17 @@ func defOpts() *Options {
 }
 
 // oneSide adapts a plain indicator to failureIntervalStat's per-side
-// probe.
-func oneSide(probe func(float64) bool) func(int, float64) bool {
-	return func(_ int, t float64) bool { return probe(t) }
+// margin probe through sign.
+func oneSide(probe func(float64) bool) func(int, float64) float64 {
+	return func(_ int, t float64) float64 { return sign(probe(t)) }
+}
+
+// sign maps a failure indicator to a margin: −1 fails, +1 passes.
+func sign(fails bool) float64 {
+	if fails {
+		return -1
+	}
+	return 1
 }
 
 func TestFailureIntervalSimple(t *testing.T) {
@@ -136,11 +144,11 @@ func TestFailureIntervalWorkersAgree(t *testing.T) {
 			o := defOpts()
 			o.workers = run.workers
 			var calls atomic.Int64
-			probe := func(_ int, x float64) bool {
+			probe := func(_ int, x float64) float64 {
 				if calls.Add(1) == 1 && run.slowStart {
 					time.Sleep(forkMinProbe)
 				}
-				return sh.probe(x)
+				return sign(sh.probe(x))
 			}
 			u, v, st, probes := failureIntervalStat(probe, sh.t0, -8, 8, o)
 			if int64(probes) != calls.Load() {
@@ -168,11 +176,11 @@ func TestFailureIntervalForkNeedsSlowStart(t *testing.T) {
 			calls atomic.Int64
 			slow  inFlight
 		)
-		probe := func(_ int, x float64) bool {
+		probe := func(_ int, x float64) float64 {
 			if calls.Add(1) > 1 || slowStart {
 				slow.slowCall()
 			}
-			return x >= 2 && x <= 3
+			return sign(x >= 2 && x <= 3)
 		}
 		o := defOpts()
 		o.workers = 2

@@ -28,8 +28,9 @@ type Options struct {
 	// ExpandStep is the initial bracketing step of the 1-D failure
 	// interval search (default 0.5σ).
 	ExpandStep float64
-	// Bisections refines each interval boundary (default 6; each
-	// bisection is one transistor-level simulation).
+	// Bisections sets how finely each interval boundary is found: the
+	// search locates each edge to 1/2^Bisections of its bracket in at
+	// most Bisections+1 simulations (default 6).
 	Bisections int
 	// ScanPoints is the coarse-scan budget used to recover when the
 	// current chain point has drifted out of the failure region

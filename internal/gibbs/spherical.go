@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/linalg"
@@ -97,13 +98,13 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 	// two edges may be searched at once); r and alpha change only after
 	// the join.
 	as := [2][]float64{make([]float64, dim), make([]float64, dim)}
-	probe := func(side int, t float64) bool {
+	probe := func(side int, t float64) float64 {
 		a := as[side]
 		if coord == -1 {
-			return sphericalFails(metric, t, a)
+			return sphericalMargin(metric, t, a)
 		}
 		a[coord] = t
-		return sphericalFails(metric, r, a)
+		return sphericalMargin(metric, r, a)
 	}
 	for len(samples) < k {
 		if err := ctx.Err(); err != nil {
@@ -140,9 +141,12 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 	return samples, nil
 }
 
-// sphericalFails reports whether the point (r, alpha) fails; an
-// orientation that maps to no point counts as a pass.
-func sphericalFails(metric mc.Metric, r float64, alpha []float64) bool {
+// sphericalMargin returns the margin at the point (r, alpha); an
+// orientation that maps to no point reads +Inf, a pass.
+func sphericalMargin(metric mc.Metric, r float64, alpha []float64) float64 {
 	x, err := CartesianFromSpherical(r, alpha)
-	return err == nil && mc.Fail(metric, x)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return metric.Value(x)
 }
