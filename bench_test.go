@@ -422,13 +422,12 @@ func BenchmarkStage2Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkStage1Workers measures the Gibbs chain on the read noise
+// BenchmarkStage1Workers measures the Gibbs stage on the read noise
 // margin, whose every probe is a DC transfer-curve sweep, at one and two
-// workers. At two, each interval search probes its upper and lower edge
-// at once, so the chain's wall time approaches its critical path
-// (about 9 of 15 probes per update on rnm). The chain is the same
-// either way: the sweep fails if the samples or the stage-1 simulation
-// count differ.
+// workers. Its two default chains of 30 run in turn at one worker and
+// at once at two, where a run takes as long as the longer chain. The
+// samples are the same either way: the sweep fails if they or the
+// stage-1 simulation count differ.
 func BenchmarkStage1Workers(b *testing.B) {
 	ctx := context.Background()
 	metric := sram.RNMWorkload()

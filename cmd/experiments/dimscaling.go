@@ -33,7 +33,7 @@ func runExtDimScaling(ctx context.Context, cfg config) error {
 		counter := mc.NewCounter(shell)
 		rng := rand.New(rand.NewSource(cfg.seed))
 		res, err := gibbs.TwoStageContext(ctx, counter, gibbs.TwoStageOptions{
-			Coord: gibbs.Spherical, K: k, N: n, Workers: cfg.workers,
+			Coord: gibbs.Spherical, K: k, N: n, Workers: cfg.workers, Chain: paperChain(),
 			// High-dimensional shells sit beyond the default 10σ
 			// starting-point search radius.
 			Start: &model.StartOptions{MaxRadius: r + 5},

@@ -31,6 +31,7 @@ func runExtMixture(ctx context.Context, cfg config) error {
 		rng := rand.New(rand.NewSource(cfg.seed))
 		res, err := gibbs.TwoStageContext(ctx, counter, gibbs.TwoStageOptions{
 			Coord: gibbs.Spherical, K: k, N: n, Mixture: mixture, Workers: cfg.workers,
+			Chain: paperChain(),
 		}, rng)
 		if err != nil {
 			return err
@@ -60,7 +61,7 @@ func runExtAccess(ctx context.Context, cfg config) error {
 		counter := mc.NewCounter(metric)
 		rng := rand.New(rand.NewSource(cfg.seed))
 		res, err := gibbs.TwoStageContext(ctx, counter, gibbs.TwoStageOptions{
-			Coord: coord, K: k, N: n, Workers: cfg.workers,
+			Coord: coord, K: k, N: n, Workers: cfg.workers, Chain: paperChain(),
 		}, rng)
 		if err != nil {
 			return err
@@ -110,7 +111,7 @@ func runExtBaselines(ctx context.Context, cfg config) error {
 	rng = rand.New(rand.NewSource(cfg.seed))
 	gs, err := gibbs.TwoStageContext(ctx, counter, gibbs.TwoStageOptions{
 		Coord: gibbs.Spherical, K: c2(cfg.quick, 200, 800), N: c2(cfg.quick, 1000, 5000),
-		Workers: cfg.workers,
+		Workers: cfg.workers, Chain: paperChain(),
 	}, rng)
 	if err != nil {
 		return err

@@ -70,6 +70,11 @@ type mixing struct {
 	ess, tau, acceptance float64
 }
 
+// paperChain runs the paper's single Gibbs chain (Algorithm 5), so the
+// tables and figures keep the paper's setup rather than the library's
+// default of two pooled chains.
+func paperChain() *gibbs.Options { return &gibbs.Options{Chains: 1} }
+
 // chainCounterValues snapshots the gibbs-scope interval-search counters;
 // taking before/after deltas isolates one run on a shared registry.
 func chainCounterValues(reg *telemetry.Registry) (updates, resampled int64) {
@@ -139,7 +144,7 @@ func runMethod(ctx context.Context, name string, metric mc.Metric, b budgets, n 
 		r, err := gibbs.TwoStageContext(ctx, counter, gibbs.TwoStageOptions{
 			Coord: coord, K: b.gibbsKCap, Stage1Budget: b.gibbsSims,
 			N: n, Target: target, TraceEvery: traceEvery, Workers: b.workers,
-			Telemetry: reg,
+			Telemetry: reg, Chain: paperChain(),
 		}, rng)
 		if err != nil {
 			return nil, err

@@ -9,8 +9,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mc"
 	"repro/internal/stat"
-	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // ErrStartNotFailing is returned when a chain is started outside the
@@ -26,6 +24,11 @@ var ErrStartNotFailing = errors.New("gibbs: starting point is not in the failure
 // the returned slice has exactly k samples (k simulations ≫ k because
 // each update brackets and refines its interval's two edges).
 //
+// The k samples come from opts.Chains independent chains (default 2),
+// all started from start and pooled in chain order; see runChains for
+// how they split k, the budget, the workers and rng. With nil options
+// the chains run one after another on the caller's goroutine.
+//
 // ctx is polled before each coordinate update (one update is a handful
 // of bracketing and refinement simulations — the chain's natural
 // chunk), so a cancel aborts promptly with the context's error.
@@ -38,19 +41,23 @@ func CartesianChainContext(ctx context.Context, metric mc.Metric, start []float6
 	if k <= 0 {
 		return nil, errors.New("gibbs: sample count must be positive")
 	}
-	x := linalg.CopyVec(start)
-	if !finiteVec(x) {
-		return nil, fmt.Errorf("gibbs: starting point is not finite: %v", x)
+	if !finiteVec(start) {
+		return nil, fmt.Errorf("gibbs: starting point is not finite: %v", start)
 	}
-	if !mc.Fail(metric, x) {
+	if !mc.Fail(metric, start) {
 		return nil, ErrStartNotFailing
 	}
-	ctx, span := telemetry.StartSpan(ctx, o.Telemetry, wire.EvGibbsChain)
-	defer span.End()
-	span.SetAttr("coord", Cartesian.String())
-	updateAgg, probeAgg := span.Agg("update"), span.Agg("probe")
-	ct := newChainTelemetry(o.Telemetry, cartesianCoordNames(dim), k)
-	samples := make([][]float64, 0, k)
+	return runChains(ctx, Cartesian, cartesianCoordNames(dim), k, &o, rng, func(ctx context.Context, run *chainRun) ([][]float64, error) {
+		return cartesianChain(ctx, run, metric, start)
+	})
+}
+
+// cartesianChain runs one chain of Algorithm 1 from start, which it does
+// not modify.
+func cartesianChain(ctx context.Context, run *chainRun, metric mc.Metric, start []float64) ([][]float64, error) {
+	dim := len(start)
+	x := linalg.CopyVec(start)
+	samples := make([][]float64, 0, run.k)
 	m := 0
 	// Each side of an interval search probes its own copy of x (the two
 	// edges may be searched at once); x changes only after the join.
@@ -60,29 +67,25 @@ func CartesianChainContext(ctx context.Context, metric mc.Metric, start []float6
 		p[m] = t
 		return metric.Value(p)
 	}
-	for len(samples) < k {
+	for len(samples) < run.k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if o.Stop != nil && o.Stop() && len(samples) >= 2 {
+		if run.exhausted(len(samples)) {
 			break
 		}
 		copy(pts[0], x)
 		copy(pts[1], x)
-		u, v, st, probes := failureIntervalStat(probe, x[m], -o.Zeta, o.Zeta, &o)
+		u, v, st, probes := failureIntervalStat(probe, x[m], -run.o.Zeta, run.o.Zeta, &run.o)
 		if st != intervalNone {
-			x[m] = stat.TruncNormSample(u, v, uniform01(rng))
+			x[m] = stat.TruncNormSample(u, v, uniform01(run.rng))
 		}
-		ct.update(m, st, probes)
-		updateAgg.Add(1)
-		probeAgg.Add(int64(probes))
+		run.record(m, st, probes)
 		// Paper Algorithm 1 line 5: each coordinate draw creates a new
 		// sampling point (even when the recovery scan found nothing and
 		// the coordinate kept its value).
 		samples = append(samples, linalg.CopyVec(x))
 		m = (m + 1) % dim
 	}
-	span.SetAttr("samples", len(samples))
-	ct.done(Cartesian, samples)
 	return samples, nil
 }

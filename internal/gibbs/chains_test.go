@@ -1,0 +1,232 @@
+package gibbs
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/mc"
+	"repro/internal/sram"
+	"repro/internal/surrogate"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
+)
+
+// samplesSHA256 hashes the samples' float64 bits, little-endian, in
+// order.
+func samplesSHA256(samples [][]float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, x := range samples {
+		for _, v := range x {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func linear3() mc.Metric { return &surrogate.Linear{W: []float64{1, 1, 1}, B: 7} }
+
+// TestChainsOnePinned proves the paper's single chain is still
+// reachable bit for bit: at Chains: 1 the two-stage flow (Algorithm 4
+// start, K=200 samples or a Stage1Budget, N=2000) reproduces the Gibbs
+// samples, Pf, RelErr99 and stage-1 cost recorded before the chains were
+// split, at 1 and 2 workers.
+func TestChainsOnePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		metric  func() mc.Metric
+		coord   Coord
+		seed    int64
+		k       int
+		budget  int64
+		sha     string
+		pf, rel uint64
+		stage1  int64
+		n       int
+	}{
+		{"linear/G-C", linear3, Cartesian, 11, 200, 0,
+			"f8fb332e9aab36899b60ed0e0305a78b047deef987a07831e4d849f7ba370830", 0x3efa01f2c2a52cc0, 0x3fb7ead77824aa1d, 1957, 200},
+		{"linear/G-S", linear3, Spherical, 11, 200, 0,
+			"75a884f415d71316df3309847cfa26ee391124397ef7b2e83a60223ca6a92eec", 0x3efad4ebfcdb4495, 0x3fac5fa161bc11d9, 2357, 200},
+		{"readcurrent/G-C", readCurrent, Cartesian, 3, 200, 0,
+			"faf9f0cffcdea638ecba4f437f69f30bdb0d0fb87f0ac75670132ab8c563e989", 0x3ec603dffdadd84a, 0x3fc0bd7f4c4b2fa3, 1915, 200},
+		{"readcurrent/G-S", readCurrent, Spherical, 3, 200, 0,
+			"63cb013556782fc655728789722421f2086017b471fdd4fb9405f056b980fdc8", 0x3ec5da6e8af24224, 0x3fb57077382b4225, 2324, 200},
+		{"linear/G-C/budget", linear3, Cartesian, 11, 1000, 800,
+			"08bf6b14a59bf4a4a4c625e758da5072ab959f3515976c6426956dbf7c233a63", 0x3ef7098aec25cca0, 0x3fd71f65b1ff8733, 800, 79},
+		{"readcurrent/G-S/budget", readCurrent, Spherical, 3, 1000, 1500,
+			"f24f0967fcb0169cfb82a0d47051da98d005e10df99f20acb00f300cfb201e98", 0x3ec5a8ae5708b554, 0x3fb5519c64b4d195, 1502, 126},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				res, err := TwoStageContext(context.Background(), mc.NewCounter(tc.metric()), TwoStageOptions{
+					Coord: tc.coord, K: tc.k, N: 2000, Workers: workers, Stage1Budget: tc.budget,
+					Chain: &Options{Chains: 1},
+				}, rand.New(rand.NewSource(tc.seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := samplesSHA256(res.Samples); got != tc.sha || len(res.Samples) != tc.n {
+					t.Fatalf("workers=%d: %d samples hashing to %s, want %d hashing to %s", workers, len(res.Samples), got, tc.n, tc.sha)
+				}
+				if pf, rel := math.Float64bits(res.Pf), math.Float64bits(res.RelErr99); pf != tc.pf || rel != tc.rel {
+					t.Fatalf("workers=%d: Pf %#x RelErr99 %#x, want %#x and %#x", workers, pf, rel, tc.pf, tc.rel)
+				}
+				if res.Stage1Sims != tc.stage1 {
+					t.Fatalf("workers=%d: %d stage-1 sims, want %d", workers, res.Stage1Sims, tc.stage1)
+				}
+			}
+		})
+	}
+}
+
+func readCurrent() mc.Metric { return sram.ReadCurrentWorkload() }
+
+// TestChainsWorkersAgree runs 2 and 3 chains of 61 samples (so the
+// split has a remainder) from a pinned start at 1, 2 and 7 workers. The
+// samples must be the chains' own, pooled in chain order — chain 0 from
+// the caller's rng after the other chains' seeds were drawn, chain c ≥ 1
+// from the c-th seed, each a one-chain call on its own — and the samples,
+// Stage1Sims and Pf must be bit-identical at every worker count.
+func TestChainsWorkersAgree(t *testing.T) {
+	const k, seed = 61, 17
+	start := []float64{3, 3, 3}
+	for _, chains := range []int{2, 3} {
+		for _, coord := range []Coord{Spherical, Cartesian} {
+			t.Run(fmt.Sprintf("%s_chains%d", coord, chains), func(t *testing.T) {
+				chain := CartesianChainContext
+				if coord == Spherical {
+					chain = SphericalChainContext
+				}
+				rng := rand.New(rand.NewSource(seed))
+				rngs := []*rand.Rand{rng}
+				for c := 1; c < chains; c++ {
+					rngs = append(rngs, rand.New(rand.NewSource(rng.Int63())))
+				}
+				var want [][]float64
+				for c, r := range rngs {
+					n := k / chains
+					if c < k%chains {
+						n++
+					}
+					s, err := chain(context.Background(), linear3(), start, n, &Options{Chains: 1}, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, s...)
+				}
+
+				var ref *TwoStageResult
+				for _, workers := range []int{1, 2, 7} {
+					res, err := TwoStageContext(context.Background(), mc.NewCounter(linear3()), TwoStageOptions{
+						Coord: coord, K: k, N: 2000, Workers: workers, StartPoint: start,
+						Chain: &Options{Chains: chains},
+					}, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameSamples(t, fmt.Sprintf("workers=%d", workers), res.Samples, want)
+					if ref == nil {
+						ref = res
+						continue
+					}
+					if res.Stage1Sims != ref.Stage1Sims || math.Float64bits(res.Pf) != math.Float64bits(ref.Pf) {
+						t.Fatalf("workers=%d: Pf %v after %d stage-1 sims, want %v after %d",
+							workers, res.Pf, res.Stage1Sims, ref.Pf, ref.Stage1Sims)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestChainsBudgetWorkersAgree caps stage 1 with Stage1Budget at two
+// chains, on a slow metric so that at 7 workers each chain also forks
+// its interval edges. Each chain stops on its own share of what
+// Algorithm 4 left, so the samples and Stage1Sims must be identical at
+// 1, 2 and 7 workers, and the budget, not K, must end the chains.
+func TestChainsBudgetWorkersAgree(t *testing.T) {
+	const k, budget = 1000, 400
+	for _, coord := range []Coord{Spherical, Cartesian} {
+		t.Run(coord.String(), func(t *testing.T) {
+			var ref *TwoStageResult
+			for _, workers := range []int{1, 2, 7} {
+				res, _, err := TwoStagePrefix(context.Background(), mc.NewCounter(&overlapMetric{Metric: linear3()}), TwoStageOptions{
+					Coord: coord, K: k, N: 1, Workers: workers, Stage1Budget: budget,
+					Chain: &Options{Chains: 2},
+				}, rand.New(rand.NewSource(23)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Samples) >= k || res.Stage1Sims < budget {
+					t.Fatalf("workers=%d: %d samples after %d stage-1 sims; the budget of %d did not end the chains",
+						workers, len(res.Samples), res.Stage1Sims, budget)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if res.Stage1Sims != ref.Stage1Sims {
+					t.Fatalf("workers=%d: %d stage-1 sims, want %d", workers, res.Stage1Sims, ref.Stage1Sims)
+				}
+				sameSamples(t, fmt.Sprintf("workers=%d", workers), res.Samples, ref.Samples)
+			}
+		})
+	}
+}
+
+// TestChainsOneTelemetryStream runs two chains at once and reads the
+// event log: stage-1 progress counts the pooled samples, so its n never
+// decreases, updates_total is K, and the call emits one gibbs.chain
+// event for both chains.
+func TestChainsOneTelemetryStream(t *testing.T) {
+	const k = 300
+	reg := telemetry.New()
+	var buf strings.Builder
+	reg.SetBus(telemetry.NewLogBus(0, &buf))
+	_, _, err := TwoStagePrefix(context.Background(), mc.NewCounter(readCurrent()), TwoStageOptions{
+		Coord: Spherical, K: k, N: 1, Workers: 2, Telemetry: reg,
+		Chain: &Options{Chains: 2},
+	}, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastN, progress, chainEvents := 0, 0, 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev["event"] {
+		case wire.EvProgress:
+			if ev["stage"] != "stage1" {
+				continue
+			}
+			n := int(ev["n"].(float64))
+			if n < lastN {
+				t.Fatalf("stage-1 progress went from n=%d back to %d", lastN, n)
+			}
+			lastN = n
+			progress++
+		case wire.EvGibbsChain:
+			chainEvents++
+			if ev["chains"] != 2.0 || ev["k"] != float64(k) {
+				t.Fatalf("gibbs.chain event reads chains=%v k=%v, want 2 and %d", ev["chains"], ev["k"], k)
+			}
+		}
+	}
+	if progress < k/progressStride || chainEvents != 1 {
+		t.Fatalf("%d stage-1 progress events and %d gibbs.chain events, want %d and 1", progress, chainEvents, k/progressStride)
+	}
+	if got := reg.Scope(wire.ScopeGibbs).Counter("updates_total").Value(); got != k {
+		t.Fatalf("updates_total = %d, want %d", got, k)
+	}
+}

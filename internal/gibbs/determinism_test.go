@@ -2,6 +2,7 @@ package gibbs
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -123,58 +124,76 @@ func probeSum(reg *telemetry.Registry) float64 {
 
 // TestStage1OverlapsIntervalEdges runs stage 1 from a pinned start (no
 // Algorithm 4 search) at 1, 2 and 7 workers on a metric whose every
-// simulation is slow. From 2 workers on, each interval search probes
-// its two edges at once, so two simulations are in flight; at 1 worker
-// never more than one. The chain itself must not notice: the samples,
-// Stage1Sims and the probes per update are identical at every worker
-// count.
+// simulation is slow. With one chain, from 2 workers on, each interval
+// search probes its two edges at once, so two simulations are in
+// flight; at 1 worker never more than one. With two chains the chains
+// run at once from 2 workers on, and at 7 each chain's share (3
+// workers) also forks its edges, so 1, 2 and 4 are in flight. The
+// chains themselves must not notice: the samples, Stage1Sims and the
+// probes per update are identical at every worker count.
 func TestStage1OverlapsIntervalEdges(t *testing.T) {
-	for _, coord := range []Coord{Spherical, Cartesian} {
-		t.Run(coord.String(), func(t *testing.T) {
-			var (
-				ref       *TwoStageResult
-				refProbes float64
-			)
-			for _, workers := range []int{1, 2, 7} {
-				metric := &overlapMetric{Metric: &surrogate.Linear{W: []float64{1, 1, 1}, B: 7}}
-				reg := telemetry.New()
-				res, _, err := TwoStagePrefix(context.Background(), mc.NewCounter(metric), TwoStageOptions{
-					Coord: coord, K: 20, N: 1, Workers: workers,
-					StartPoint: []float64{3, 3, 3}, Telemetry: reg,
-				}, rand.New(rand.NewSource(5)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := int64(2)
-				if workers == 1 {
-					want = 1
-				}
-				if got := metric.calls.peak.Load(); got != want {
-					t.Fatalf("workers=%d: %d simulations in flight at most, want %d", workers, got, want)
-				}
-				probes := probeSum(reg)
-				if probes <= 0 {
-					t.Fatalf("workers=%d: no probes_per_update observations", workers)
-				}
-				if ref == nil {
-					ref, refProbes = res, probes
-					continue
-				}
-				if res.Stage1Sims != ref.Stage1Sims || probes != refProbes {
-					t.Fatalf("workers=%d: %d stage-1 sims and %v probes, want %d and %v",
-						workers, res.Stage1Sims, probes, ref.Stage1Sims, refProbes)
-				}
-				if len(res.Samples) != len(ref.Samples) {
-					t.Fatalf("workers=%d: %d samples, want %d", workers, len(res.Samples), len(ref.Samples))
-				}
-				for i, x := range res.Samples {
-					for j := range x {
-						if math.Float64bits(x[j]) != math.Float64bits(ref.Samples[i][j]) {
-							t.Fatalf("workers=%d: sample %d is %v, want %v", workers, i, x, ref.Samples[i])
-						}
-					}
-				}
+	for _, tc := range []struct {
+		chains int
+		want   map[int]int64 // workers → simulations in flight at most
+	}{
+		{1, map[int]int64{1: 1, 2: 2, 7: 2}},
+		{2, map[int]int64{1: 1, 2: 2, 7: 4}},
+	} {
+		for _, coord := range []Coord{Spherical, Cartesian} {
+			name := coord.String()
+			if tc.chains > 1 {
+				name += fmt.Sprintf("_chains%d", tc.chains)
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				var (
+					ref       *TwoStageResult
+					refProbes float64
+				)
+				for _, workers := range []int{1, 2, 7} {
+					metric := &overlapMetric{Metric: &surrogate.Linear{W: []float64{1, 1, 1}, B: 7}}
+					reg := telemetry.New()
+					res, _, err := TwoStagePrefix(context.Background(), mc.NewCounter(metric), TwoStageOptions{
+						Coord: coord, K: 20, N: 1, Workers: workers,
+						StartPoint: []float64{3, 3, 3}, Telemetry: reg,
+						Chain: &Options{Chains: tc.chains},
+					}, rand.New(rand.NewSource(5)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := metric.calls.peak.Load(), tc.want[workers]; got != want {
+						t.Fatalf("workers=%d: %d simulations in flight at most, want %d", workers, got, want)
+					}
+					probes := probeSum(reg)
+					if probes <= 0 {
+						t.Fatalf("workers=%d: no probes_per_update observations", workers)
+					}
+					if ref == nil {
+						ref, refProbes = res, probes
+						continue
+					}
+					if res.Stage1Sims != ref.Stage1Sims || probes != refProbes {
+						t.Fatalf("workers=%d: %d stage-1 sims and %v probes, want %d and %v",
+							workers, res.Stage1Sims, probes, ref.Stage1Sims, refProbes)
+					}
+					sameSamples(t, fmt.Sprintf("workers=%d", workers), res.Samples, ref.Samples)
+				}
+			})
+		}
+	}
+}
+
+// sameSamples fails unless got and want hold the same samples bit for
+// bit, in the same order.
+func sameSamples(t *testing.T, what string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i, x := range got {
+		for j := range x {
+			if math.Float64bits(x[j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s: sample %d is %v, want %v", what, i, x, want[i])
+			}
+		}
 	}
 }

@@ -39,27 +39,40 @@ type Options struct {
 	// Epsilon is the ‖α‖ used when mapping the starting point into the
 	// redundant spherical coordinates (paper eq. 32; default 1e-2).
 	Epsilon float64
-	// Stop, when non-nil, is polled before each coordinate update; the
-	// chain ends early when it returns true. The two-stage flow uses it
-	// to cap the first stage at a fixed simulation budget, which is how
-	// the paper sizes its comparisons (e.g., 5000 stage-1 simulations in
-	// Table I).
-	Stop func() bool
+	// Chains splits the K samples of a chain-function call across this
+	// many independent chains, all started from the same point and
+	// pooled in chain order (default 2; a call asking for fewer samples
+	// than chains runs one chain per sample). It is a fixed count, never
+	// derived from the worker count, so the samples are the same
+	// whichever way the chains are scheduled. Chains: 1 is the paper's
+	// single chain.
+	Chains int
 	// Telemetry, when non-nil, receives per-coordinate interval-search
-	// counters, mixing gauges and a "gibbs.chain" event per chain. It
-	// only observes — the chain's draws are identical with it on or off.
+	// counters, mixing gauges and one "gibbs.chain" event per
+	// chain-function call. It only observes — the chains' draws are
+	// identical with it on or off.
 	Telemetry *telemetry.Registry
 
 	// workers is the two-stage flow's resolved worker count. At 2 or
-	// more an interval search whose start probe is slow looks for its
-	// two edges at once (see failureIntervalStat); the zero value keeps
-	// the chain on the caller's goroutine. The draws are the same
-	// either way.
+	// more the chains run at once, and a chain whose share of the
+	// workers is 2 or more searches the two edges of a slow interval
+	// at once (see failureIntervalStat); the zero value runs the chains
+	// one after another on the caller's goroutine. The draws are the
+	// same either way.
 	workers int
+	// budget, when positive, caps the simulations of a chain-function
+	// call: the start check spends one, and the rest is split evenly
+	// across the chains. A chain stops before an update once its own
+	// probes have spent its share and it has at least 2 samples, so
+	// where one chain stops never depends on another's progress. The
+	// two-stage flow sets it to what Stage1Budget leaves after
+	// Algorithm 4, which is how the paper sizes its comparisons (e.g.,
+	// 5000 stage-1 simulations in Table I).
+	budget int64
 }
 
 func (o *Options) defaults() Options {
-	d := Options{Zeta: 8, ExpandStep: 0.5, Bisections: 6, ScanPoints: 12, Epsilon: 1e-2}
+	d := Options{Zeta: 8, ExpandStep: 0.5, Bisections: 6, ScanPoints: 12, Epsilon: 1e-2, Chains: 2}
 	if o == nil {
 		return d
 	}
@@ -78,6 +91,9 @@ func (o *Options) defaults() Options {
 	}
 	if out.Epsilon <= 0 {
 		out.Epsilon = d.Epsilon
+	}
+	if out.Chains <= 0 {
+		out.Chains = d.Chains
 	}
 	return out
 }

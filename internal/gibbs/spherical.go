@@ -10,8 +10,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mc"
 	"repro/internal/stat"
-	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // SphericalCoords maps a Cartesian point to the paper's redundant
@@ -51,6 +49,11 @@ func CartesianFromSpherical(r float64, alpha []float64) ([]float64, error) {
 // chain (§V-B). Every coordinate update appends one sample (in Cartesian
 // coordinates, ready for the Algorithm 5 fit).
 //
+// The k samples come from opts.Chains independent chains (default 2),
+// all started from start and pooled in chain order; see runChains for
+// how they split k, the budget, the workers and rng. With nil options
+// the chains run one after another on the caller's goroutine.
+//
 // ctx is polled before each coordinate update (radius or orientation — a
 // handful of simulations each), so a cancel aborts promptly with the
 // context's error.
@@ -74,7 +77,16 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 		return nil, err
 	}
 	rmax := o.rmax(dim)
+	return runChains(ctx, Spherical, sphericalCoordNames(dim), k, &o, rng, func(ctx context.Context, run *chainRun) ([][]float64, error) {
+		return sphericalChain(ctx, run, metric, r, alpha, rmax)
+	})
+}
 
+// sphericalChain runs one chain of Algorithm 2 from the spherical point
+// (r, alpha), which it does not modify.
+func sphericalChain(ctx context.Context, run *chainRun, metric mc.Metric, r float64, alpha0 []float64, rmax float64) ([][]float64, error) {
+	dim := len(alpha0)
+	alpha := linalg.CopyVec(alpha0)
 	cur := func() []float64 {
 		x, err := CartesianFromSpherical(r, alpha)
 		if err != nil {
@@ -85,14 +97,7 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 		return x
 	}
 
-	ctx, span := telemetry.StartSpan(ctx, o.Telemetry, wire.EvGibbsChain)
-	defer span.End()
-	span.SetAttr("coord", Spherical.String())
-	updateAgg, probeAgg := span.Agg("update"), span.Agg("probe")
-	ct := newChainTelemetry(o.Telemetry, sphericalCoordNames(dim), k)
-	samples := make([][]float64, 0, k)
-	record := func() { samples = append(samples, cur()) }
-
+	samples := make([][]float64, 0, run.k)
 	coord := -1 // -1 = radius, 0..M-1 = α index, cycled in Algorithm 2 order
 	// Each side of an interval search probes its own copy of alpha (the
 	// two edges may be searched at once); r and alpha change only after
@@ -106,38 +111,34 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 		a[coord] = t
 		return sphericalMargin(metric, r, a)
 	}
-	for len(samples) < k {
+	for len(samples) < run.k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if o.Stop != nil && o.Stop() && len(samples) >= 2 {
+		if run.exhausted(len(samples)) {
 			break
 		}
 		copy(as[0], alpha)
 		copy(as[1], alpha)
 		t0, lo, hi := r, 0.0, rmax
 		if coord >= 0 {
-			t0, lo, hi = alpha[coord], -o.Zeta, o.Zeta
+			t0, lo, hi = alpha[coord], -run.o.Zeta, run.o.Zeta
 		}
-		u, v, st, probes := failureIntervalStat(probe, t0, lo, hi, &o)
+		u, v, st, probes := failureIntervalStat(probe, t0, lo, hi, &run.o)
 		if st != intervalNone {
 			if coord == -1 {
-				r = stat.TruncChiSample(dim, u, v, uniform01(rng))
+				r = stat.TruncChiSample(dim, u, v, uniform01(run.rng))
 			} else {
-				alpha[coord] = stat.TruncNormSample(u, v, uniform01(rng))
+				alpha[coord] = stat.TruncNormSample(u, v, uniform01(run.rng))
 			}
 		}
-		ct.update(coord+1, st, probes)
-		updateAgg.Add(1)
-		probeAgg.Add(int64(probes))
-		record()
+		run.record(coord+1, st, probes)
+		samples = append(samples, cur())
 		coord++
 		if coord == dim {
 			coord = -1
 		}
 	}
-	span.SetAttr("samples", len(samples))
-	ct.done(Spherical, samples)
 	return samples, nil
 }
 

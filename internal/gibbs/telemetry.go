@@ -2,6 +2,7 @@ package gibbs
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -17,20 +18,22 @@ import (
 //	kept_total                     updates where no interval was found
 //	coord_<name>_resampled_total   per-coordinate resample counts
 //	probes_per_update              simulations per interval search
-//	chain_ess / chain_acceptance   gauges refreshed at chain end
+//	chain_ess / chain_acceptance   gauges refreshed at the end of a call
 //
-// plus one "gibbs.chain" event per finished chain carrying the mixing
-// diagnostics (ESS, worst integrated autocorrelation time, acceptance,
-// per-coordinate resample counts).
+// plus one "gibbs.chain" event per chain-function call carrying the
+// mixing diagnostics (ESS summed over the call's chains, worst
+// integrated autocorrelation time, acceptance, per-coordinate resample
+// counts, the number of chains).
 
 var probeBuckets = telemetry.ExpBuckets(1, 2, 8) // 1 .. 128 sims/update
 
-// chainTelemetry accumulates one chain's interval-search statistics.
-// The live counters feed /metrics; the plain-int tallies feed the
-// end-of-chain event. The chain updates both on its own goroutine after
-// each update's interval search has joined (the two edges may have been
-// probed at once), so the tallies need no lock. A nil *chainTelemetry
-// is fully inert.
+// chainTelemetry accumulates the interval-search statistics of one
+// chain-function call, whichever of its chains made them. The live
+// counters feed /metrics; the plain-int tallies feed the end-of-call
+// event. The chains, which may run at once, update both after each
+// update's interval search has joined, one update at a time under mu
+// (about a thousand a run), so progress counts the pooled samples. A
+// nil *chainTelemetry is fully inert.
 type chainTelemetry struct {
 	reg        *telemetry.Registry
 	coordNames []string
@@ -39,10 +42,14 @@ type chainTelemetry struct {
 	perCoord                            []*telemetry.Counter
 	probes                              *telemetry.Histogram
 
-	nUpdates, nResampled, nRecovered, nKept int
-	byCoord                                 []int64
+	mu         sync.Mutex
+	nUpdates   int     // guarded by mu
+	nResampled int     // guarded by mu
+	nRecovered int     // guarded by mu
+	nKept      int     // guarded by mu
+	byCoord    []int64 // guarded by mu
 
-	// Stage-1 progress: the chain produces one sample per coordinate
+	// Stage-1 progress: the chains produce one sample per coordinate
 	// update, so nUpdates doubles as the samples-done count against the
 	// target K. Every progressStride updates a "progress" event goes
 	// out with the measured update throughput and the ETA to K, and the
@@ -51,7 +58,7 @@ type chainTelemetry struct {
 	// live).
 	target  int
 	start   time.Time
-	nProbes int64
+	nProbes int64 // guarded by mu
 	gRate   *telemetry.Gauge
 	gETA    *telemetry.Gauge
 	gN      *telemetry.Gauge
@@ -116,6 +123,8 @@ func (t *chainTelemetry) update(coord int, st intervalStatus, probes int) {
 	if t == nil {
 		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.nUpdates++
 	t.updates.Inc()
 	t.probes.Observe(float64(probes))
@@ -135,17 +144,17 @@ func (t *chainTelemetry) update(coord int, st intervalStatus, probes int) {
 	}
 	t.nProbes += int64(probes)
 	if t.nUpdates%progressStride == 0 {
-		t.progress()
+		t.progressLocked()
 	}
 }
 
-// progress publishes a throttled stage-1 snapshot: the chain's position
-// against its sample target, the measured simulation throughput (the
-// interval search runs several simulations per update, so sims/sec is
-// tallied from probe counts, not updates), and the finite ETA to the
-// target. Reads only the wall clock and tallies — the chain's random
-// stream is untouched.
-func (t *chainTelemetry) progress() {
+// progressLocked publishes a throttled stage-1 snapshot: the pooled
+// samples against the call's sample target, the measured simulation
+// throughput (the interval search runs several simulations per update,
+// so sims/sec is tallied from probe counts, not updates), and the finite
+// ETA to the target. Reads only the wall clock and tallies — the chains'
+// random streams are untouched. The caller holds t.mu.
+func (t *chainTelemetry) progressLocked() {
 	elapsed := time.Since(t.start).Seconds()
 	rate := 0.0
 	if elapsed > 0 {
@@ -166,12 +175,20 @@ func (t *chainTelemetry) progress() {
 	})
 }
 
-// done computes the mixing diagnostics of the finished chain and emits
-// the "gibbs.chain" event (also refreshing the chain_ess and
-// chain_acceptance gauges).
-func (t *chainTelemetry) done(coord Coord, samples [][]float64) {
+// done computes the mixing diagnostics of the finished call from its
+// chains' samples and emits the "gibbs.chain" event (also refreshing
+// the chain_ess and chain_acceptance gauges). The ESS is the sum of the
+// chains' own, and tau_max the worst chain's integrated autocorrelation
+// time; both are left out when a chain is too short to measure.
+func (t *chainTelemetry) done(coord Coord, chains [][][]float64) {
 	if t == nil {
 		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	k := 0
+	for _, c := range chains {
+		k += len(c)
 	}
 	acceptance := 0.0
 	if t.nUpdates > 0 {
@@ -179,7 +196,8 @@ func (t *chainTelemetry) done(coord Coord, samples [][]float64) {
 	}
 	fields := map[string]any{
 		"coord":              coord.String(),
-		"k":                  len(samples),
+		"k":                  k,
+		"chains":             len(chains),
 		"updates":            t.nUpdates,
 		"resampled":          t.nResampled,
 		"recovered":          t.nRecovered,
@@ -191,10 +209,27 @@ func (t *chainTelemetry) done(coord Coord, samples [][]float64) {
 	t.gETA.Set(0)
 	s := t.reg.Scope(wire.ScopeGibbs)
 	s.Gauge("chain_acceptance").Set(acceptance)
-	if ess, err := EffectiveSampleSize(samples); err == nil {
+	if ess, tauMax, ok := chainsESS(chains); ok {
 		fields["ess"] = ess
-		fields["tau_max"] = float64(len(samples)) / ess
+		fields["tau_max"] = tauMax
 		s.Gauge("chain_ess").Set(ess)
 	}
 	t.reg.Emit(wire.EvGibbsChain, fields)
+}
+
+// chainsESS sums the chains' effective sample sizes and returns the
+// worst chain's integrated autocorrelation time (its length over its
+// ESS); ok is false when a chain is too short to measure.
+func chainsESS(chains [][][]float64) (ess, tauMax float64, ok bool) {
+	for _, c := range chains {
+		e, err := EffectiveSampleSize(c)
+		if err != nil {
+			return 0, 0, false
+		}
+		ess += e
+		if tau := float64(len(c)) / e; tau > tauMax {
+			tauMax = tau
+		}
+	}
+	return ess, tauMax, true
 }

@@ -50,11 +50,12 @@ type TwoStageOptions struct {
 	// Table I ("number of simulations to achieve 5% error").
 	Target float64
 	// Stage1Budget, when positive, caps the whole first stage (starting
-	// point search + Gibbs chain) at this many simulations, the way the
+	// point search + Gibbs chains) at this many simulations, the way the
 	// paper sizes its comparisons; K then acts as an upper bound on the
-	// sample count.
+	// sample count. What Algorithm 4 leaves is split evenly across the
+	// chains, each counting its own simulations.
 	Stage1Budget int64
-	// Chain tunes the Gibbs chain; nil selects defaults.
+	// Chain tunes the Gibbs chains; nil selects defaults (two chains).
 	Chain *Options
 	// Start tunes the Algorithm 4 model-based starting-point search;
 	// nil selects defaults.
@@ -67,12 +68,14 @@ type TwoStageOptions struct {
 	// extension, useful on multi-lobe failure regions. 0 or 1 keeps the
 	// plain Algorithm 5 fit.
 	Mixture int
-	// Workers sizes the second-stage evaluation pool (0 = GOMAXPROCS).
-	// The first stage is a Markov chain, one update after another, but
-	// at 2 or more workers an update whose first simulation took at
-	// least 20 µs searches the lower and upper edge of its interval at
-	// once, so stage 1 uses up to two cores on costly metrics; cheap
-	// ones, and the Algorithm 4 start-point search, stay on one
+	// Workers sizes the second-stage evaluation pool (0 = GOMAXPROCS)
+	// and the first stage's share of the cores. At 2 or more workers
+	// the Gibbs chains (Chain.Chains, default 2) run at once, at most
+	// Workers at a time, and a chain whose share of the workers
+	// (⌊Workers/Chains⌋) is 2 or more searches the lower and upper edge
+	// of an interval at once when the update's first simulation took at
+	// least 20 µs. Each chain is a Markov chain, one update after
+	// another, and the Algorithm 4 start-point search stays on one
 	// goroutine. The samples, the simulation counts and the estimate
 	// are identical for every worker count.
 	Workers int
@@ -146,8 +149,9 @@ func firstStage(ctx context.Context, counter *mc.Counter, opts *TwoStageOptions,
 		co = *opts.Chain
 	}
 	if opts.Stage1Budget > 0 {
-		budget := opts.Stage1Budget
-		co.Stop = func() bool { return counter.Count() >= budget }
+		// What Algorithm 4 left, split across the chains; at least 1, so
+		// a spent budget still stops each chain at 2 samples.
+		co.budget = max(opts.Stage1Budget-counter.Count(), 1)
 	}
 	if co.Telemetry == nil {
 		co.Telemetry = opts.Telemetry
@@ -205,16 +209,19 @@ func (r *TwoStageResult) distortion() mc.Distortion {
 //  1. Algorithm 4: model-based starting-point selection (skipped when
 //     StartPoint is given).
 //  2. Algorithm 1 or 2 (+3): generate K Gibbs samples in the failure
-//     region.
+//     region, split across Chain.Chains independent chains from the
+//     same start (default 2; Chains: 1 is the paper's single chain).
 //  3. Fit the multivariate Normal g^NOR from the samples' mean and
 //     covariance (or the Gaussian mixture when Mixture ≥ 2).
 //
 // The returned stage is step 4, importance sampling from the fitted
-// distortion (eq. 33). The prefix is seeded and its updates run one after
-// another (an update may probe its interval's two edges at once, but it
-// draws only after both are found), so every node that replays it
-// arrives at the same distortion and the same stage-2 sample stream —
-// the replicated prefix of a distributed run.
+// distortion (eq. 33). The prefix is seeded: its chains may run at once,
+// but each draws from its own stream, seeded from rng before any starts,
+// and its updates run one after another (an update may probe its
+// interval's two edges at once, but it draws only after both are
+// found), and the samples pool in chain order. So every node that
+// replays it arrives at the same distortion and the same stage-2 sample
+// stream — the replicated prefix of a distributed run.
 func TwoStagePrefix(ctx context.Context, counter *mc.Counter, opts TwoStageOptions, rng *rand.Rand) (*TwoStageResult, *mc.Stage, error) {
 	if opts.N <= 0 {
 		return nil, nil, errors.New("gibbs: N must be positive")
