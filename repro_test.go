@@ -1,7 +1,12 @@
 package repro
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/surrogate"
@@ -183,5 +188,67 @@ func TestEstimateMixtureOption(t *testing.T) {
 	exact := two.ExactPf()
 	if math.Abs(res.Pf-exact)/exact > 0.3 {
 		t.Fatalf("mixture G-S Pf %v vs %v", res.Pf, exact)
+	}
+}
+
+// TestEstimateBitsPinned pins what each of the seven methods returns on
+// readcurrent at a small budget (K 200, N 2000, seed 3, 2 workers): a
+// SHA-256 over the little-endian bits of Pf, StdErr, RelErr99,
+// WeightESS, Stage1Sims and TotalSims, then of the distortion mean and,
+// for G-C/G-S, every Gibbs sample coordinate in order. The digests were recorded on amd64 by running
+// this test with placeholder digests and copying each one from the
+// failure message. A change that must not move an estimate keeps every
+// digest; one that moves them on purpose records new digests here and
+// says so in CHANGES.md.
+func TestEstimateBitsPinned(t *testing.T) {
+	// The Go spec lets a compiler fuse x*y + z into one rounding, which
+	// moves low bits of the solves; amd64 never fuses.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	for _, tc := range []struct {
+		method Method
+		digest string
+	}{
+		{MC, "059fb9de70eac220769092b8fc7500199547f8b417c8a3af11415d4021b183e4"},
+		{MIS, "beb232aaffc9f00084457a67d62754c61f6fcc0c367a9e5c1c3b9fd61f02cdd9"},
+		{MNIS, "f49bd8e1892d50ca1ebba8839de26caa29b08168fe28eaa2a0b093b80a979cf3"},
+		{GC, "d710271e8f57d5c5cec40a6f851185ccf428ff8be0360d67030f572d7f8ca2f8"},
+		{GS, "a8453d94c5aebaf93f14371ffcb04c317e948eaafa9bfcfc5d8ae2e26c10cae9"},
+		{Blockade, "bd53296a7bfce2f1c0259cd58190c46ea5f9f3499c6ca7a8cf76fc9e3dba11aa"},
+		{Subset, "f1d100c3159f0d3a95196a27a1852a3da323d20accf38527e86147330bbc0aa1"},
+	} {
+		t.Run(string(tc.method), func(t *testing.T) {
+			t.Parallel()
+			res, err := EstimateContext(context.Background(), ReadCurrentWorkload(), Options{
+				Method: tc.method, K: 200, N: 2000, Seed: 3, Workers: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var b [8]byte
+			put := func(u uint64) {
+				binary.LittleEndian.PutUint64(b[:], u)
+				h.Write(b[:])
+			}
+			for _, v := range []float64{res.Pf, res.StdErr, res.RelErr99, res.WeightESS} {
+				put(math.Float64bits(v))
+			}
+			put(uint64(res.Stage1Sims))
+			put(uint64(res.TotalSims))
+			for _, v := range res.DistortionMean {
+				put(math.Float64bits(v))
+			}
+			for _, x := range res.GibbsSamples {
+				for _, v := range x {
+					put(math.Float64bits(v))
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Errorf("Pf %v RelErr99 %v, %d Gibbs samples, %d sims: digest %s, want %s",
+					res.Pf, res.RelErr99, len(res.GibbsSamples), res.TotalSims, got, tc.digest)
+			}
+		})
 	}
 }
