@@ -9,6 +9,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/baselines"
@@ -97,7 +98,7 @@ func TestIntegrationGibbsSamplesFail(t *testing.T) {
 // The same cell built through the netlist parser and through the sram
 // package must agree on the solved read state.
 func TestIntegrationNetlistMatchesBuilder(t *testing.T) {
-	ckt, err := spice.ParseNetlistString(`
+	ckt, err := spice.ParseNetlist(strings.NewReader(`
 .model ndrv nmos vt0=0.32 kp=300u w=240n l=100n lambda=0.10 n=1.30
 .model nacc nmos vt0=0.35 kp=300u w=130n l=100n lambda=0.10 n=1.30
 .model pld  pmos vt0=0.33 kp=80u  w=120n l=100n lambda=0.12 n=1.35
@@ -111,7 +112,7 @@ M3 bl wl q 0 nacc
 M4 blb wl qb 0 nacc
 M5 q qb vdd vdd pld
 M6 qb q vdd vdd pld
-`)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}

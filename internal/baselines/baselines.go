@@ -67,10 +67,6 @@ type MISOptions struct {
 	// Target, when positive, stops the second stage at the first chunk
 	// boundary where the 99% relative error reaches it (Table I).
 	Target float64
-	// Spread scales the exploration distribution: stage-1 samples are
-	// drawn from N(0, Spread²·I) ∪ U(−URange, URange) as a 50/50
-	// mixture (default Spread 3, URange 6).
-	Spread, URange float64
 	// Workers sizes the evaluation pool for both stages
 	// (0 = GOMAXPROCS); the estimate is identical for every pool size.
 	Workers int
@@ -81,16 +77,12 @@ type MISOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-func (o *MISOptions) defaults() MISOptions {
-	d := *o
-	if d.Spread <= 0 {
-		d.Spread = 3
-	}
-	if d.URange <= 0 {
-		d.URange = 6
-	}
-	return d
-}
+// MIS draws its stage-1 exploratory samples from N(0, misSpread²·I)
+// and U(−misURange, misURange) as a 50/50 mixture.
+const (
+	misSpread = 3
+	misURange = 6
+)
 
 // MISContext runs mixture importance sampling: explore, take the
 // f-weighted centroid of the failing samples as the distortion mean, and
@@ -184,8 +176,7 @@ func shiftedStage(counter *mc.Counter, ev *mc.Evaluator, mean []float64, n int, 
 // is accumulated in sample-index order, so it is bit-identical for every
 // worker count and for any chunking. It is the replicated prefix of a
 // distributed run; MISContext runs the stage on top of it.
-func MISPrefix(ctx context.Context, counter *mc.Counter, opts MISOptions, rng *rand.Rand) (*Result, *mc.Stage, error) {
-	o := opts.defaults()
+func MISPrefix(ctx context.Context, counter *mc.Counter, o MISOptions, rng *rand.Rand) (*Result, *mc.Stage, error) {
 	if o.Stage1 <= 0 {
 		return nil, nil, errors.New("baselines: MIS stage sizes must be positive")
 	}
@@ -202,11 +193,11 @@ func MISPrefix(ctx context.Context, counter *mc.Counter, opts MISOptions, rng *r
 		x := make([]float64, dim)
 		if rng.Intn(2) == 0 {
 			for j := range x {
-				x[j] = o.Spread * rng.NormFloat64()
+				x[j] = misSpread * rng.NormFloat64()
 			}
 		} else {
 			for j := range x {
-				x[j] = o.URange * (2*rng.Float64() - 1)
+				x[j] = misURange * (2*rng.Float64() - 1)
 			}
 		}
 		return x

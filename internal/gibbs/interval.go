@@ -83,8 +83,8 @@ func failureIntervalStat(probe func(side int, t float64) float64, t0, lo, hi flo
 	if !(y0 < 0) {
 		best, found := 0.0, false
 		bestDist := hi - lo + 1
-		for i := 0; i < o.ScanPoints; i++ {
-			t := lo + (hi-lo)*(float64(i)+0.5)/float64(o.ScanPoints)
+		for i := 0; i < scanPoints; i++ {
+			t := lo + (hi-lo)*(float64(i)+0.5)/scanPoints
 			if y := lower(t); y < 0 {
 				d := t - t0
 				if d < 0 {
@@ -105,23 +105,23 @@ func failureIntervalStat(probe func(side int, t float64) float64, t0, lo, hi flo
 		v = expand(func(t float64) float64 {
 			probes++
 			return probe(1, t)
-		}, t0, y0, hi, +o.ExpandStep, o.Bisections)
-		u = expand(lower, t0, y0, lo, -o.ExpandStep, o.Bisections)
+		}, t0, y0, hi, +expandStep, o.Bisections)
+		u = expand(lower, t0, y0, lo, -expandStep, o.Bisections)
 		return u, v, st, probes
 	}
-	// The goroutine gets its start, margin and step as arguments:
-	// capturing t0 and y0, which are reassigned above, would put them on
-	// the heap on every call, and capturing o would put the chain's
-	// Options there. upperProbes is read only after the receive.
+	// The goroutine gets its start, margin and refinement count as
+	// arguments: capturing t0 and y0, which are reassigned above, would
+	// put them on the heap on every call, and capturing o would put the
+	// chain's Options there. upperProbes is read only after the receive.
 	upperProbes := 0
 	edge := make(chan float64, 1)
-	go func(from, margin, step float64, bisections int) {
+	go func(from, margin float64, bisections int) {
 		edge <- expand(func(t float64) float64 {
 			upperProbes++
 			return probe(1, t)
-		}, from, margin, hi, step, bisections)
-	}(t0, y0, o.ExpandStep, o.Bisections)
-	u = expand(lower, t0, y0, lo, -o.ExpandStep, o.Bisections)
+		}, from, margin, hi, expandStep, bisections)
+	}(t0, y0, o.Bisections)
+	u = expand(lower, t0, y0, lo, -expandStep, o.Bisections)
 	v = <-edge
 	return u, v, st, probes + upperProbes
 }

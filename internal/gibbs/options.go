@@ -11,31 +11,16 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/stat"
 	"repro/internal/telemetry"
 )
 
 // Options tunes the Gibbs chain. The zero value (or nil) selects the
 // defaults used in the experiments.
 type Options struct {
-	// Zeta bounds every Cartesian/orientation coordinate to [−Zeta, Zeta]
-	// (paper §IV-A suggests ζ = 8–10; default 8). The probability mass
-	// outside is negligible (< 1e-15 per coordinate).
-	Zeta float64
-	// RMax bounds the radius coordinate of the spherical chain; when
-	// zero it defaults to the Chi(M) quantile at 1−1e−12 plus 2.
-	RMax float64
-	// ExpandStep is the initial bracketing step of the 1-D failure
-	// interval search (default 0.5σ).
-	ExpandStep float64
 	// Bisections sets how finely each interval boundary is found: the
 	// search locates each edge to 1/2^Bisections of its bracket in at
 	// most Bisections+1 simulations (default 6).
 	Bisections int
-	// ScanPoints is the coarse-scan budget used to recover when the
-	// current chain point has drifted out of the failure region
-	// (default 12).
-	ScanPoints int
 	// Epsilon is the ‖α‖ used when mapping the starting point into the
 	// redundant spherical coordinates (paper eq. 32; default 1e-2).
 	Epsilon float64
@@ -71,23 +56,27 @@ type Options struct {
 	budget int64
 }
 
+// The chain's fixed geometry. zeta bounds every Cartesian and
+// orientation coordinate to [−zeta, zeta] (paper §IV-A suggests
+// ζ = 8–10); the probability mass outside is negligible (< 1e-15 per
+// coordinate). expandStep is the initial bracketing step of the 1-D
+// failure-interval search, in σ, and scanPoints the coarse-scan budget
+// that recovers a chain point which has drifted out of the failure
+// region.
+const (
+	zeta       = 8
+	expandStep = 0.5
+	scanPoints = 12
+)
+
 func (o *Options) defaults() Options {
-	d := Options{Zeta: 8, ExpandStep: 0.5, Bisections: 6, ScanPoints: 12, Epsilon: 1e-2, Chains: 2}
+	d := Options{Bisections: 6, Epsilon: 1e-2, Chains: 2}
 	if o == nil {
 		return d
 	}
 	out := *o
-	if out.Zeta <= 0 {
-		out.Zeta = d.Zeta
-	}
-	if out.ExpandStep <= 0 {
-		out.ExpandStep = d.ExpandStep
-	}
 	if out.Bisections <= 0 {
 		out.Bisections = d.Bisections
-	}
-	if out.ScanPoints <= 0 {
-		out.ScanPoints = d.ScanPoints
 	}
 	if out.Epsilon <= 0 {
 		out.Epsilon = d.Epsilon
@@ -96,13 +85,6 @@ func (o *Options) defaults() Options {
 		out.Chains = d.Chains
 	}
 	return out
-}
-
-func (o *Options) rmax(dim int) float64 {
-	if o.RMax > 0 {
-		return o.RMax
-	}
-	return stat.Chi{K: dim}.Quantile(1-1e-12) + 2
 }
 
 // finiteVec reports whether every coordinate is a normal float.

@@ -76,7 +76,8 @@ func SphericalChainContext(ctx context.Context, metric mc.Metric, start []float6
 	if err != nil {
 		return nil, err
 	}
-	rmax := o.rmax(dim)
+	// The radius is bounded by the Chi(M) quantile at 1−1e−12, plus 2.
+	rmax := stat.Chi{K: dim}.Quantile(1-1e-12) + 2
 	return runChains(ctx, Spherical, sphericalCoordNames(dim), k, &o, rng, func(ctx context.Context, run *chainRun) ([][]float64, error) {
 		return sphericalChain(ctx, run, metric, r, alpha, rmax)
 	})
@@ -122,7 +123,7 @@ func sphericalChain(ctx context.Context, run *chainRun, metric mc.Metric, r floa
 		copy(as[1], alpha)
 		t0, lo, hi := r, 0.0, rmax
 		if coord >= 0 {
-			t0, lo, hi = alpha[coord], -run.o.Zeta, run.o.Zeta
+			t0, lo, hi = alpha[coord], -zeta, zeta
 		}
 		u, v, st, probes := failureIntervalStat(probe, t0, lo, hi, &run.o)
 		if st != intervalNone {

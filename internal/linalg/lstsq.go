@@ -1,12 +1,5 @@
 package linalg
 
-// LeastSquares solves min ‖A x − b‖₂ via the normal equations with a small
-// Tikhonov ridge for numerical robustness. A has more rows than columns in
-// all library call sites (response-surface fitting of circuit metrics).
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	return RidgeLeastSquares(a, b, 0)
-}
-
 // RidgeLeastSquares solves min ‖A x − b‖² + ridge·‖x‖² through the normal
 // equations (AᵀA + ridge·I) x = Aᵀb, factored by Cholesky with automatic
 // jitter escalation.

@@ -5,9 +5,8 @@ import "math"
 // LU holds an LU factorization with partial pivoting of a square matrix,
 // PA = LU. It is the workhorse of the circuit simulator's Newton iteration.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign float64
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization of a (which is not modified).
@@ -21,7 +20,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 }
 
 // FactorInto recomputes the factorization of a into f, reusing f's
-// matrix, pivot and sign storage when the capacity allows. It performs
+// matrix and pivot storage when the capacity allows. It performs
 // exactly the same floating-point operations as FactorLU — a solve
 // through a reused factorization is bit-identical to one through a fresh
 // allocation — which is what lets the batched Newton kernel keep one LU
@@ -42,7 +41,6 @@ func FactorInto(f *LU, a *Matrix) error {
 		f.piv = make([]int, n)
 	}
 	f.piv = f.piv[:n]
-	f.sign = 1
 	lu := f.lu
 	for i := range f.piv {
 		f.piv[i] = i
@@ -65,7 +63,6 @@ func FactorInto(f *LU, a *Matrix) error {
 				rp[j], rk[j] = rk[j], rp[j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -120,44 +117,4 @@ func (f *LU) SolveInto(x, b []float64) {
 		}
 		x[i] = s / row[i]
 	}
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// SolveLinear is a convenience wrapper: it factors a and solves a x = b.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Inverse returns the inverse of a, or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // SRAM failure-rate library: vectors, dense matrices, LU and Cholesky
-// factorizations, a Jacobi symmetric eigensolver, and least-squares fitting.
+// factorizations, and least-squares fitting.
 //
 // Everything is written against plain float64 slices so that callers (the
 // circuit simulator's Newton loop, the covariance fitting in the two-stage
@@ -9,7 +9,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -79,41 +78,6 @@ func (m *Matrix) Zero() {
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m*b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			//reprolint:ignore floateq sparsity fast path: skipping exact zeros cannot change the product
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := 0; j < b.Cols; j++ {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out
-}
 
 // MulVec returns the matrix-vector product m*x.
 func (m *Matrix) MulVec(x []float64) []float64 {

@@ -207,12 +207,14 @@ type StartOptions struct {
 	// MaxRadius bounds the outward search for a verified failure point
 	// (default 10).
 	MaxRadius float64
-	// Bisections refines the ray crossing (default 10).
-	Bisections int
 }
 
+// rayBisections is how many bisections refine the ray crossing of the
+// verified failure point.
+const rayBisections = 10
+
 func (o *StartOptions) defaults(dim int) StartOptions {
-	d := StartOptions{TrainScale: 3, MaxRadius: 10, Bisections: 10}
+	d := StartOptions{TrainScale: 3, MaxRadius: 10}
 	if o != nil {
 		d = *o
 		if d.TrainScale <= 0 {
@@ -220,9 +222,6 @@ func (o *StartOptions) defaults(dim int) StartOptions {
 		}
 		if d.MaxRadius <= 0 {
 			d.MaxRadius = 10
-		}
-		if d.Bisections <= 0 {
-			d.Bisections = 10
 		}
 	}
 	if d.TrainN <= 0 {
@@ -287,7 +286,7 @@ func FindFailurePointContext(ctx context.Context, metric mc.Metric, opts *StartO
 	if !finiteVec(x0) {
 		return nil, fmt.Errorf("model: response-surface solution is not finite (training data may contain non-finite margins)")
 	}
-	return RefineAlongRay(metric, x0, o.MaxRadius, o.Bisections)
+	return RefineAlongRay(metric, x0, o.MaxRadius, rayBisections)
 }
 
 // RefineAlongRay walks the ray from the origin through x0, locating the

@@ -159,19 +159,6 @@ func (c *Circuit) VSourceByName(name string) (*VSource, error) {
 	return v, nil
 }
 
-// MOSFETByName returns the named MOSFET.
-func (c *Circuit) MOSFETByName(name string) (*MOSFET, error) {
-	d, ok := c.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("spice: no device %q (have %s)", name, c.deviceList())
-	}
-	m, ok := d.(*MOSFET)
-	if !ok {
-		return nil, fmt.Errorf("spice: device %q is not a MOSFET", name)
-	}
-	return m, nil
-}
-
 func (c *Circuit) deviceList() string {
 	names := make([]string, 0, len(c.byName))
 	for n := range c.byName {

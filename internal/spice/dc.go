@@ -112,19 +112,9 @@ type DCOptions struct {
 	// MaxIter bounds Newton iterations per attempt (default 150). The
 	// cold escalation's first plain Newton also stops early once it has
 	// gone 8 iterations without lowering its best max-|KCL| residual;
-	// every gmin stage, the final gmin = Gmin solve and every source
-	// step keep the full MaxIter budget.
+	// every gmin stage, the final solve at the gmin floor and every
+	// source step keep the full MaxIter budget.
 	MaxIter int
-	// VTol is the voltage-update convergence tolerance (default 1e-9 V).
-	VTol float64
-	// ITol is the KCL residual tolerance (default 1e-9 A; node currents
-	// in the SRAM cell are µA-scale).
-	ITol float64
-	// MaxStep limits the per-iteration voltage update (default 0.4 V).
-	MaxStep float64
-	// Gmin is the shunt conductance from every node to ground
-	// (default 1e-12 S).
-	Gmin float64
 	// InitialGuess seeds node voltages by name. Nodes not listed start at
 	// 0 V. This is how callers select a bistable cell's state.
 	InitialGuess map[string]float64
@@ -145,26 +135,26 @@ type DCOptions struct {
 	NoBranchCurrents bool
 }
 
+// Newton's fixed tolerances. A solve converges once its damped voltage
+// update is below vTol (V) and its max-|KCL| residual below iTol (A;
+// node currents in the SRAM cell are µA-scale); maxStep (V) limits the
+// per-iteration voltage update, and gminFloor (S) is the shunt
+// conductance from every free node to ground that each solve ends with.
+const (
+	vTol      = 1e-9
+	iTol      = 1e-9
+	maxStep   = 0.4
+	gminFloor = 1e-12
+)
+
 func (o *DCOptions) defaults() DCOptions {
-	d := DCOptions{MaxIter: 150, VTol: 1e-9, ITol: 1e-9, MaxStep: 0.4, Gmin: 1e-12}
+	d := DCOptions{MaxIter: 150}
 	if o == nil {
 		return d
 	}
 	out := *o
 	if out.MaxIter <= 0 {
 		out.MaxIter = d.MaxIter
-	}
-	if out.VTol <= 0 {
-		out.VTol = d.VTol
-	}
-	if out.ITol <= 0 {
-		out.ITol = d.ITol
-	}
-	if out.MaxStep <= 0 {
-		out.MaxStep = d.MaxStep
-	}
-	if out.Gmin <= 0 {
-		out.Gmin = d.Gmin
 	}
 	return out
 }
@@ -280,7 +270,7 @@ func (c *Circuit) warmDC(anchor *OperatingPoint, warmIter int, guard func(*Opera
 	}
 	c.indexBranches()
 	x := linalg.CopyVec(anchor.x)
-	st, err := c.newton(x, &o, o.Gmin, 1.0, stallWindow)
+	st, err := c.newton(x, &o, gminFloor, 1.0, stallWindow)
 	if err != nil {
 		return nil, st.iters
 	}
@@ -294,7 +284,7 @@ func (c *Circuit) warmDC(anchor *OperatingPoint, warmIter int, guard func(*Opera
 
 // solveDC runs the cold strategy escalation; o must already have
 // defaults applied. Only the first plain Newton stops on a stall; each
-// gmin stage, the final gmin = Gmin solve and each source step run to
+// gmin stage, the final solve at gminFloor and each source step run to
 // convergence or to o.MaxIter.
 func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	c.indexBranches()
@@ -318,7 +308,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	}
 
 	totalIters := 0
-	if st, err := c.newton(x, o, o.Gmin, 1.0, stallWindow); err == nil {
+	if st, err := c.newton(x, o, gminFloor, 1.0, stallWindow); err == nil {
 		return &OperatingPoint{circuit: c, x: x, strategy: StrategyNewton,
 			iters: st.iters, residual: st.residual}, nil
 	} else {
@@ -328,7 +318,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	// Gmin stepping: solve with a heavy shunt, then relax it.
 	xg := linalg.CopyVec(x)
 	ok := true
-	for gmin := 1e-2; gmin >= o.Gmin; gmin /= 10 {
+	for gmin := 1e-2; gmin >= gminFloor; gmin /= 10 {
 		st, err := c.newton(xg, o, gmin, 1.0, 0)
 		totalIters += st.iters
 		if err != nil {
@@ -337,7 +327,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 		}
 	}
 	if ok {
-		st, err := c.newton(xg, o, o.Gmin, 1.0, 0)
+		st, err := c.newton(xg, o, gminFloor, 1.0, 0)
 		totalIters += st.iters
 		if err == nil {
 			return &OperatingPoint{circuit: c, x: xg, strategy: StrategyGmin,
@@ -355,7 +345,7 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 	for frac < 1.0 {
 		next := math.Min(frac+step, 1.0)
 		copy(trial, xs)
-		st, err := c.newton(trial, o, o.Gmin, next, 0)
+		st, err := c.newton(trial, o, gminFloor, next, 0)
 		totalIters += st.iters
 		if err != nil {
 			step /= 2
@@ -465,13 +455,13 @@ func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64, stal
 			}
 		}
 		scale := 1.0
-		if maxDx > o.MaxStep {
-			scale = o.MaxStep / maxDx
+		if maxDx > maxStep {
+			scale = maxStep / maxDx
 		}
 		for a, ia := range plan.free {
 			x[ia] += scale * dx[a]
 		}
-		if maxDx*scale < o.VTol && maxRes < o.ITol {
+		if maxDx*scale < vTol && maxRes < iTol {
 			if !o.NoBranchCurrents {
 				c.recoverPinnedBranches(plan, ws, x)
 			}

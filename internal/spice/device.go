@@ -70,14 +70,6 @@ func StepWaveform(v0, v1, tStep, tRise float64) func(float64) float64 {
 	}
 }
 
-// PulseWaveform returns a waveform that pulses from v0 to v1 between
-// tOn and tOff with symmetric linear ramps of length tRise.
-func PulseWaveform(v0, v1, tOn, tOff, tRise float64) func(float64) float64 {
-	up := StepWaveform(v0, v1, tOn, tRise)
-	down := StepWaveform(0, v0-v1, tOff, tRise)
-	return func(t float64) float64 { return up(t) + down(t) }
-}
-
 // Name returns the device name.
 func (v *VSource) Name() string { return v.name }
 

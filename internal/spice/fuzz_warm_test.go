@@ -16,9 +16,9 @@ import (
 //   - never panics, whatever the topology or sample set;
 //   - an operating point is nil exactly when its error is non-nil;
 //   - every returned operating point converged: its residual is within
-//     the default ITol (1e-9 A) and it took at least one Newton
-//     iteration, so no attempt that gave up (on its budget or on a
-//     stall) ever hands back its last iterate;
+//     iTol (1e-9 A) and it took at least one Newton iteration, so no
+//     attempt that gave up (on its budget or on a stall) ever hands back
+//     its last iterate;
 //   - no solution shares storage with another sample's or with the
 //     anchor — each converged operating point owns its vector;
 //   - re-solving any sample after all the others reproduces it bit for

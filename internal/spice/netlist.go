@@ -79,11 +79,6 @@ func ParseNetlist(r io.Reader) (*Circuit, error) {
 	return c, nil
 }
 
-// ParseNetlistString is ParseNetlist on a string.
-func ParseNetlistString(s string) (*Circuit, error) {
-	return ParseNetlist(strings.NewReader(s))
-}
-
 func parseTwoTerminal(c *Circuit, fields []string, add func(name, a, b string, v float64)) (err error) {
 	if len(fields) != 4 {
 		return fmt.Errorf("%s: want NAME N1 N2 VALUE", fields[0])

@@ -37,13 +37,13 @@ func TestParseValue(t *testing.T) {
 }
 
 func TestParseNetlistDivider(t *testing.T) {
-	c, err := ParseNetlistString(`
+	c, err := ParseNetlist(strings.NewReader(`
 * a resistor divider
 V1 in 0 3.0
 R1 in mid 1k
 R2 mid 0 2k  ; bottom leg
 .end
-`)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ R2 mid 0 2k  ; bottom leg
 }
 
 func TestParseNetlistInverter(t *testing.T) {
-	c, err := ParseNetlistString(`
+	c, err := ParseNetlist(strings.NewReader(`
 .model nfast nmos vt0=0.35 kp=200u w=200n l=100n lambda=0.08 n=1.3
 .model pstd  pmos vt0=0.35 kp=80u  w=200n l=100n lambda=0.1
 Vdd vdd 0 1.0
 Vin in 0 0
 Mn out in 0 0 nfast
 Mp out in vdd vdd pstd
-`)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,18 +76,22 @@ Mp out in vdd vdd pstd
 		t.Fatalf("inverter with low input should output high: %v", op.Voltage("out"))
 	}
 	// dvth option must apply.
-	c2, err := ParseNetlistString(`
+	c2, err := ParseNetlist(strings.NewReader(`
 .model nfast nmos vt0=0.35 kp=200u w=200n l=100n
 V1 d 0 1.0
 Vg g 0 1.0
 M1 d g 0 0 nfast dvth=0.1
-`)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := c2.MOSFETByName("m1")
-	if err != nil {
-		t.Fatal(err)
+	d, ok := c2.Device("m1")
+	if !ok {
+		t.Fatal("m1 missing")
+	}
+	m, ok := d.(*MOSFET)
+	if !ok {
+		t.Fatalf("m1 is a %T, want a MOSFET", d)
 	}
 	if m.DeltaVth != 0.1 {
 		t.Fatalf("dvth = %v", m.DeltaVth)
@@ -95,11 +99,11 @@ M1 d g 0 0 nfast dvth=0.1
 }
 
 func TestParseNetlistCapAndISource(t *testing.T) {
-	c, err := ParseNetlistString(`
+	c, err := ParseNetlist(strings.NewReader(`
 I1 0 n 1m
 R1 n 0 1k
 C1 n 0 10f
-`)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +132,14 @@ func TestParseNetlistErrors(t *testing.T) {
 		"R1 a 0 1k\nR1 b 0 1k", // duplicate name
 	}
 	for _, n := range bad {
-		if _, err := ParseNetlistString(n); err == nil {
+		if _, err := ParseNetlist(strings.NewReader(n)); err == nil {
 			t.Fatalf("netlist %q should fail", n)
 		}
 	}
 }
 
 func TestParseNetlistEndStops(t *testing.T) {
-	c, err := ParseNetlistString("R1 a 0 1k\n.end\ngarbage beyond end")
+	c, err := ParseNetlist(strings.NewReader("R1 a 0 1k\n.end\ngarbage beyond end"))
 	if err != nil {
 		t.Fatal(err)
 	}

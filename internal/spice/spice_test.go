@@ -83,9 +83,6 @@ func TestBadLookups(t *testing.T) {
 	if _, err := c.VSourceByName("r"); err == nil {
 		t.Fatal("expected error for wrong device kind")
 	}
-	if _, err := c.MOSFETByName("r"); err == nil {
-		t.Fatal("expected error for wrong device kind")
-	}
 }
 
 // A diode-connected NMOS from a current source: solved Vgs must satisfy the

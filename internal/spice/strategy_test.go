@@ -28,7 +28,7 @@ func TestStrategyRecordedOnPlainNewton(t *testing.T) {
 		t.Fatalf("NewtonIterations = %d, want > 0", op.NewtonIterations())
 	}
 	if op.Residual() > 1e-9 {
-		t.Fatalf("residual %v above ITol", op.Residual())
+		t.Fatalf("residual %v above iTol", op.Residual())
 	}
 }
 
@@ -101,7 +101,7 @@ func TestSolveTelemetry(t *testing.T) {
 
 // TestUnconvergedTelemetry drives the full escalation chain to failure: a
 // current source into a node whose only DC path to ground is the 1e-12 S
-// gmin shunt wants ~1e9 V, far beyond MaxStep×MaxIter for plain Newton,
+// gmin shunt wants ~1e9 V, far beyond maxStep×MaxIter for plain Newton,
 // every gmin relaxation level and every source-stepping fraction. The
 // error must wrap ErrNoConvergence and be counted and emitted.
 func TestUnconvergedTelemetry(t *testing.T) {

@@ -70,7 +70,7 @@ func TestWarmStartProperty(t *testing.T) {
 }
 
 // TestWarmStartDivergentFallsBack: a deliberately hopeless anchor (node
-// voltages at 10^6 V, far beyond what MaxStep·WarmMaxIter damped Newton
+// voltages at 10^6 V, far beyond what maxStep·WarmMaxIter damped Newton
 // can walk back) must not poison the solve — the kernel falls back to
 // the cold escalation, converges to the true operating point, and the
 // fallback is visible in telemetry.

@@ -151,57 +151,6 @@ func (c *Cell) build(cfg BiasConfig, dvth [NumTransistors]float64) (*spice.Circu
 // physical write-fail boundary.
 const WriteTripFloor = -0.6
 
-// RetentionVoltage returns the data-retention voltage (DRV): the lowest
-// supply at which the cell still holds a stored 0 in the hold
-// configuration, found by bisection on VDD. Cells with a DRV above the
-// standby supply lose data in low-power retention mode; the margin
-// convention is "fail when DRV > spec". The search floor is 50 mV; cells
-// retaining below it return the floor.
-func (c *Cell) RetentionVoltage(dvth [NumTransistors]float64) (float64, error) {
-	ckt, _ := c.build(HoldConfig, dvth)
-	vdd, err := ckt.VSourceByName("vdd")
-	if err != nil {
-		return 0, err
-	}
-	holds := func(supply float64) (bool, error) {
-		vdd.E = supply
-		op, err := ckt.SolveDC(&spice.DCOptions{
-			InitialGuess: map[string]float64{"q": 0, "qb": supply},
-			Telemetry:    c.Telemetry,
-		})
-		if err != nil {
-			return false, err
-		}
-		// The state survives if QB stays in the upper half and Q low.
-		return op.Voltage("qb") > 0.5*supply && op.Voltage("q") < 0.5*supply, nil
-	}
-	const floor = 0.05
-	lo, hi := floor, c.VDD
-	if ok, err := holds(hi); err != nil {
-		return 0, err
-	} else if !ok {
-		return hi, nil // cannot retain even at full supply
-	}
-	if ok, err := holds(lo); err == nil && ok {
-		return lo, nil // retains all the way down to the floor
-	}
-	for i := 0; i < 12; i++ {
-		mid := 0.5 * (lo + hi)
-		ok, err := holds(mid)
-		if err != nil {
-			// Non-convergence this deep in the supply sweep counts as
-			// data loss at mid.
-			ok = false
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
-}
-
 // StaticNodeVoltages solves the DC state of the cell in the given
 // configuration starting from a stored 0 (Q low) and returns (Q, QB).
 func (c *Cell) StaticNodeVoltages(cfg BiasConfig, dvth [NumTransistors]float64) (q, qb float64, err error) {

@@ -12,11 +12,6 @@ func NormPDF(x float64) float64 {
 	return invSqrt2Pi * math.Exp(-0.5*x*x)
 }
 
-// NormLogPDF returns ln φ(x).
-func NormLogPDF(x float64) float64 {
-	return -0.5*x*x - 0.9189385332046727417803297364056176398613974736378
-}
-
 // NormCDF returns the standard Normal CDF Φ(x), accurate in both tails via
 // erfc.
 func NormCDF(x float64) float64 {

@@ -113,14 +113,6 @@ func TestNormPDFCDF(t *testing.T) {
 	}
 }
 
-func TestNormLogPDF(t *testing.T) {
-	for _, x := range []float64{-3, 0, 1.7, 9} {
-		if math.Abs(NormLogPDF(x)-math.Log(NormPDF(x))) > 1e-12 {
-			t.Fatalf("log pdf mismatch at %v", x)
-		}
-	}
-}
-
 func TestNormQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{1e-15, 1e-10, 1e-6, 0.001, 0.025, 0.5, 0.975, 0.999999, 1 - 1e-12} {
 		x := NormQuantile(p)

@@ -40,7 +40,11 @@ type RunReport struct {
 	// RHat is the worst per-coordinate split-chain Gelman–Rubin
 	// statistic of the first-stage Gibbs samples (Gibbs methods only;
 	// null otherwise or when the chain is degenerate — RHatNote then
-	// says why). Values above 1.1 mean the chain had not converged.
+	// says why). The samples are halved in pool order, so with the
+	// default two chains it compares one chain with the other: values
+	// above 1.1 mean the chains disagree, for example because they sit
+	// in different lobes of the failure region. It does not measure
+	// whether the estimate's interval covers the truth.
 	RHat     *float64 `json:"rhat,omitempty"`
 	RHatNote string   `json:"rhat_note,omitempty"`
 	// ChainESS is the autocorrelation-adjusted effective sample size of
@@ -112,7 +116,7 @@ func buildReport(res *Result, o Options, totalSeconds float64) *RunReport {
 		} else {
 			r.RHat = &rhat
 			if rhat > 1.1 {
-				r.warn(fmt.Sprintf("Gibbs chain not converged: split R-hat %.3f > 1.1 — raise K or check the start point", rhat))
+				r.warn(fmt.Sprintf("Gibbs chains disagree: split R-hat %.3f > 1.1 — the two stage-1 chains sample different parts of the failure region (for example, different lobes)", rhat))
 			}
 		}
 		if ess, err := gibbs.EffectiveSampleSize(res.GibbsSamples); err == nil {

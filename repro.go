@@ -195,12 +195,13 @@ type Options struct {
 	Mixture int
 	// Workers sizes the batch-evaluation pool shared by every method
 	// (0 = GOMAXPROCS); all sampling stages fan out. It covers the Gibbs
-	// chain too: at 2 or more workers a G-C/G-S coordinate update whose
-	// first simulation took at least 20 µs searches the lower and upper
-	// edge of its failure interval at once. The chain's updates and the
-	// model-based starting-point search still run one after another.
-	// Estimates are bit-identical for every worker count — Workers
-	// trades wall-clock time only.
+	// stage too: at 2 or more workers the two G-C/G-S chains run at
+	// once, and a chain with 2 or more workers of its own (4 or more in
+	// all) searches the lower and upper edge of a failure interval at
+	// once when the update's first simulation took at least 20 µs. Each
+	// chain's updates and the model-based starting-point search still
+	// run one after another. Estimates are bit-identical for every
+	// worker count — Workers trades wall-clock time only.
 	Workers int
 	// Telemetry, when non-nil, receives metrics and structured events
 	// from every stage of the run (see Telemetry). When the metric
