@@ -561,7 +561,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			spanCtx, span := telemetry.StartSpan(ctx, reg, "bench")
 			span.SetAttr("i", i)
-			span.Agg("work").Add(1)
 			_, child := telemetry.StartSpan(spanCtx, reg, "child")
 			child.End()
 			span.End()

@@ -79,8 +79,9 @@ func main() {
 		usage()
 	}
 	// Ctrl-C cancels the current experiment at the next evaluation
-	// chunk; a second ctrl-C kills the process outright.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
+	// chunk; a second ctrl-C kills the process outright. Every stage's
+	// spans nest under the trace's root.
+	ctx, stopSignals := signal.NotifyContext(cli.Context(context.Background()), os.Interrupt)
 	defer stopSignals()
 	runners := map[string]func(context.Context, config) error{
 		"table1":         runTable1,

@@ -27,7 +27,7 @@ import (
 func main() {
 	var (
 		metricName = flag.String("metric", "rnm", "metric: "+strings.Join(repro.WorkloadNames(), ", "))
-		methodName = flag.String("method", "g-s", "estimator: mc, mis, mnis, g-c, g-s or blockade")
+		methodName = flag.String("method", "g-s", "estimator: "+strings.Join(methodNames(), ", "))
 		k          = flag.Int("k", 0, "first-stage budget (0 = method default)")
 		n          = flag.Int("n", 10000, "second-stage samples (cap when -target is set)")
 		target     = flag.Float64("target", 0, "stop when the 99% relative error reaches this (0 = fixed N)")
@@ -96,8 +96,8 @@ func main() {
 
 	// Ctrl-C cancels the run at the next evaluation chunk; a second
 	// ctrl-C kills the process outright (NotifyContext stops catching
-	// once cancelled).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// once cancelled). The estimate's spans nest under the trace's root.
+	ctx, stop := signal.NotifyContext(cli.Context(context.Background()), os.Interrupt)
 	defer stop()
 
 	start := time.Now()
@@ -167,6 +167,15 @@ func main() {
 	if err := cli.Close(); err != nil {
 		fatal(err)
 	}
+}
+
+// methodNames lists every estimator's CLI spelling.
+func methodNames() []string {
+	var names []string
+	for _, m := range repro.AllMethods() {
+		names = append(names, m.String())
+	}
+	return names
 }
 
 // startWatch subscribes to reg's event bus (the -telemetry log bus, or

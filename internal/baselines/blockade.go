@@ -50,8 +50,8 @@ type BlockadeOptions struct {
 	// training batch and the candidate stream; the estimate is identical
 	// for every pool size.
 	Workers int
-	// Telemetry, when non-nil, observes the evaluation pool; estimates
-	// are unchanged.
+	// Telemetry, when non-nil, observes the evaluation pool and the
+	// candidate stream's progress; estimates are unchanged.
 	Telemetry *telemetry.Registry
 }
 
@@ -147,7 +147,7 @@ func BlockadePrefix(ctx context.Context, counter *mc.Counter, opts BlockadeOptio
 		p.Sims = counter.Count() - before
 		return p
 	}
-	return res, &mc.Stage{Fold: mc.FoldTally, N: opts.N, Chunk: blockadeChunk, Eval: eval}, nil
+	return res, &mc.Stage{Fold: mc.FoldTally, N: opts.N, Chunk: blockadeChunk, Eval: eval, Progress: ev.Telemetry()}, nil
 }
 
 // BlockadeContext runs statistical blockade against a metric: the

@@ -2,12 +2,16 @@ package baselines
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mc"
 	"repro/internal/surrogate"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func TestBlockadeOnLinearMetric(t *testing.T) {
@@ -80,5 +84,42 @@ func TestBlockadeReportsResidual(t *testing.T) {
 	}
 	if res.ResidualSigma < 0.3 {
 		t.Fatalf("shell metric should leave a big linear residual, got %v", res.ResidualSigma)
+	}
+}
+
+// TestBlockadeReportsProgress: the candidate stream reports progress
+// like every other terminal stage, one "progress" event per chunk with
+// stage "stage2" and one closing "estimator.done", so a served blockade
+// job shows live progress.
+func TestBlockadeReportsProgress(t *testing.T) {
+	lin := &surrogate.Linear{W: []float64{1, 1}, B: 3.5 * math.Sqrt2}
+	reg := telemetry.New()
+	var buf strings.Builder
+	reg.SetBus(telemetry.NewLogBus(0, &buf))
+	opts := BlockadeOptions{Train: 500, N: 3 * blockadeChunk, Telemetry: reg}
+	if _, err := BlockadeContext(context.Background(), mc.NewCounter(lin), opts, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	progress, done := 0, 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" {
+			continue
+		}
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev["event"] {
+		case wire.EvProgress:
+			if ev["stage"] != "stage2" {
+				t.Fatalf("progress event for stage %v, want stage2", ev["stage"])
+			}
+			progress++
+		case wire.EvEstimatorDone:
+			done++
+		}
+	}
+	if progress != 3 || done != 1 {
+		t.Fatalf("%d progress and %d estimator.done events, want 3 and 1", progress, done)
 	}
 }

@@ -20,8 +20,7 @@ type chainRun struct {
 	o      Options
 	rng    *rand.Rand
 
-	ct              *chainTelemetry
-	updates, probes *telemetry.SpanAgg
+	ct *chainTelemetry
 }
 
 // exhausted reports whether a chain holding n samples has spent its
@@ -35,8 +34,6 @@ func (c *chainRun) exhausted(n int) bool {
 func (c *chainRun) record(coord int, st intervalStatus, probes int) {
 	c.spent += int64(probes)
 	c.ct.update(coord, st, probes)
-	c.updates.Add(1)
-	c.probes.Add(int64(probes))
 }
 
 // runChains runs one chain-function call after its arguments and start
@@ -62,7 +59,6 @@ func runChains(ctx context.Context, coord Coord, coordNames []string, k int, o *
 	span.SetAttr("coord", coord.String())
 	n := min(o.Chains, k)
 	ct := newChainTelemetry(o.Telemetry, coordNames, k)
-	updates, probes := span.Agg("update"), span.Agg("probe")
 	left := o.budget - 1 // the start check spent one
 	runs := make([]chainRun, n)
 	for c := range runs {
@@ -84,7 +80,7 @@ func runChains(ctx context.Context, coord Coord, coordNames []string, k int, o *
 		if c > 0 {
 			run.rng = rand.New(rand.NewSource(rng.Int63()))
 		}
-		run.ct, run.updates, run.probes = ct, updates, probes
+		run.ct = ct
 	}
 
 	// Goroutine g of p runs chains g, g+p, g+2p, …; the caller's

@@ -5,19 +5,20 @@ import (
 	"go/types"
 )
 
-// GlobalRand forbids the shared top-level math/rand generator — and
-// wall-clock seeding — in the packages whose outputs must be
-// bit-identical across runs and worker counts. Every draw in estimator
-// code must flow through an explicitly seeded *rand.Rand (the
-// index-seeded per-sample streams of mc.Evaluator): a single
-// rand.Float64() against the package-level source consumes shared state
-// in scheduler order and silently breaks the worker-count-invariance
-// property the determinism test suites lean on.
+// GlobalRand forbids the shared top-level math/rand generator in the
+// packages whose outputs must be bit-identical across runs and worker
+// counts. Every draw in estimator code must flow through an explicitly
+// seeded *rand.Rand (the index-seeded per-sample streams of
+// mc.Evaluator): a single rand.Float64() against the package-level
+// source consumes shared state in scheduler order and silently breaks
+// the worker-count-invariance property the determinism test suites lean
+// on. What an explicit seed derives from — the wall clock, process
+// identity — is Seedflow's to check.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc: "forbid top-level math/rand calls and time-based seeding in " +
-		"deterministic estimator packages; all randomness must flow " +
-		"through explicitly seeded *rand.Rand streams",
+	Doc: "forbid top-level math/rand calls in deterministic estimator " +
+		"packages; all randomness must flow through explicitly seeded " +
+		"*rand.Rand streams",
 	Applies: func(p *Package) bool {
 		return pathIn(p, true, "mc", "gibbs", "baselines", "model", "sram", "spice", "surrogate")
 	},
@@ -36,20 +37,10 @@ var randConstructors = map[string]bool{
 	"NewChaCha8": true,
 }
 
-// seedTakingConstructors take a raw seed value, so a wall-clock argument
-// is checked there — not at rand.New, whose Source argument gets its own
-// diagnostic, avoiding double reports on nested constructor calls.
-var seedTakingConstructors = map[string]bool{
-	"NewSource":  true,
-	"NewPCG":     true,
-	"NewChaCha8": true,
-}
-
 func runGlobalRand(p *Package, report Reporter) {
-	// Call sites are checked first (so a seeded-from-the-clock
-	// rand.NewSource(time.Now().UnixNano()) gets the sharper message),
-	// then any remaining reference to a global rand function — e.g.
-	// passing rand.Float64 as a callback — is flagged too.
+	// Call sites are checked first, then any remaining reference to a
+	// global rand function — e.g. passing rand.Float64 as a callback —
+	// is flagged too.
 	inCall := make(map[*ast.SelectorExpr]bool)
 	walkFiles(p, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -66,16 +57,10 @@ func runGlobalRand(p *Package, report Reporter) {
 			return true
 		}
 		inCall[sel] = true
-		name := fn.Name()
-		switch {
-		case !randConstructors[name]:
+		if !randConstructors[fn.Name()] {
 			report(call.Pos(),
 				"call to top-level %s.%s uses the shared global generator; draw from an explicitly seeded *rand.Rand instead",
-				fn.Pkg().Name(), name)
-		case seedTakingConstructors[name] && nondeterministicSeed(p, call):
-			report(call.Pos(),
-				"%s.%s seeded from the wall clock is unreproducible; derive the seed from the run seed and sample index",
-				fn.Pkg().Name(), name)
+				fn.Pkg().Name(), fn.Name())
 		}
 		return true
 	})
@@ -93,34 +78,4 @@ func runGlobalRand(p *Package, report Reporter) {
 		}
 		return true
 	})
-}
-
-// nondeterministicSeed reports whether any argument of the constructor
-// call derives from the wall clock or process identity.
-func nondeterministicSeed(p *Package, call *ast.CallExpr) bool {
-	for _, arg := range call.Args {
-		bad := false
-		ast.Inspect(arg, func(n ast.Node) bool {
-			if bad {
-				return false
-			}
-			expr, ok := n.(ast.Expr)
-			if !ok {
-				return true
-			}
-			obj, path := pkgMember(p, expr, "time", "os")
-			if fn, ok := obj.(*types.Func); ok {
-				switch {
-				case path == "time" && fn.Name() == "Now",
-					path == "os" && (fn.Name() == "Getpid" || fn.Name() == "Getppid"):
-					bad = true
-				}
-			}
-			return !bad
-		})
-		if bad {
-			return true
-		}
-	}
-	return false
 }

@@ -62,6 +62,23 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// TestOneFindingPerSeed runs every analyzer together over the seedflow
+// fixture, whose constructors include the direct clock and
+// process-identity shapes: each tainted seed yields exactly one finding,
+// seedflow's, and no other analyzer adds one.
+func TestOneFindingPerSeed(t *testing.T) {
+	dir := filepath.Join("testdata", "seedflow")
+	pkg, err := fixtureLoader.LoadDir(dir, "repro/internal/model")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	wants, err := parseWants(dir)
+	if err != nil {
+		t.Fatalf("parsing want annotations: %v", err)
+	}
+	checkDiags(t, lint.Run([]*lint.Package{pkg}, lint.Analyzers()).Diags, wants)
+}
+
 // TestSeedflowCrossPackage proves the taint chase crosses package
 // boundaries: the caller package feeds time.Now into the provider
 // package's constructor, and the diagnostic lands at the constructor

@@ -5,14 +5,15 @@ import (
 	"go/types"
 )
 
-// Seedflow is the seed-provenance dataflow analyzer. GlobalRand already
-// rejects the syntactically obvious rand.NewSource(time.Now().UnixNano())
-// — but the PR-9 class of bug hides the nondeterminism behind a local
-// variable, a helper function, or a caller in another package. Seedflow
-// chases the seed argument of every explicitly seeded RNG constructor in
-// the deterministic estimator packages backwards through assignments,
-// function returns, and cross-package call sites, and flags any path
-// that bottoms out in a nondeterministic root:
+// Seedflow is the seed-provenance dataflow analyzer, the one check on
+// what an explicit seed derives from. It catches the obvious
+// rand.NewSource(time.Now().UnixNano()) and the same nondeterminism
+// hidden behind a local variable, a helper function, or a caller in
+// another package: it chases the seed argument of every explicitly
+// seeded RNG constructor in the deterministic estimator packages
+// backwards through assignments, function returns, and cross-package
+// call sites, and flags any path that bottoms out in a nondeterministic
+// root:
 //
 //   - the wall clock (time.Now)
 //   - process identity (os.Getpid / os.Getppid)
@@ -36,6 +37,14 @@ var Seedflow = &Analyzer{
 // module still participates in the dataflow as callers and callees.
 func seedflowPackage(p *Package) bool {
 	return pathIn(p, true, "mc", "gibbs", "baselines", "model", "sram", "spice", "surrogate")
+}
+
+// seedTakingConstructors are the math/rand constructors that take a raw
+// seed value; rand.New takes a Source, whose own constructor is checked.
+var seedTakingConstructors = map[string]bool{
+	"NewSource":  true,
+	"NewPCG":     true,
+	"NewChaCha8": true,
 }
 
 // seedTaint describes one nondeterministic root a seed derives from.

@@ -3,10 +3,7 @@
 // analyzer fires exactly as it would on the real estimator packages.
 package fixture
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // Top-level draws consume the shared global source in scheduler order.
 func badGlobalDraw() float64 {
@@ -15,11 +12,6 @@ func badGlobalDraw() float64 {
 
 func badGlobalInt(n int) int {
 	return rand.Intn(n) // want globalrand `top-level rand\.Intn`
-}
-
-// Wall-clock seeding is unreproducible even through a local generator.
-func badClockSeed() *rand.Rand {
-	return rand.New(rand.NewSource(time.Now().UnixNano())) // want globalrand `wall clock`
 }
 
 // Passing a global draw function as a callback is the same bug.

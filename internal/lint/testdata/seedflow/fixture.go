@@ -18,8 +18,18 @@ type opts struct {
 	Seed int64
 }
 
-// clockSeed launders the wall clock through a local variable — the
-// shape globalrand's syntactic check cannot see.
+// badClockSeed seeds straight from the wall clock, the obvious shape:
+// unreproducible even through a local generator.
+func badClockSeed() *rand.Rand {
+	return rand.New(rand.NewSource(time.Now().UnixNano())) // want seedflow `rand\.NewSource is seeded from the wall clock \(time\.Now\)`
+}
+
+// badPidSeed seeds straight from process identity.
+func badPidSeed() rand.Source {
+	return rand.NewSource(int64(os.Getpid())) // want seedflow `rand\.NewSource is seeded from process identity \(os\.Getpid\)`
+}
+
+// clockSeed launders the wall clock through a local variable.
 func clockSeed() *rand.Rand {
 	seed := time.Now().UnixNano()
 	return rand.New(rand.NewSource(seed)) // want seedflow `rand\.NewSource is seeded from the wall clock \(time\.Now\)`

@@ -16,7 +16,6 @@ package mc
 import (
 	"context"
 	"math"
-	"time"
 
 	"repro/internal/stat"
 	"repro/internal/telemetry"
@@ -85,16 +84,13 @@ func (s *Stage) run(ctx context.Context, target float64, minN int, trace TraceEv
 	} else {
 		span.SetAttr("n", s.N)
 	}
-	chunkAgg := span.Agg("chunk")
 	prog := newStageProgress(s.Progress, "stage2", s.N)
 	f := fold{kind: s.Fold, trace: trace}
 	for lo := 0; lo < s.N; lo += s.Chunk {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		t0 := time.Now()
 		p := s.Eval(lo, min(lo+s.Chunk, s.N))
-		chunkAgg.Observe(time.Since(t0).Seconds())
 		f.push(p)
 		pf, _, rel := f.estimate()
 		prog.publish(f.n, f.failures, pf, rel, f.maxWeightFrac())

@@ -204,13 +204,14 @@ const stallWindow = 8
 // warm start to offer, which is different from offering one that failed.
 //
 // Telemetry sees every call as one solve, whichever attempts it took:
-// one solve_seconds and newton_iterations observation, one "spice.solve"
-// span aggregate, and a "spice.fallback" event only when gmin or source
-// stepping converged.
+// one solves_total or unconverged_total count, one solve_seconds (when
+// timed) and newton_iterations observation, and a "spice.fallback"
+// event only when gmin or source stepping converged. A solve opens no
+// span; the trace's stage spans slice these counters.
 func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*OperatingPoint) bool, opts *DCOptions) (*OperatingPoint, error) {
 	o := opts.defaults()
 	tel := c.dcTel(o.Telemetry)
-	sw, span := c.startSolveClock(tel, o.Telemetry)
+	sw := c.startSolveClock(tel, o.Telemetry)
 	var op *OperatingPoint
 	var err error
 	warmIters := 0
@@ -224,12 +225,7 @@ func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*
 			op.iters += warmIters
 		}
 	}
-	secs := sw.Stop()
-	// With span tracing on, credit the solve to the innermost pipeline
-	// stage (the solver has no context of its own).
-	if span != nil {
-		span.Agg("spice.solve").Observe(secs)
-	}
+	sw.Stop()
 	if err != nil {
 		tel.unconverged.Inc()
 		if o.Telemetry.Enabled() {
@@ -500,11 +496,6 @@ func (c *Circuit) Sweep(sourceName string, start, stop float64, steps int, opts 
 	defer func() { src.E = orig }()
 
 	o := opts.defaults()
-	// The span is closed via defer so every exit — error, completion, or
-	// the callback stopping the sweep early — leaves the trace balanced.
-	span := o.Telemetry.StartSpan("spice.sweep")
-	defer span.End()
-
 	var warm *OperatingPoint
 	for i := 0; i < steps; i++ {
 		v := start + (stop-start)*float64(i)/float64(steps-1)

@@ -14,7 +14,7 @@ import (
 //	warm_hit_total            warm-start attempts that converged
 //	warm_fallback_total       warm-start attempts that fell back cold
 //	solve_seconds             wall time per solve (histogram; sampled
-//	                          1-in-8 unless a trace span is active —
+//	                          1-in-8 unless a trace is installed —
 //	                          see startSolveClock)
 //	newton_iterations         Newton iterations per solve, all attempts
 //	residual                  max-|KCL| residual at convergence
@@ -62,17 +62,16 @@ func (c *Circuit) dcTel(reg *telemetry.Registry) dcTelemetry {
 // histograms still see every solve.
 const solveClockPeriod = 8
 
-// startSolveClock starts the (possibly inert) stopwatch for one solve
-// and reports the active trace span, if any. The first of every
-// solveClockPeriod solves is timed; an active span forces timing so
-// per-stage "spice.solve" aggregates stay complete while tracing.
-func (c *Circuit) startSolveClock(tel dcTelemetry, reg *telemetry.Registry) (telemetry.Stopwatch, *telemetry.Span) {
-	span := reg.ActiveSpan()
+// startSolveClock starts the (possibly inert) stopwatch for one solve.
+// The first of every solveClockPeriod solves is timed; an installed
+// trace times every solve, so the solve_seconds a span slices from the
+// registry stays complete while tracing.
+func (c *Circuit) startSolveClock(tel dcTelemetry, reg *telemetry.Registry) telemetry.Stopwatch {
 	c.solveTick++
-	if span == nil && c.solveTick%solveClockPeriod != 1 {
-		return telemetry.Stopwatch{}, nil
+	if reg.TraceData() == nil && c.solveTick%solveClockPeriod != 1 {
+		return telemetry.Stopwatch{}
 	}
-	return tel.solveSeconds.Start(), span
+	return tel.solveSeconds.Start()
 }
 
 func newDCTelemetry(reg *telemetry.Registry) dcTelemetry {

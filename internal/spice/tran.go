@@ -127,10 +127,6 @@ func (c *Circuit) SolveTran(opts TranOptions, fn func(TranPoint) bool) error {
 	// via large gmin is fragile; instead solve with the guess and pin
 	// capacitor history directly).
 	dc := opts.DC.defaults()
-	// Closed via defer so an early-exiting callback (fn returning false)
-	// cannot leave the trace with an open span.
-	span := dc.Telemetry.StartSpan("spice.tran")
-	defer span.End()
 	for _, src := range c.vsources {
 		if src.Waveform != nil {
 			src.E = src.Waveform(0)

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,8 +109,9 @@ func TestWarmStartDivergentFallsBack(t *testing.T) {
 // though the warm Newton converged, and the result is the cold path's
 // bit for bit. The call is still one solve to telemetry: its iteration
 // count covers the rejected warm attempt plus the cold escalation, and
-// it records one newton_iterations observation and one "spice.solve"
-// span aggregate.
+// it records one newton_iterations observation, and one solves_total
+// and one timed solve_seconds observation in the slice of a span
+// around it (an installed trace times every solve).
 func TestWarmStartGuardRejection(t *testing.T) {
 	c, _ := inverterChain()
 	cold, err := c.SolveDC(nil)
@@ -124,7 +126,7 @@ func TestWarmStartGuardRejection(t *testing.T) {
 	reg := telemetry.New()
 	tr := telemetry.NewTrace()
 	reg.SetTrace(tr)
-	span := reg.StartSpan("test")
+	_, span := telemetry.StartSpan(context.Background(), reg, "test")
 	never := func(*OperatingPoint) bool { return false }
 	op, err := c.SolveDCFrom(cold.Clone(), 0, never, &DCOptions{Telemetry: reg})
 	span.End()
@@ -154,8 +156,9 @@ func TestWarmStartGuardRejection(t *testing.T) {
 	if h := s.Histogram("newton_iterations", nil); h.Count() != 1 || h.Sum() != float64(want) {
 		t.Fatalf("newton_iterations histogram: count=%d sum=%v, want 1/%d", h.Count(), h.Sum(), want)
 	}
-	if got := span.Agg("spice.solve").Count(); got != 1 {
-		t.Fatalf("spice.solve aggregate counted %d solves for one call", got)
+	got := tr.Snapshot()[0].Counters
+	if got["spice.solves_total"] != 1 || got["spice.solve_seconds.count"] != 1 {
+		t.Fatalf("span counters %v, want one solve, timed", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -32,9 +33,11 @@ type CLI struct {
 // consumers subscribe to Registry.Bus rather than replace it), a span
 // trace written to tracePath at Close
 // (Chrome trace-event JSON, or span JSONL when the path ends in
-// ".jsonl"), and a debug listener at debugAddr. The trace opens with an
-// active "run" root span, so solver work outside any pipeline stage
-// still lands under a span. With everything unset it returns an inert
+// ".jsonl"), and a debug listener at debugAddr. The trace opens with a
+// "run" root span that slices the registry, so its counters cover the
+// whole command, solver work outside any pipeline stage included; a
+// command that starts pipeline stages runs them under Context(ctx) so
+// they nest under the root. With everything unset it returns an inert
 // CLI with a nil Registry. Close flushes and releases everything.
 func StartCLI(jsonlPath, tracePath, debugAddr string, force bool) (*CLI, error) {
 	c := &CLI{}
@@ -63,7 +66,7 @@ func StartCLI(jsonlPath, tracePath, debugAddr string, force bool) (*CLI, error) 
 		c.trace = NewTrace()
 		c.tracePath = tracePath
 		c.Registry.SetTrace(c.trace)
-		c.root = c.Registry.StartSpan("run")
+		_, c.root = StartSpan(context.Background(), c.Registry, "run")
 	}
 	if debugAddr != "" {
 		dbg, err := ServeDebug(debugAddr, c.Registry)
@@ -75,6 +78,15 @@ func StartCLI(jsonlPath, tracePath, debugAddr string, force bool) (*CLI, error) 
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/pprof on http://%s\n", dbg.Addr())
 	}
 	return c, nil
+}
+
+// Context returns ctx carrying the trace's "run" root span, so the
+// spans started under it nest there (ctx itself without a trace).
+func (c *CLI) Context(ctx context.Context) context.Context {
+	if c == nil {
+		return ctx
+	}
+	return ContextWithSpan(ctx, c.root)
 }
 
 // Close ends the root span, writes the trace file, closes the event-log

@@ -86,6 +86,30 @@ func (r *Registry) Snapshot() []MetricPoint {
 	return out
 }
 
+// totals returns every counter's value and every histogram's count and
+// sum, keyed as SpanSnapshot.Counters is (nil on a nil registry): the
+// readings a span's counters are the growth of.
+func (r *Registry) totals() map[string]float64 {
+	if r == nil {
+		return nil
+	}
+	out := make(map[string]float64)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for sn, s := range r.scopes {
+		s.mu.RLock()
+		for n, c := range s.counters {
+			out[sn+"."+n] = float64(c.Value())
+		}
+		for n, h := range s.hists {
+			out[sn+"."+n+".count"] = float64(h.Count())
+			out[sn+"."+n+".sum"] = h.Sum()
+		}
+		s.mu.RUnlock()
+	}
+	return out
+}
+
 // promName builds the exposition-format metric name: the repro_ prefix,
 // the scope, and the metric name, with non-alphanumeric runes mapped to
 // underscores.

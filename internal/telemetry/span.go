@@ -18,12 +18,19 @@ import (
 //
 // A Trace collects spans; a Span is one named interval on the trace's
 // monotonic clock. Spans form a tree (stage 1 → starting-point search →
-// Gibbs chain → fit → stage 2), and each span additionally carries a set
-// of named aggregates (SpanAgg) for unbounded repetitive work — stage-2
-// evaluation chunks, SPICE solves, Gibbs coordinate updates — where one
-// span per occurrence would swamp the trace. Aggregates are a pair of
-// atomic adds per observation, so concurrent workers record into a shared
-// parent span without locks.
+// Gibbs chain → fit → stage 2) whose links are explicit: a span's parent
+// is the span its context carries (StartSpan) or the one it was started
+// from (Trace.StartSpan, Span.Child), so concurrent work never shares
+// any tree state.
+//
+// A span started with a registry slices it: the span keeps how much
+// each of the registry's counters, and each histogram's count and sum,
+// grew while it ran (live while it runs). Repetitive work — SPICE
+// solves, Gibbs coordinate updates, stage-2 chunks — only counts into
+// the registry and opens no span, so the trace and the metrics exports
+// read one set of counters. The slice is the registry's growth over the
+// span's interval, whoever counted it: runs that overlap in time need
+// registries of their own for their spans to tell them apart.
 //
 // Everything is nil-safe and off by default, matching the rest of the
 // package: with no Trace installed on the Registry, StartSpan returns a
@@ -40,12 +47,6 @@ type Trace struct {
 	start time.Time
 
 	nextID atomic.Int64
-	// active is the innermost span started via StartSpan and not yet
-	// ended — the aggregation target for instrumented layers (the SPICE
-	// solver) that run without a context. Pipeline stages are strictly
-	// nested and started sequentially, so a swap-on-start /
-	// restore-on-end discipline reconstructs the tree.
-	active atomic.Pointer[Span]
 
 	mu    sync.Mutex
 	spans []*Span
@@ -58,11 +59,12 @@ type Trace struct {
 // NewTrace returns an empty trace whose clock starts now.
 func NewTrace() *Trace { return &Trace{start: time.Now()} }
 
-// Span is one named interval of a trace. Create spans with
-// Registry.StartSpan, StartSpan (context-aware) or Span.Child; finish
-// them with End. A nil *Span is fully inert.
+// Span is one named interval of a trace. Create spans with StartSpan
+// (context-aware), Trace.StartSpan or Span.Child; finish them with End.
+// A nil *Span is fully inert.
 type Span struct {
 	trace    *Trace
+	reg      *Registry // the registry the span slices; nil records none
 	id       int64
 	parentID int64
 	name     string
@@ -70,76 +72,48 @@ type Span struct {
 	start time.Duration // on the trace's monotonic clock
 	end   atomic.Int64  // nanoseconds since trace start; 0 = still running
 
-	// prevActive restores the trace's active span on End.
-	prevActive *Span
-
 	mu    sync.Mutex
 	attrs map[string]any
-	aggs  []*SpanAgg
+	// base is reg's totals at start; End replaces it by counters, the
+	// growth up to the end.
+	base, counters map[string]float64
 }
 
-// SpanAgg aggregates unbounded repetitive child work under a span as an
-// atomic count plus total seconds: one aggregate line instead of
-// thousands of sub-spans. All methods are nil-safe.
-type SpanAgg struct {
-	name    string
-	count   atomic.Int64
-	secBits atomic.Uint64
-}
-
-// newSpan registers a new span on the trace.
-func (t *Trace) newSpan(name string, parentID int64) *Span {
-	s := &Span{
-		trace:    t,
-		id:       t.nextID.Add(1),
-		parentID: parentID,
-		name:     name,
-		start:    time.Since(t.start),
+// newSpan registers a new span on the trace under parent (a root when
+// nil), slicing reg, or the parent's registry when reg is nil.
+func (t *Trace) newSpan(name string, parent *Span, reg *Registry) *Span {
+	s := &Span{trace: t, reg: reg, id: t.nextID.Add(1), name: name}
+	if parent != nil {
+		s.parentID = parent.id
+		if reg == nil {
+			s.reg = parent.reg
+		}
 	}
+	s.base = s.reg.totals()
+	s.start = time.Since(t.start)
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
 	return s
 }
 
-// StartSpan starts a span named name and marks it the trace's active
-// span: the parent is the given parent when non-nil, else the currently
-// active span, else the span roots a new tree. Nil-safe (returns nil).
+// StartSpan starts a span named name under parent, or a new root when
+// parent is nil. A child slices its parent's registry; a root started
+// here slices none. Nil-safe (returns nil).
 func (t *Trace) StartSpan(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	prev := t.active.Load()
-	pid := int64(0)
-	switch {
-	case parent != nil:
-		pid = parent.id
-	case prev != nil:
-		pid = prev.id
-	}
-	s := t.newSpan(name, pid)
-	s.prevActive = prev
-	t.active.Store(s)
-	return s
+	return t.newSpan(name, parent, nil)
 }
 
-// Active returns the innermost running span started via StartSpan (nil
-// when none).
-func (t *Trace) Active() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.active.Load()
-}
-
-// Child starts a sub-span of s without activating it (nil on a nil
-// span). Use StartSpan for pipeline stages; Child is for side work that
-// should not capture solver aggregation.
+// Child starts a sub-span of s that slices s's registry (nil on a nil
+// span).
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.trace.newSpan(name, s.id)
+	return s.trace.newSpan(name, s, nil)
 }
 
 // ID returns the span's trace-local id (0 on nil) — what a distributed
@@ -169,15 +143,21 @@ func (s *Span) EndUS() int64 {
 	return time.Duration(s.end.Load()).Microseconds()
 }
 
-// End closes the span at the current monotonic time and, when the span
-// is the trace's active span, restores the previously active one. End is
-// idempotent (the first call wins) and nil-safe.
+// End closes the span at the current monotonic time and keeps its
+// registry's growth since the start. End is idempotent (the first call
+// wins) and nil-safe.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.end.CompareAndSwap(0, int64(time.Since(s.trace.start)))
-	s.trace.active.CompareAndSwap(s, s.prevActive)
+	end := int64(time.Since(s.trace.start))
+	s.mu.Lock()
+	if s.end.Load() == 0 {
+		s.counters = growth(s.base, s.reg.totals())
+		s.base = nil
+		s.end.Store(end)
+	}
+	s.mu.Unlock()
 }
 
 // SetAttr attaches one key/value annotation to the span (nil-safe).
@@ -195,64 +175,21 @@ func (s *Span) SetAttr(key string, v any) {
 	s.mu.Unlock()
 }
 
-// Agg returns the span's named aggregate, creating it on first use
-// (nil on a nil span). Resolve the handle once outside a hot loop; each
-// Observe/Add is then two atomic operations.
-func (s *Span) Agg(name string) *SpanAgg {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.aggs {
-		if a.name == name {
-			return a
+// growth returns how much each total in now grew over base, keeping only
+// the totals that changed (nil when none did).
+func growth(base, now map[string]float64) map[string]float64 {
+	var out map[string]float64
+	for k, v := range now {
+		b := base[k]
+		if math.Float64bits(v) == math.Float64bits(b) {
+			continue
 		}
+		if out == nil {
+			out = make(map[string]float64)
+		}
+		out[k] = v - b
 	}
-	a := &SpanAgg{name: name}
-	s.aggs = append(s.aggs, a)
-	return a
-}
-
-// Observe records one occurrence taking the given seconds.
-func (a *SpanAgg) Observe(seconds float64) {
-	if a == nil {
-		return
-	}
-	a.count.Add(1)
-	atomicAddFloat(&a.secBits, seconds)
-}
-
-// Add records n occurrences with no time attached (pure counts, e.g.
-// simulation probes inside a coordinate update).
-func (a *SpanAgg) Add(n int64) {
-	if a == nil {
-		return
-	}
-	a.count.Add(n)
-}
-
-// Count returns the number of recorded occurrences (0 on nil).
-func (a *SpanAgg) Count() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.count.Load()
-}
-
-// Seconds returns the total recorded seconds (0 on nil).
-func (a *SpanAgg) Seconds() float64 {
-	if a == nil {
-		return 0
-	}
-	return math.Float64frombits(a.secBits.Load())
-}
-
-// AggSnapshot is one aggregate in a span snapshot.
-type AggSnapshot struct {
-	Name    string  `json:"name"`
-	Count   int64   `json:"count"`
-	Seconds float64 `json:"seconds,omitempty"`
+	return out
 }
 
 // SpanSnapshot is one span in a trace snapshot. Times are microseconds on
@@ -265,7 +202,11 @@ type SpanSnapshot struct {
 	DurUS    int64          `json:"dur_us"`
 	Running  bool           `json:"running,omitempty"`
 	Attrs    map[string]any `json:"attrs,omitempty"`
-	Aggs     []AggSnapshot  `json:"aggs,omitempty"`
+	// Counters is the growth of the span's registry over the span (up
+	// to now while it runs), keyed scope.name: each counter, and each
+	// histogram's observation count and sum under .count and .sum.
+	// Only nonzero growth appears.
+	Counters map[string]float64 `json:"counters,omitempty"`
 }
 
 // Graft imports finished spans captured by another process's trace
@@ -360,10 +301,9 @@ func (t *Trace) Snapshot() []SpanSnapshot {
 				snap.Attrs[k] = sanitizeJSON(v)
 			}
 		}
-		for _, a := range s.aggs {
-			snap.Aggs = append(snap.Aggs, AggSnapshot{
-				Name: a.name, Count: a.Count(), Seconds: a.Seconds(),
-			})
+		snap.Counters = s.counters
+		if s.base != nil {
+			snap.Counters = growth(s.base, s.reg.totals())
 		}
 		s.mu.Unlock()
 		out = append(out, snap)
@@ -406,7 +346,7 @@ type chromeEvent struct {
 // (JSON object with a "traceEvents" array of complete events), loadable
 // in Perfetto or chrome://tracing. Each span becomes one event; the tid
 // is the span's depth in the tree so nested stages stack visually, and
-// aggregates appear in the event's args.
+// its counters appear in the event's args next to its attributes.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -420,15 +360,12 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 			d = depth[s.ParentID] + 1
 		}
 		depth[s.ID] = d
-		args := make(map[string]any, len(s.Attrs)+len(s.Aggs))
+		args := make(map[string]any, len(s.Attrs)+len(s.Counters))
 		for k, v := range s.Attrs {
 			args[k] = v
 		}
-		for _, a := range s.Aggs {
-			args[a.Name+"_count"] = a.Count
-			if a.Seconds > 0 {
-				args[a.Name+"_seconds"] = a.Seconds
-			}
+		for k, v := range s.Counters {
+			args[k] = v
 		}
 		if s.Running {
 			args["running"] = true
@@ -478,27 +415,6 @@ func (r *Registry) TraceData() *Trace {
 	return r.trace.Load()
 }
 
-// ActiveSpan returns the innermost running span of the installed trace —
-// the aggregation target for instrumented layers (the SPICE solver) that
-// are called without a context. Nil when tracing is off or no span is
-// active; the disabled path is two atomic loads.
-func (r *Registry) ActiveSpan() *Span {
-	if r == nil {
-		return nil
-	}
-	return r.trace.Load().Active()
-}
-
-// StartSpan starts an active span on the registry's trace, parented
-// under the currently active span (or a new root). With no trace
-// installed (or a nil registry) it returns nil without allocating.
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return r.trace.Load().StartSpan(nil, name)
-}
-
 // --- Context plumbing ---
 
 // spanKey is the context key spans travel under.
@@ -520,20 +436,20 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// StartSpan starts a pipeline-stage span: a child of the span in ctx
-// when one is there, else a span on reg's trace (parented under the
-// trace's active span, or a new root). Either way the new span becomes
-// the trace's active span until End. It returns the derived context
-// carrying the new span plus the span itself; with tracing disabled
-// everywhere it returns (ctx, nil) without allocating. End the returned
-// span when the stage finishes.
+// StartSpan starts a pipeline-stage span that slices reg: a child of
+// the span in ctx when one is there (slicing the parent's registry when
+// reg is nil), else a new root on reg's trace. It returns the derived
+// context carrying the new span plus the span itself; with tracing
+// disabled everywhere it returns (ctx, nil) without allocating. End the
+// returned span when the stage finishes.
 func StartSpan(ctx context.Context, reg *Registry, name string) (context.Context, *Span) {
-	if parent := SpanFromContext(ctx); parent != nil {
-		s := parent.trace.StartSpan(parent, name)
-		return ContextWithSpan(ctx, s), s
+	parent, t := SpanFromContext(ctx), reg.TraceData()
+	if parent != nil {
+		t = parent.trace
 	}
-	if s := reg.StartSpan(name); s != nil {
-		return ContextWithSpan(ctx, s), s
+	if t == nil {
+		return ctx, nil
 	}
-	return ctx, nil
+	s := t.newSpan(name, parent, reg)
+	return ContextWithSpan(ctx, s), s
 }

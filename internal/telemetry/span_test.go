@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,46 +21,35 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestSpanTree checks the swap-on-start / restore-on-end discipline:
-// nested StartSpan calls build a parent chain, End restores the
-// previously active span, and Child spans never capture activation.
+// TestSpanTree checks that the tree is built from explicit parents
+// only: Trace.StartSpan with a nil parent always roots a new tree, even
+// while another span runs, and children (StartSpan with a parent, or
+// Child) nest under the span they were started from.
 func TestSpanTree(t *testing.T) {
 	tr := NewTrace()
 	root := tr.StartSpan(nil, "estimate")
-	if got := tr.Active(); got != root {
-		t.Fatalf("active after root start = %v, want root", got)
-	}
-
-	stage1 := tr.StartSpan(nil, "stage1")
-	if got := tr.Active(); got != stage1 {
-		t.Fatalf("active = %v, want stage1", got)
-	}
+	stage1 := tr.StartSpan(root, "stage1")
 	side := stage1.Child("fit")
-	if got := tr.Active(); got != stage1 {
-		t.Fatal("Child must not activate")
-	}
+	other := tr.StartSpan(nil, "other")
+	other.End()
 	side.End()
 	stage1.End()
-	if got := tr.Active(); got != root {
-		t.Fatal("End(stage1) must restore root as active")
-	}
-	stage2 := tr.StartSpan(nil, "stage2")
+	stage2 := root.Child("stage2")
 	stage2.End()
 	root.End()
-	if got := tr.Active(); got != nil {
-		t.Fatalf("active after all ends = %v, want nil", got)
-	}
 
 	snaps := tr.Snapshot()
-	if len(snaps) != 4 {
-		t.Fatalf("got %d spans, want 4", len(snaps))
+	if len(snaps) != 5 {
+		t.Fatalf("got %d spans, want 5", len(snaps))
 	}
 	byName := map[string]SpanSnapshot{}
 	for _, s := range snaps {
 		byName[s.Name] = s
 	}
-	if byName["estimate"].ParentID != 0 {
-		t.Fatalf("estimate parent = %d, want 0", byName["estimate"].ParentID)
+	for _, name := range []string{"estimate", "other"} {
+		if byName[name].ParentID != 0 {
+			t.Fatalf("%s parent = %d, want a root", name, byName[name].ParentID)
+		}
 	}
 	for _, name := range []string{"stage1", "stage2"} {
 		if byName[name].ParentID != byName["estimate"].ID {
@@ -76,65 +66,90 @@ func TestSpanTree(t *testing.T) {
 		if s.DurUS < 0 {
 			t.Fatalf("span %s negative duration %d", s.Name, s.DurUS)
 		}
+		if s.Counters != nil {
+			t.Fatalf("span %s slices no registry but has counters %v", s.Name, s.Counters)
+		}
 	}
 }
 
-// TestSpanEndIdempotent checks that the first End wins and a second End
-// does not clobber the recorded end time or the active chain.
+// TestSpanEndIdempotent checks that the first End wins: a second End
+// clobbers neither the recorded end time nor the counters kept at the
+// first.
 func TestSpanEndIdempotent(t *testing.T) {
-	tr := NewTrace()
-	a := tr.StartSpan(nil, "a")
-	b := tr.StartSpan(nil, "b")
-	b.End()
-	first := b.end.Load()
+	reg := New()
+	reg.SetTrace(NewTrace())
+	c := reg.Scope("x").Counter("n_total")
+	_, s := StartSpan(context.Background(), reg, "a")
+	c.Inc()
+	s.End()
+	first := s.end.Load()
 	time.Sleep(2 * time.Millisecond)
-	b.End()
-	if b.end.Load() != first {
+	c.Inc()
+	s.End()
+	if s.end.Load() != first {
 		t.Fatal("second End overwrote the end time")
 	}
-	if tr.Active() != a {
-		t.Fatal("double End corrupted the active chain")
+	if got := reg.TraceData().Snapshot()[0].Counters["x.n_total"]; got != 1 {
+		t.Fatalf("counters after a second End: x.n_total = %v, want 1", got)
 	}
-	a.End()
 }
 
-// TestSpanAgg checks aggregate counts and seconds, including handle
-// reuse by name.
+// TestSpanAgg checks that a span's counters are its registry's growth
+// over the span: each counter, and each histogram's count and sum,
+// keyed scope.name; only nonzero growth, live while the span runs, and
+// a child started without a registry slices its parent's.
 func TestSpanAgg(t *testing.T) {
+	reg := New()
 	tr := NewTrace()
-	s := tr.StartSpan(nil, "stage2")
-	agg := s.Agg("spice.solve")
-	agg.Observe(0.5)
-	agg.Observe(0.25)
-	s.Agg("spice.solve").Add(3) // same aggregate, by name
-	s.Agg("probes").Add(10)
-	s.End()
+	reg.SetTrace(tr)
+	sc := reg.Scope("spice")
+	solves := sc.Counter("solves_total")
+	secs := sc.Histogram("solve_seconds", []float64{1})
+	sc.Counter("idle_total").Add(4)
+	solves.Add(10) // before the span: not its growth
+	secs.Observe(2)
 
-	if got := agg.Count(); got != 5 {
-		t.Fatalf("count = %d, want 5", got)
+	ctx, stage := StartSpan(context.Background(), reg, "stage2")
+	solves.Add(3)
+	_, child := StartSpan(ctx, nil, "chunk")
+	solves.Add(2)
+	secs.Observe(0.5)
+	secs.Observe(0.25)
+	reg.Scope("mc").Counter("chunks_total").Inc() // created mid-span
+	live := tr.Snapshot()
+	child.End()
+	stage.End()
+	solves.Add(100) // after the span: not its growth
+
+	want := map[string]float64{
+		"spice.solves_total":        5,
+		"spice.solve_seconds.count": 2,
+		"spice.solve_seconds.sum":   0.75,
+		"mc.chunks_total":           1,
 	}
-	if got := agg.Seconds(); got != 0.75 {
-		t.Fatalf("seconds = %v, want 0.75", got)
+	snaps := tr.Snapshot()
+	if !reflect.DeepEqual(snaps[0].Counters, want) {
+		t.Fatalf("stage2 counters = %v, want %v", snaps[0].Counters, want)
 	}
-	snap := tr.Snapshot()[0]
-	if len(snap.Aggs) != 2 {
-		t.Fatalf("got %d aggs, want 2", len(snap.Aggs))
+	want["spice.solves_total"] = 2
+	if !reflect.DeepEqual(snaps[1].Counters, want) {
+		t.Fatalf("chunk counters = %v, want %v", snaps[1].Counters, want)
 	}
-	if snap.Aggs[0].Name != "spice.solve" || snap.Aggs[0].Count != 5 || snap.Aggs[0].Seconds != 0.75 {
-		t.Fatalf("agg snapshot = %+v", snap.Aggs[0])
-	}
-	if snap.Aggs[1].Name != "probes" || snap.Aggs[1].Count != 10 {
-		t.Fatalf("agg snapshot = %+v", snap.Aggs[1])
+	if !live[0].Running || live[0].Counters["spice.solves_total"] != 5 {
+		t.Fatalf("running stage2 snapshot = %+v, want live growth of 5 solves", live[0])
 	}
 }
 
-// TestTraceWriteJSONL checks the span-per-line export parses back.
+// TestTraceWriteJSONL checks the span-per-line export parses back,
+// counters included.
 func TestTraceWriteJSONL(t *testing.T) {
+	reg := New()
 	tr := NewTrace()
-	root := tr.StartSpan(nil, "run")
+	reg.SetTrace(tr)
+	ctx, root := StartSpan(context.Background(), reg, "run")
 	root.SetAttr("method", "g-s")
-	child := tr.StartSpan(nil, "chain")
-	child.Agg("update").Add(7)
+	_, child := StartSpan(ctx, reg, "chain")
+	reg.Scope("gibbs").Counter("updates_total").Add(7)
 	child.End()
 	root.End()
 
@@ -157,20 +172,22 @@ func TestTraceWriteJSONL(t *testing.T) {
 	if lines[0].Name != "run" || lines[0].Attrs["method"] != "g-s" {
 		t.Fatalf("root line = %+v", lines[0])
 	}
-	if lines[1].Name != "chain" || len(lines[1].Aggs) != 1 || lines[1].Aggs[0].Count != 7 {
+	if lines[1].Name != "chain" || len(lines[1].Counters) != 1 || lines[1].Counters["gibbs.updates_total"] != 7 {
 		t.Fatalf("chain line = %+v", lines[1])
 	}
 }
 
 // TestTraceWriteChromeTrace checks the Chrome trace-event export: a
 // traceEvents array of complete events whose tids encode tree depth and
-// whose args carry attrs and aggregates.
+// whose args carry attrs and counters.
 func TestTraceWriteChromeTrace(t *testing.T) {
+	reg := New()
 	tr := NewTrace()
-	root := tr.StartSpan(nil, "estimate")
+	reg.SetTrace(tr)
+	ctx, root := StartSpan(context.Background(), reg, "estimate")
 	root.SetAttr("metric", "readcurrent")
-	stage := tr.StartSpan(nil, "stage2")
-	stage.Agg("chunk").Observe(0.001)
+	_, stage := StartSpan(ctx, reg, "stage2")
+	reg.Scope("mc").Counter("chunks_total").Inc()
 	stage.End()
 	root.End()
 
@@ -218,10 +235,8 @@ func TestTraceWriteChromeTrace(t *testing.T) {
 		t.Fatalf("tids = %v, want estimate:0 stage2:1", byName)
 	}
 	for _, ev := range out.TraceEvents {
-		if ev.Name == "stage2" {
-			if ev.Args["chunk_count"] != float64(1) {
-				t.Fatalf("stage2 args = %v", ev.Args)
-			}
+		if ev.Args["mc.chunks_total"] != float64(1) {
+			t.Fatalf("%s args = %v, want mc.chunks_total 1", ev.Name, ev.Args)
 		}
 	}
 }
@@ -265,31 +280,26 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	s.End()
 	s.SetAttr("k", 1)
-	a := s.Agg("a")
-	a.Observe(1)
-	a.Add(1)
-	if a.Count() != 0 || a.Seconds() != 0 {
-		t.Fatal("nil agg returned non-zero aggregates")
+	if s.Child("y") != nil || s.ID() != 0 || s.EndUS() != 0 {
+		t.Fatal("nil span leaked state")
 	}
-	if tr.Active() != nil || tr.Snapshot() != nil {
+	if tr.Snapshot() != nil {
 		t.Fatal("nil trace leaked state")
 	}
 	var reg *Registry
-	if reg.StartSpan("x") != nil || reg.ActiveSpan() != nil || reg.TraceData() != nil {
+	if reg.TraceData() != nil {
 		t.Fatal("nil registry leaked span state")
 	}
 	reg.SetTrace(NewTrace())
-
-	// Enabled registry without a trace: still all no-ops.
-	reg = New()
-	if reg.StartSpan("x") != nil || reg.ActiveSpan() != nil {
-		t.Fatal("trace-less registry returned a span")
+	var c *CLI
+	if ctx := context.Background(); c.Context(ctx) != ctx {
+		t.Fatal("nil CLI changed the context")
 	}
 }
 
 // TestSpanContext checks the context plumbing: nil spans leave the
-// context untouched, carried spans parent their stage children, and the
-// context-derived child becomes the trace's active span.
+// context untouched, carried spans parent their stage children, and a
+// registry without a carried span roots a new tree on its trace.
 func TestSpanContext(t *testing.T) {
 	ctx := context.Background()
 	if got := ContextWithSpan(ctx, nil); got != ctx {
@@ -304,6 +314,10 @@ func TestSpanContext(t *testing.T) {
 	if ctx2 != ctx || s != nil {
 		t.Fatal("disabled StartSpan must return (ctx, nil)")
 	}
+	ctx2, s = StartSpan(ctx, New(), "stage")
+	if ctx2 != ctx || s != nil {
+		t.Fatal("StartSpan on a registry without a trace must return (ctx, nil)")
+	}
 
 	reg := New()
 	tr := NewTrace()
@@ -316,36 +330,28 @@ func TestSpanContext(t *testing.T) {
 	if stage == nil || SpanFromContext(ctx3) != stage {
 		t.Fatal("stage span not carried in context")
 	}
-	if tr.Active() != stage {
-		t.Fatal("ctx-derived stage span must become the trace's active span")
-	}
-	if reg.ActiveSpan() != stage {
-		t.Fatal("Registry.ActiveSpan must see the ctx-derived stage span")
-	}
+	// A span started while the stage runs, from a context that does not
+	// carry it, is a root.
+	_, other := StartSpan(ctx, reg, "other")
+	other.End()
 	stage.End()
-	if tr.Active() != root {
-		t.Fatal("ending the stage must restore the root as active")
-	}
 	root.End()
 
 	snaps := tr.Snapshot()
-	if len(snaps) != 2 || snaps[1].ParentID != snaps[0].ID {
-		t.Fatalf("snapshot = %+v, want stage parented under estimate", snaps)
+	if len(snaps) != 3 || snaps[0].ParentID != 0 || snaps[1].ParentID != snaps[0].ID || snaps[2].ParentID != 0 {
+		t.Fatalf("snapshot = %+v, want stage parented under estimate and other a root", snaps)
 	}
 }
 
 // TestSpanDisabledZeroAlloc pins the acceptance criterion: with tracing
-// disabled, the instrumented path (StartSpan + attrs + aggs + End)
-// allocates nothing.
+// disabled, the instrumented path (StartSpan + attrs + End) allocates
+// nothing.
 func TestSpanDisabledZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	reg := New() // enabled registry, no trace installed
 	allocs := testing.AllocsPerRun(100, func() {
 		ctx2, s := StartSpan(ctx, reg, "stage")
 		s.SetAttr("k", 1)
-		agg := s.Agg("work")
-		agg.Observe(0.001)
-		agg.Add(1)
 		_, s2 := StartSpan(ctx2, reg, "inner")
 		s2.End()
 		s.End()
@@ -367,21 +373,35 @@ func TestStartCLITrace(t *testing.T) {
 	if c.Registry == nil {
 		t.Fatal("trace StartCLI returned nil registry")
 	}
-	s := c.Registry.StartSpan("work")
+	_, s := StartSpan(c.Context(context.Background()), c.Registry, "work")
+	c.Registry.Scope("spice").Counter("solves_total").Add(2)
 	s.End()
+	// Work outside any span still lands in the root's counters.
+	c.Registry.Scope("spice").Counter("solves_total").Inc()
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	data := readFile(t, path)
 	var out struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string             `json:"name"`
+			TID  int64              `json:"tid"`
+			Args map[string]float64 `json:"args"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("trace file not valid JSON: %v", err)
 	}
-	// "run" root plus "work".
+	// "run" root plus "work" under it; the root's counters cover the
+	// whole command.
 	if len(out.TraceEvents) != 2 {
 		t.Fatalf("got %d events, want 2:\n%s", len(out.TraceEvents), data)
+	}
+	want := map[string][2]float64{"run": {0, 3}, "work": {1, 2}}
+	for _, ev := range out.TraceEvents {
+		if w := want[ev.Name]; float64(ev.TID) != w[0] || ev.Args["spice.solves_total"] != w[1] {
+			t.Fatalf("event %s: depth %d, spice.solves_total %v; want %v", ev.Name, ev.TID, ev.Args["spice.solves_total"], w)
+		}
 	}
 
 	jpath := dir + "/trace.jsonl"
@@ -389,7 +409,8 @@ func TestStartCLITrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartCLI(.jsonl): %v", err)
 	}
-	c.Registry.StartSpan("work").End()
+	_, s = StartSpan(c.Context(context.Background()), c.Registry, "work")
+	s.End()
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -118,6 +118,17 @@ func Methods() []Method { return []Method{MIS, MNIS, GC, GS} }
 // endpoints of the estimation service expose.
 func AllMethods() []Method { return []Method{MC, MIS, MNIS, GC, GS, Blockade, Subset} }
 
+// methodList spells AllMethods for error messages: "mc, mis, …, blockade
+// or subset".
+func methodList() string {
+	ms := AllMethods()
+	list := string(ms[0])
+	for _, m := range ms[1 : len(ms)-1] {
+		list += ", " + string(m)
+	}
+	return list + " or " + string(ms[len(ms)-1])
+}
+
 // String implements fmt.Stringer with the method's CLI/API spelling.
 func (m Method) String() string { return string(m) }
 
@@ -158,7 +169,7 @@ func ParseMethod(s string) (Method, error) {
 	if m := Method(s); m.Valid() {
 		return m, nil
 	}
-	return "", fmt.Errorf("%w %q (want mc, mis, mnis, g-c, g-s, blockade or subset)", ErrUnknownMethod, s)
+	return "", fmt.Errorf("%w %q (want %s)", ErrUnknownMethod, s, methodList())
 }
 
 // Options configures Estimate.
@@ -260,7 +271,7 @@ type Result struct {
 func (o Options) Validate() error {
 	var errs []error
 	if o.Method != "" && !o.Method.Valid() {
-		errs = append(errs, fmt.Errorf("Method: %w %q (want mc, mis, mnis, g-c, g-s, blockade or subset)", ErrUnknownMethod, string(o.Method)))
+		errs = append(errs, fmt.Errorf("Method: %w %q (want %s)", ErrUnknownMethod, string(o.Method), methodList()))
 	}
 	if o.K < 0 {
 		errs = append(errs, fmt.Errorf("K: must be ≥ 0 (0 selects the method default), got %d", o.K))

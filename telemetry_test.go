@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -149,5 +150,65 @@ func TestRunEventLogCoversBothStages(t *testing.T) {
 		if !scopes[s] {
 			t.Fatalf("no %q-scope metrics recorded; scopes: %v", s, scopes)
 		}
+	}
+}
+
+// TestTracedAccessSpans pins the trace's shape on the transient
+// workload at two workers, where the two Gibbs chains and the
+// evaluation pool simulate at once: the solver opens no span, the span
+// count does not grow with the simulation count, every span lies inside
+// its parent, and the stages' slices of spice.solves_total add up to
+// the estimate's, which is the registry's.
+func TestTracedAccessSpans(t *testing.T) {
+	run := func(k, n int) ([]telemetry.SpanSnapshot, *Telemetry) {
+		t.Helper()
+		metric, err := WorkloadByName("access")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewTelemetry()
+		reg.SetTrace(telemetry.NewTrace())
+		if _, err := EstimateContext(context.Background(), metric, Options{
+			Method: GS, K: k, N: n, Seed: 3, Workers: 2, Telemetry: reg,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return reg.TraceData().Snapshot(), reg
+	}
+	small, _ := run(40, 200)
+	spans, reg := run(80, 400)
+	if len(spans) != len(small) {
+		t.Fatalf("%d spans at K 80, N 400 against %d at K 40, N 200: the trace grows with the simulations",
+			len(spans), len(small))
+	}
+
+	byID := make(map[int64]telemetry.SpanSnapshot, len(spans))
+	byName := make(map[string]telemetry.SpanSnapshot, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+		byName[s.Name] = s
+	}
+	for _, s := range spans {
+		if strings.HasPrefix(s.Name, "spice.") {
+			t.Fatalf("the solver opened span %q", s.Name)
+		}
+		if s.Running {
+			t.Fatalf("span %q still running after the estimate", s.Name)
+		}
+		if s.ParentID == 0 {
+			continue
+		}
+		p, ok := byID[s.ParentID]
+		if !ok || s.StartUS < p.StartUS || s.StartUS+s.DurUS > p.StartUS+p.DurUS {
+			t.Fatalf("span %q [%d, +%d] is not inside its parent %q [%d, +%d]",
+				s.Name, s.StartUS, s.DurUS, p.Name, p.StartUS, p.DurUS)
+		}
+	}
+
+	solves := func(name string) float64 { return byName[name].Counters["spice.solves_total"] }
+	total := float64(reg.Scope("spice").Counter("solves_total").Value())
+	if total == 0 || solves("estimate") != total || solves("stage1")+solves("stage2") != total {
+		t.Fatalf("spice.solves_total: estimate %v, stage1 %v + stage2 %v, registry %v",
+			solves("estimate"), solves("stage1"), solves("stage2"), total)
 	}
 }
