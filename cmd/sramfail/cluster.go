@@ -93,8 +93,8 @@ func renderCluster(base string, sum dist.ClusterSummary, events []client.Event) 
 			"WORKER", "CORES", "ACT", "DONE", "FAIL", "EXP", "SIMS", "RATE", "HEALTH"))
 		for _, w := range sum.Workers {
 			health := "-"
-			if n := len(w.Health); n > 0 {
-				health = w.Health[n-1].Kind
+			if len(w.Health) > 0 {
+				health = strings.Join(w.Health, ",")
 			}
 			lines = append(lines, fmt.Sprintf("  %-20s %5d %4d %6d %5d %5d %12d %8.0f/s  %s",
 				clip(w.ID, 20), w.Cores, w.Active, w.Completed, w.Failed, w.Expired,

@@ -17,21 +17,21 @@
 // (all jobs merged: /v1/events), a watchdog turns mid-run statistical
 // pathologies into health.* events, and the last -event-ring events per
 // job form a flight recorder dumped to -flight-dir on job failure,
-// watchdog alert, or SIGQUIT. With -alert-profile the first watchdog
-// alert of each kind also captures pprof CPU+heap profiles into
-// -flight-dir. Logs are structured (log/slog) with -log-format
-// text|json and carry job/lease/worker/trace correlation fields.
+// watchdog alert, or SIGQUIT; /debug/pprof serves CPU and heap
+// profiles. Logs are structured (log/slog) with -log-format text|json
+// and carry job/lease/worker/trace correlation fields.
 //
 // With -dist the server also acts as the distributed coordinator:
 // sramworkerd workers poll /v1/dist for chunk-range leases, and jobs
 // submitted with "distribute": true are sharded across them — the
-// folded result is bit-identical to a single-node run. Workers report
-// their metrics and health on lease renewals; the coordinator
-// republishes them per-worker and cluster-aggregated at /metrics and
-// GET /v1/cluster, and stitches worker-uploaded spans into each job's
-// trace (GET /v1/jobs/{id}/trace spans the whole fleet). -result-cache
-// N adds a content-addressed result cache so a repeat of an identical
-// request (same module version, workload, options, seed) returns
+// folded result is bit-identical to a single-node run. Every lease
+// renewal and result upload carries the worker's metrics snapshot,
+// health gauges included; the coordinator republishes it per-worker and
+// cluster-aggregated at /metrics and GET /v1/cluster, and stitches
+// worker-uploaded spans into each job's trace (GET /v1/jobs/{id}/trace
+// spans the whole fleet). -result-cache N adds a content-addressed
+// result cache so a repeat of an identical request (same module
+// version, workload, options, seed, at any worker count) returns
 // instantly with zero new simulations.
 //
 // SIGINT/SIGTERM drains gracefully: new submissions are rejected with
@@ -75,7 +75,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write the server's span trace to this file on shutdown (Chrome trace JSON, or JSONL with a .jsonl suffix)")
 	eventRing := flag.Int("event-ring", 256, "per-job live-event ring size (SSE resume window and flight recorder; 0 disables event streaming unless -telemetry is set)")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder dumps (JSONL) into this directory on job failure, watchdog alert, or SIGQUIT")
-	alertProfile := flag.Duration("alert-profile", 0, "capture pprof CPU (this long) + heap profiles into -flight-dir on the first watchdog alert of each kind (0 disables)")
 	retention := flag.Duration("retention", 0, "garbage-collect terminal jobs this long after they finish (0 = keep forever)")
 	heartbeat := flag.Duration("sse-heartbeat", 15*time.Second, "SSE comment-heartbeat period")
 	distOn := flag.Bool("dist", false, "serve the /v1/dist coordinator so sramworkerd workers can run jobs submitted with \"distribute\": true")
@@ -90,8 +89,7 @@ func main() {
 		jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
 		teleOut: *teleOut, traceOut: *traceOut,
 		eventRing: *eventRing, flightDir: *flightDir,
-		alertProfile: *alertProfile,
-		retention:    *retention, heartbeat: *heartbeat,
+		retention: *retention, heartbeat: *heartbeat,
 		dist: *distOn, leaseTTL: *leaseTTL, resultCache: *resultCache,
 		logFormat: *logFormat, logLevel: *logLevel,
 	}
@@ -108,7 +106,6 @@ type serverConfig struct {
 	teleOut, traceOut        string
 	eventRing                int
 	flightDir                string
-	alertProfile             time.Duration
 	retention                time.Duration
 	heartbeat                time.Duration
 	dist                     bool
@@ -144,17 +141,16 @@ func run(cfg serverConfig) error {
 	// API stays at the mux root.
 	var coord *dist.Coordinator
 	mgrCfg := jobs.Config{
-		QueueSize:    cfg.queue,
-		Executors:    cfg.executors,
-		JobTimeout:   cfg.jobTimeout,
-		Registry:     reg,
-		EventRing:    cfg.eventRing,
-		FlightDir:    cfg.flightDir,
-		AlertProfile: cfg.alertProfile,
-		Retention:    cfg.retention,
-		Heartbeat:    cfg.heartbeat,
-		CacheSize:    cfg.resultCache,
-		Log:          log,
+		QueueSize:  cfg.queue,
+		Executors:  cfg.executors,
+		JobTimeout: cfg.jobTimeout,
+		Registry:   reg,
+		EventRing:  cfg.eventRing,
+		FlightDir:  cfg.flightDir,
+		Retention:  cfg.retention,
+		Heartbeat:  cfg.heartbeat,
+		CacheSize:  cfg.resultCache,
+		Log:        log,
 	}
 	if cfg.dist {
 		coord = dist.NewCoordinator(dist.Config{LeaseTTL: cfg.leaseTTL, Registry: reg, Log: log})

@@ -10,12 +10,13 @@
 // The worker carries its own observability plane. Each lease is
 // evaluated under the trace context the coordinator granted and the
 // finished spans upload with the result, so the job's stitched trace
-// spans the whole fleet. Lease renewals federate the worker's metrics
-// and health alerts back to the coordinator. Locally, -event-ring keeps
-// a flight-recorder ring of the worker's last events, dumped to
-// -flight-dir on a watchdog alert or SIGQUIT (with -alert-profile, an
-// alert also captures pprof CPU+heap profiles there). Logs are
-// structured (log/slog) behind -log-format text|json.
+// spans the whole fleet. Every renewal and result upload carries the
+// worker's metrics snapshot, whose health gauges are how the
+// coordinator learns of the worker's watchdog alerts. Locally,
+// -event-ring keeps a flight-recorder ring of the worker's last events,
+// dumped to -flight-dir on a watchdog alert or SIGQUIT, and -debug-addr
+// serves /metrics and /debug/pprof. Logs are structured (log/slog)
+// behind -log-format text|json.
 //
 // SIGINT/SIGTERM stop the worker after its current chunk; the
 // coordinator reassigns any unfinished lease once it expires. SIGQUIT
@@ -47,7 +48,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address")
 	eventRing := flag.Int("event-ring", 256, "flight-recorder ring size (retained worker events; 0 disables the event plane)")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder dumps (JSONL) into this directory on watchdog alert or SIGQUIT")
-	alertProfile := flag.Duration("alert-profile", 0, "capture pprof CPU (this long) + heap profiles into -flight-dir on the first watchdog alert of each kind (0 disables)")
 	logFormat := flag.String("log-format", obslog.FormatText, "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()
@@ -69,9 +69,8 @@ func main() {
 
 	reg := telemetry.New()
 	// The event plane: a ring bus on the worker's registry. The health
-	// watchdog evaluates it mid-lease, RunWorker forwards its health.*
-	// alerts to the coordinator on renewals, and the retained ring is
-	// the flight recorder dumped below.
+	// watchdog evaluates it mid-lease, and the retained ring is the
+	// flight recorder dumped below.
 	var bus *telemetry.Bus
 	if *eventRing > 0 {
 		bus = telemetry.NewBus(*eventRing)
@@ -96,21 +95,14 @@ func main() {
 		}
 		return path
 	}
-	profiler := telemetry.NewProfiler(*flightDir, *alertProfile)
-	if *alertProfile <= 0 {
-		profiler = nil
-	}
 	// The watchdog turns the worker's own statistical pathologies into
-	// health.* events (forwarded to the coordinator's firehose via the
-	// renew heartbeat) and snapshots the flight ring + profiles locally.
+	// health gauges (which reach the coordinator in the metrics snapshot
+	// of the next renewal or result upload) and snapshots the flight
+	// ring locally; the alert's detail stays in this log and the dump.
 	watchdog := telemetry.StartWatchdog(reg, func(a telemetry.Alert) {
 		log.Warn("watchdog alert", "kind", a.Kind, "detail", a.Detail)
 		if path := dump("alert-" + a.Kind); path != "" {
 			log.Info("flight dump written", "path", path)
-		}
-		if profiler != nil {
-			//reprolint:ignore goroutinelife profile capture self-terminates after the sampling window; joining it would stall alert handling
-			go profiler.Capture("worker-" + sanitize(*id) + "-" + a.Kind)
 		}
 	})
 	defer watchdog.Stop()

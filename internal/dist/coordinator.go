@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -110,11 +111,11 @@ type workerState struct {
 	completed, failed, expired int64
 	samples, sims              int64
 
-	// Federation state from the worker's renew/result heartbeats.
-	points      []telemetry.MetricPoint
-	simsPerSec  float64
-	health      []HealthAlert
-	lastAlertUS int64
+	// Federation state from the worker's renew/result heartbeats;
+	// health holds the alert kinds its last snapshot reported.
+	points     []telemetry.MetricPoint
+	simsPerSec float64
+	health     []string
 }
 
 // rate is the worker's live sampling rate: its last reported rate while
@@ -377,57 +378,53 @@ func (c *Coordinator) sortedWorkersLocked() []*workerState {
 	return out
 }
 
-// ingestReportLocked stores a worker's federation heartbeat (metrics
-// snapshot and/or health alerts) and republishes the metrics under the
-// per-worker scope; the caller's gaugesLocked refreshes the cluster
-// aggregates. It returns the alerts not yet forwarded to the event
+// ingestReportLocked stores a worker's federation heartbeat (its
+// metrics snapshot) and republishes it under the per-worker scope; the
+// caller's gaugesLocked refreshes the cluster aggregates. The
+// snapshot's health gauges above 0 are the worker's alert kinds; it
+// returns the kinds its previous snapshot did not report, for the event
 // stream (emit them after releasing c.mu). Callers hold c.mu.
-func (c *Coordinator) ingestReportLocked(ws *workerState, points []telemetry.MetricPoint, alerts []HealthAlert) []HealthAlert {
-	if len(points) > 0 {
-		ws.points = points
-		scope := c.workerScope(ws.ID)
-		for _, p := range points {
-			if p.Scope == wire.ScopeProgress && p.Name == "sims_per_sec" {
-				ws.simsPerSec = p.Value
+func (c *Coordinator) ingestReportLocked(ws *workerState, points []telemetry.MetricPoint) []string {
+	if len(points) == 0 {
+		return nil
+	}
+	ws.points = points
+	scope := c.workerScope(ws.ID)
+	var health, fresh []string
+	for _, p := range points {
+		switch {
+		case p.Scope == wire.ScopeProgress && p.Name == "sims_per_sec":
+			ws.simsPerSec = p.Value
+		case p.Scope == wire.ScopeHealth && p.Kind == "gauge" && p.Value > 0:
+			health = append(health, p.Name)
+			if !slices.Contains(ws.health, p.Name) {
+				fresh = append(fresh, p.Name)
 			}
-			name := p.Scope + "_" + p.Name
-			switch p.Kind {
-			case "counter", "gauge":
-				scope.Gauge(name).Set(p.Value)
-			case "histogram":
-				scope.Gauge(name + "_count").Set(float64(p.Count))
-				if p.Count > 0 {
-					scope.Gauge(name + "_p50").Set(p.P50)
-					scope.Gauge(name + "_p99").Set(p.P99)
-				}
+		}
+		name := p.Scope + "_" + p.Name
+		switch p.Kind {
+		case "counter", "gauge":
+			scope.Gauge(name).Set(p.Value)
+		case "histogram":
+			scope.Gauge(name + "_count").Set(float64(p.Count))
+			if p.Count > 0 {
+				scope.Gauge(name + "_p50").Set(p.P50)
+				scope.Gauge(name + "_p99").Set(p.P99)
 			}
 		}
 	}
-	var fresh []HealthAlert
-	if len(alerts) > 0 {
-		ws.health = alerts
-		last := ws.lastAlertUS
-		for _, a := range alerts {
-			if a.UnixUS > ws.lastAlertUS {
-				fresh = append(fresh, a)
-			}
-			if a.UnixUS > last {
-				last = a.UnixUS
-			}
-		}
-		ws.lastAlertUS = last
-	}
+	ws.health = health
 	return fresh
 }
 
-// emitWorkerAlerts forwards a worker's fresh health alerts to the
-// registry's event stream (the global SSE firehose) and the log.
-func (c *Coordinator) emitWorkerAlerts(workerID string, fresh []HealthAlert) {
-	for _, a := range fresh {
-		c.cfg.Registry.Emit(wire.EvWorkerHealthPrefix+a.Kind, map[string]any{
-			"worker": workerID, "kind": a.Kind, "detail": a.Detail,
+// emitWorkerAlerts forwards the alert kinds a worker newly reported to
+// the registry's event stream (the global SSE firehose) and the log.
+func (c *Coordinator) emitWorkerAlerts(workerID string, fresh []string) {
+	for _, kind := range fresh {
+		c.cfg.Registry.Emit(wire.EvWorkerHealthPrefix+kind, map[string]any{
+			"worker": workerID, "kind": kind,
 		})
-		c.log.Warn("worker health alert", "worker", workerID, "kind", a.Kind, "detail", a.Detail)
+		c.log.Warn("worker health alert", "worker", workerID, "kind", kind)
 	}
 }
 
@@ -567,7 +564,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		jobs.WriteProblem(w, problem(http.StatusBadRequest, wire.ProblemInvalidRequest, "dist: bad renew body: "+err.Error()))
 		return
 	}
-	var fresh []HealthAlert
+	var fresh []string
 	var workerID string
 	c.mu.Lock()
 	l := c.leases[id]
@@ -575,7 +572,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		l.expires = time.Now().Add(c.cfg.LeaseTTL)
 		if ws := c.workers[l.worker]; ws != nil {
 			ws.lastSeen = time.Now()
-			fresh = c.ingestReportLocked(ws, req.Metrics, req.Alerts)
+			fresh = c.ingestReportLocked(ws, req.Metrics)
 			workerID = ws.ID
 		}
 		c.gaugesLocked()
@@ -656,7 +653,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	for _, ch := range up.Chunks {
 		sims += ch.Sims
 	}
-	var fresh []HealthAlert
+	var fresh []string
 	if ws != nil {
 		ws.active--
 		ws.completed++
@@ -666,7 +663,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.Counter("leases_completed_total").Inc()
 		s.Counter("samples_total").Add(int64(l.r.Count()))
 		s.Counter("sims_total").Add(sims)
-		fresh = c.ingestReportLocked(ws, up.Metrics, nil)
+		fresh = c.ingestReportLocked(ws, up.Metrics)
 	}
 	sj.chunks = append(sj.chunks, up.Chunks...)
 	sj.remaining -= l.r.Count()

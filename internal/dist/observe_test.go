@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // TestStitchedTrace runs a distributed job and checks the cluster-wide
@@ -192,83 +193,81 @@ func TestClusterFederation(t *testing.T) {
 	}
 }
 
-// TestWorkerAlertForwarding checks the health plane: a health.* event on
-// the worker's own bus rides the renewal heartbeat to the coordinator,
-// lands in the worker's status record, and is forwarded to the global
-// event stream exactly once despite being re-sent every heartbeat.
+// TestWorkerAlertForwarding checks the health plane: an alert the
+// worker's watchdog raised (its health gauge, set the way the watchdog
+// sets it) reaches the coordinator in the metrics snapshot that every
+// renewal and result upload carries, lands in the worker's status record,
+// and is forwarded to the global event stream exactly once although every
+// later snapshot reports it again. "renewal" runs leases that renew many
+// times; in "short_lease" both leases finish before their first renewal,
+// so only the result uploads carry the snapshot.
 func TestWorkerAlertForwarding(t *testing.T) {
-	// Short TTL → frequent renewals; slow workload → leases live long
-	// enough to renew at least once.
-	h := newHarness(t, Config{RangeTarget: 2, LeaseTTL: 60 * time.Millisecond, MaxAttempts: 10})
-	h.reg.SetBus(telemetry.NewBus(512))
-	coordSub := h.reg.Bus().Subscribe(256)
-	defer coordSub.Close()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		req  jobs.Request
+	}{
+		// Short TTL → frequent renewals; slow workload → leases live long
+		// enough to renew.
+		{"renewal", Config{RangeTarget: 2, LeaseTTL: 60 * time.Millisecond, MaxAttempts: 10},
+			jobs.Request{Workload: "slow", Method: "g-s", Seed: 63, K: 200, N: 4000}},
+		// The default 15 s TTL renews after 5 s; these leases take
+		// milliseconds.
+		{"short_lease", Config{RangeTarget: 2},
+			jobs.Request{Workload: "lin", Method: "g-s", Seed: 63, K: 200, N: 4000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, tc.cfg)
+			h.reg.SetBus(telemetry.NewBus(512))
+			coordSub := h.reg.Bus().Subscribe(256)
+			defer coordSub.Close()
 
-	wreg := telemetry.New()
-	wreg.SetBus(telemetry.NewBus(64))
-	ctx, cancel := context.WithCancel(context.Background())
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		RunWorker(ctx, WorkerConfig{
-			Coordinator:  h.srv.URL,
-			ID:           "alerty",
-			Resolve:      testResolve,
-			PollInterval: 2 * time.Millisecond,
-			Registry:     wreg,
-		})
-	}()
-	t.Cleanup(func() { cancel(); <-workerDone })
+			wreg := telemetry.New()
+			wreg.Scope(wire.ScopeHealth).Gauge("fake_storm").Set(1)
+			ctx, cancel := context.WithCancel(context.Background())
+			workerDone := make(chan struct{})
+			go func() {
+				defer close(workerDone)
+				RunWorker(ctx, WorkerConfig{
+					Coordinator:  h.srv.URL,
+					ID:           "alerty",
+					Resolve:      testResolve,
+					PollInterval: 2 * time.Millisecond,
+					Registry:     wreg,
+				})
+			}()
+			t.Cleanup(func() { cancel(); <-workerDone })
 
-	// The worker registers on its first poll; once visible, its health
-	// subscription is live and the synthetic alert cannot be missed.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
-		}
-		registered := false
-		for _, w := range workerStatuses(t, h) {
-			registered = registered || w.ID == "alerty"
-		}
-		if registered {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	wreg.Emit("health.fake_storm", map[string]any{"kind": "fake_storm", "detail": "synthetic alert"})
+			runDistributed(t, h, tc.req)
 
-	runDistributed(t, h, jobs.Request{Workload: "slow", Method: "g-s", Seed: 63, K: 200, N: 4000})
-
-	var status WorkerStatus
-	for _, w := range workerStatuses(t, h) {
-		if w.ID == "alerty" {
-			status = w
-		}
-	}
-	if len(status.Health) == 0 || status.Health[len(status.Health)-1].Kind != "fake_storm" {
-		t.Fatalf("worker status health = %+v, want the forwarded fake_storm alert", status.Health)
-	}
-	if status.Health[len(status.Health)-1].Detail != "synthetic alert" {
-		t.Fatalf("alert detail lost: %+v", status.Health)
-	}
-
-	forwarded := 0
-	for {
-		select {
-		case ev := <-coordSub.Events():
-			if ev.Name == "worker.health.fake_storm" {
-				forwarded++
-				if w, _ := ev.Fields["worker"].(string); w != "alerty" {
-					t.Fatalf("forwarded alert tagged %v, want alerty", ev.Fields["worker"])
+			var status WorkerStatus
+			for _, w := range workerStatuses(t, h) {
+				if w.ID == "alerty" {
+					status = w
 				}
 			}
-			continue
-		default:
-		}
-		break
-	}
-	if forwarded != 1 {
-		t.Fatalf("alert forwarded %d times, want exactly once", forwarded)
+			if len(status.Health) != 1 || status.Health[0] != "fake_storm" {
+				t.Fatalf("worker status health = %q, want [fake_storm]", status.Health)
+			}
+
+			forwarded := 0
+			for {
+				select {
+				case ev := <-coordSub.Events():
+					if ev.Name == "worker.health.fake_storm" {
+						forwarded++
+						if w, _ := ev.Fields["worker"].(string); w != "alerty" {
+							t.Fatalf("forwarded alert tagged %v, want alerty", ev.Fields["worker"])
+						}
+					}
+					continue
+				default:
+				}
+				break
+			}
+			if forwarded != 1 {
+				t.Fatalf("alert forwarded %d times, want exactly once", forwarded)
+			}
+		})
 	}
 }

@@ -20,10 +20,12 @@
 // start of their lease work, with the partials. The coordinator places
 // them from the start of the lease's own span and grafts them under it
 // — one stitched Chrome trace per distributed job, with no wall clocks
-// compared across processes. Renewals double as the metrics-federation
-// heartbeat: each carries the worker's registry snapshot and recent
-// health alerts, which the coordinator republishes per-worker and
-// aggregated at /metrics, GET /v1/cluster and the global event stream.
+// compared across processes. Every renewal and result upload carries
+// the worker's registry snapshot, which the coordinator republishes
+// per-worker and aggregated at /metrics and GET /v1/cluster. The
+// snapshot's health gauges are the worker's watchdog alerts: the
+// coordinator lists them in the worker's status and forwards each new
+// kind to the global event stream once.
 //
 //	POST /v1/dist/poll               lease a range (204 when no work)
 //	POST /v1/dist/leases/{id}/renew  extend a held lease (410 when lost)
@@ -99,30 +101,19 @@ type Lease struct {
 	Trace TraceContext `json:"trace"`
 }
 
-// RenewRequest is the renew POST body: the federation heartbeat. All
-// fields are optional — an empty object is a plain renewal.
+// RenewRequest is the renew POST body: the federation heartbeat. An
+// empty object is a plain renewal.
 type RenewRequest struct {
 	// Metrics is the worker's registry snapshot, sanitized for JSON with
 	// WirePoints. The coordinator republishes it under the per-worker
-	// metrics scope and folds it into the cluster aggregates.
+	// metrics scope, folds it into the cluster aggregates and reads the
+	// worker's alerts from its health gauges.
 	Metrics []telemetry.MetricPoint `json:"metrics,omitempty"`
-	// Alerts are the worker's recent health.* watchdog alerts.
-	Alerts []HealthAlert `json:"alerts,omitempty"`
 }
 
 // RenewResponse acknowledges a renewal.
 type RenewResponse struct {
 	TTLSeconds float64 `json:"ttl_seconds"`
-}
-
-// HealthAlert is one worker watchdog alert on the wire.
-type HealthAlert struct {
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
-	// UnixUS is when the alert fired on the worker's clock; the
-	// coordinator uses it to forward each alert to the global event
-	// stream exactly once.
-	UnixUS int64 `json:"unix_us,omitempty"`
 }
 
 // ResultUpload carries a completed range back to the coordinator.
@@ -139,7 +130,8 @@ type ResultUpload struct {
 	// places them from the start of the lease's span.
 	Spans []telemetry.SpanSnapshot `json:"spans,omitempty"`
 	// Metrics piggybacks a final registry snapshot on the upload, so
-	// short leases that never renewed still federate their counters.
+	// short leases that never renewed still federate their counters and
+	// health gauges.
 	Metrics []telemetry.MetricPoint `json:"metrics,omitempty"`
 }
 
@@ -169,8 +161,9 @@ type WorkerStatus struct {
 	// its progress gauge, via the federation heartbeat); 0 while it
 	// holds no lease.
 	SimsPerSec float64 `json:"sims_per_sec,omitempty"`
-	// Health lists the worker's recent watchdog alerts.
-	Health []HealthAlert `json:"health,omitempty"`
+	// Health lists the alert kinds the worker's watchdog has fired (its
+	// health gauges above 0), sorted.
+	Health []string `json:"health,omitempty"`
 }
 
 // ClusterSummary is the fleet-level view served by GET /v1/cluster:

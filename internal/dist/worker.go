@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro"
@@ -30,9 +29,9 @@ type WorkerConfig struct {
 	// repro.WorkloadByName. Tests inject synthetic workloads.
 	Resolve func(workload string) (repro.Metric, error)
 	// Registry, when non-nil, receives worker metrics under scope
-	// "worker", hosts the per-lease trace whose spans upload with each
-	// result, and — when it carries a bus — sources the health.* alerts
-	// forwarded to the coordinator on renewals.
+	// "worker" and hosts the per-lease trace whose spans upload with
+	// each result. Its snapshot rides every renewal and result upload;
+	// the watchdog's health gauges in it are the worker's alerts.
 	Registry *telemetry.Registry
 	// Client, when non-nil, overrides the HTTP client.
 	Client *http.Client
@@ -51,9 +50,9 @@ type WorkerConfig struct {
 // Every lease is evaluated under the trace context it granted: the
 // worker records its own span tree for the evaluation, timed from the
 // start of the lease work, and uploads it with the result so the
-// coordinator can stitch one cluster-wide trace. Renewals carry the
-// worker's metrics snapshot and recent health alerts — the
-// metrics-federation heartbeat.
+// coordinator can stitch one cluster-wide trace. Renewals and result
+// uploads carry the worker's metrics snapshot — the metrics-federation
+// heartbeat.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.ID == "" {
 		return errors.New("dist: worker needs an ID")
@@ -73,10 +72,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w.completed = scope.Counter("leases_completed_total")
 	w.failures = scope.Counter("leases_failed_total")
 	w.lost = scope.Counter("leases_lost_total")
-	// The health subscription sources the alerts renewals forward: the
-	// worker daemon's watchdog publishes health.* on the registry bus.
-	w.healthSub = cfg.Registry.Bus().Subscribe(64)
-	defer w.healthSub.Close()
 	w.log.Info("worker polling", "coordinator", cfg.Coordinator, "cores", runtime.GOMAXPROCS(0))
 	for {
 		if err := ctx.Err(); err != nil {
@@ -100,56 +95,6 @@ type worker struct {
 	cfg                               WorkerConfig
 	log                               *obslog.Logger
 	leases, completed, failures, lost *telemetry.Counter
-	// healthSub and alerts collect the registry bus's health.* events
-	// between heartbeats. Both are touched only from the lease loop and
-	// its renew goroutine, never concurrently (the renew loop is joined
-	// before the next lease starts).
-	healthSub *telemetry.Subscription
-	alerts    []HealthAlert
-}
-
-// maxHeldAlerts bounds the re-sent alert window; the coordinator dedups
-// by UnixUS, so re-sending recent alerts every heartbeat is idempotent.
-const maxHeldAlerts = 16
-
-// drainAlerts moves pending health.* events off the bus subscription
-// into the held-alert window, stamping each with the worker's wall
-// clock (the coordinator's forward-once cursor).
-func (w *worker) drainAlerts() {
-	for {
-		select {
-		case ev, ok := <-w.healthSub.Events():
-			if !ok {
-				return
-			}
-			if !strings.HasPrefix(ev.Name, wire.EvHealthPrefix) {
-				continue
-			}
-			a := HealthAlert{
-				Kind:   strings.TrimPrefix(ev.Name, wire.EvHealthPrefix),
-				UnixUS: time.Now().UnixMicro(),
-			}
-			if d, _ := ev.Fields["detail"].(string); d != "" {
-				a.Detail = d
-			}
-			w.alerts = append(w.alerts, a)
-			if len(w.alerts) > maxHeldAlerts {
-				w.alerts = w.alerts[len(w.alerts)-maxHeldAlerts:]
-			}
-		default:
-			return
-		}
-	}
-}
-
-// heartbeat builds the federation payload renewals carry: the sanitized
-// registry snapshot plus the held alert window.
-func (w *worker) heartbeat() RenewRequest {
-	w.drainAlerts()
-	return RenewRequest{
-		Metrics: WirePoints(w.cfg.Registry.Snapshot()),
-		Alerts:  append([]HealthAlert(nil), w.alerts...),
-	}
 }
 
 // poll asks for a lease; nil without error means no work.
@@ -262,7 +207,7 @@ func (w *worker) process(ctx context.Context, lease *Lease) {
 
 // renewLoop heartbeats the lease at a third of its TTL; a 410 means the
 // lease was reassigned, so the evaluation is cancelled. Each beat
-// carries the federation payload.
+// carries the worker's metrics snapshot.
 func (w *worker) renewLoop(ctx context.Context, cancel context.CancelFunc, lease *Lease) {
 	ttl := time.Duration(lease.TTLSeconds * float64(time.Second))
 	period := max(ttl/3, 10*time.Millisecond)
@@ -273,7 +218,8 @@ func (w *worker) renewLoop(ctx context.Context, cancel context.CancelFunc, lease
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			status, err := w.post(ctx, "/v1/dist/leases/"+lease.ID+"/renew", w.heartbeat(), nil)
+			beat := RenewRequest{Metrics: WirePoints(w.cfg.Registry.Snapshot())}
+			status, err := w.post(ctx, "/v1/dist/leases/"+lease.ID+"/renew", beat, nil)
 			if err == nil && status == http.StatusGone {
 				cancel()
 				return

@@ -215,6 +215,28 @@ func TestResultCache(t *testing.T) {
 	}
 }
 
+// TestResultCacheIgnoresWorkers: estimates are bit-identical at every
+// worker count, so a repeat of a request at another worker count is a
+// cache hit with zero new simulations.
+func TestResultCacheIgnoresWorkers(t *testing.T) {
+	m, srv := newTestServer(t, Config{CacheSize: 8, Resolve: repro.WorkloadByName})
+	first := decodeSnap(t, postJobFull(t, srv, `{"workload":"readcurrent","method":"mnis","seed":6,"n":1000,"workers":1}`, nil))
+	if first.State != StateDone || first.Cached {
+		t.Fatalf("first run: %+v", first)
+	}
+	second := decodeSnap(t, postJobFull(t, srv, `{"workload":"readcurrent","method":"mnis","seed":6,"n":1000,"workers":2}`, nil))
+	if second.State != StateDone || !second.Cached {
+		t.Fatalf("workers 2 repeat not served from the cache: %+v", second)
+	}
+	job, err := m.Get(second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.counter.Count() != 0 {
+		t.Fatalf("cache hit simulated %d samples", job.counter.Count())
+	}
+}
+
 // Distribute submissions are validated up front: no distributor is 501
 // material, unshardable options reject before anything queues.
 func TestDistributeValidation(t *testing.T) {

@@ -13,14 +13,14 @@ import (
 // Content-addressed result cache: estimation runs are deterministic
 // functions of (code version, workload, canonical options, seed), so a
 // completed Result can be replayed for any later request with the same
-// key — zero new simulations. The key deliberately includes the fields
-// that select a different sequential engine (Workers==1 MC, traced MC)
-// or execution path (Distribute), so a hit can never serve bits the
-// requested configuration would not itself have produced; it excludes
-// pure runtime knobs (TimeoutSeconds).
+// key — zero new simulations. The key leaves out what cannot change the
+// result's bits: the worker count and Distribute (every estimate is
+// bit-identical across worker counts, and a distributed fold equals the
+// in-process run) and TimeoutSeconds. TraceEvery stays, because it adds
+// convergence snapshots to the Result.
 
 // cacheSchema versions the key derivation itself.
-const cacheSchema = "v1"
+const cacheSchema = "v2"
 
 // moduleVersion pins cache keys to the running build, so an upgraded
 // binary never replays results computed by different code.
@@ -41,9 +41,9 @@ var moduleVersion = func() string {
 func cacheKey(req Request) string {
 	o := req.Options().Canonical()
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%s|k=%d|n=%d|target=%g|seed=%d|trace=%d|workers=%d|mix=%d|quad=%t|dist=%t",
+	fmt.Fprintf(h, "%s|%s|%s|%s|k=%d|n=%d|target=%g|seed=%d|trace=%d|mix=%d|quad=%t",
 		cacheSchema, moduleVersion, req.Workload, o.Method,
-		o.K, o.N, o.Target, o.Seed, o.TraceEvery, o.Workers, o.Mixture, o.Quadratic, req.Distribute)
+		o.K, o.N, o.Target, o.Seed, o.TraceEvery, o.Mixture, o.Quadratic)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

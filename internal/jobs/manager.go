@@ -410,11 +410,6 @@ type Config struct {
 	// lifecycle (submit, run, terminal state, drain), each carrying the
 	// "job" correlation field.
 	Log *obslog.Logger
-	// AlertProfile, when positive and FlightDir is set, arms the
-	// auto-profiler: the first watchdog alert of each kind captures a
-	// heap profile plus an AlertProfile-long CPU profile into FlightDir,
-	// next to the flight-recorder event dump for the same alert.
-	AlertProfile time.Duration
 }
 
 // minSweep bounds how often the retention sweeper wakes up.
@@ -456,9 +451,6 @@ type Manager struct {
 	stopOnce sync.Once
 
 	log *obslog.Logger
-	// profiler captures pprof profiles into FlightDir on watchdog
-	// alerts (nil when auto-profiling is off).
-	profiler *telemetry.Profiler
 
 	// "jobs" scope instruments on cfg.Registry (nil-safe).
 	submitted, completed, failed, cancelled, rejected *telemetry.Counter
@@ -501,11 +493,6 @@ func NewManager(cfg Config) *Manager {
 		drained:    make(chan struct{}),
 		gcDone:     make(chan struct{}),
 		log:        cfg.Log.With("component", "jobs"),
-	}
-	if cfg.AlertProfile > 0 {
-		// NewProfiler returns nil without a directory, keeping the
-		// feature inert unless the flight recorder has somewhere to write.
-		m.profiler = telemetry.NewProfiler(cfg.FlightDir, cfg.AlertProfile)
 	}
 	m.bus = cfg.Registry.Bus()
 	if m.bus == nil && cfg.EventRing > 0 {
@@ -553,7 +540,8 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 			return nil, err
 		}
 	}
-	if err := req.Options().Validate(); err != nil {
+	opts := req.Options()
+	if err := opts.Validate(); err != nil {
 		m.rejected.Inc()
 		return nil, err
 	}
@@ -566,17 +554,24 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 			m.rejected.Inc()
 			return nil, ErrDistributionDisabled
 		}
-		if _, err := repro.ShardPlan(req.Options()); err != nil {
+		if _, err := repro.ShardPlan(opts); err != nil {
 			m.rejected.Inc()
 			return nil, err
 		}
 	}
 
+	// The job's registry reaches the metric's solver before the counter
+	// wraps it: mc.Counter does not pass SetTelemetry through, so
+	// EstimateContext could not thread it later.
+	reg := telemetry.New()
+	if tm, ok := metric.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
+		tm.SetTelemetry(reg)
+	}
 	job := &Job{
 		id:        fmt.Sprintf("j%06d", m.seq.Add(1)),
 		req:       req,
 		counter:   mc.NewCounter(metric),
-		reg:       telemetry.New(),
+		reg:       reg,
 		flightDir: m.cfg.FlightDir,
 		state:     StateQueued,
 		created:   time.Now(),
@@ -588,7 +583,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// Every job records a span trace on its private registry: the
 	// estimate pipeline nests its stage spans under it, and the
 	// /v1/jobs/{id}/trace endpoint serves it live or finished.
-	job.reg.SetTrace(telemetry.NewTrace())
+	reg.SetTrace(telemetry.NewTrace())
 	// With the event plane on, the run's events (run.start, progress, …)
 	// go to the job's private bus (SSE per-job stream + flight ring) and,
 	// with a {"job": id} tag merged in, to the server-global bus and its
@@ -596,7 +591,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	if m.bus != nil {
 		job.bus = telemetry.NewBus(m.cfg.EventRing).
 			WithParent(m.bus, map[string]any{"job": job.id})
-		job.reg.SetBus(job.bus)
+		reg.SetBus(job.bus)
 	}
 
 	m.mu.Lock()
@@ -1012,17 +1007,10 @@ func (m *Manager) run(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	// The watchdog rides the job's private bus (nil bus → nil watchdog,
-	// fully inert); its first alert dumps the flight recorder and, with
-	// auto-profiling armed, captures pprof CPU+heap profiles next to it.
-	// The capture runs off the watchdog goroutine — a CPU profile takes
-	// AlertProfile wall time and must not stall alert evaluation.
+	// fully inert); its first alert dumps the flight recorder.
 	job.watchdog = telemetry.StartWatchdog(job.reg, func(a telemetry.Alert) {
 		m.log.Warn("watchdog alert", "job", job.id, "kind", a.Kind, "detail", a.Detail)
 		job.dumpFlight("alert-" + a.Kind)
-		if m.profiler != nil {
-			//reprolint:ignore goroutinelife profile capture self-terminates after the sampling window; joining it would stall alert handling
-			go m.profiler.Capture(job.id + "-" + a.Kind)
-		}
 	})
 	job.mu.Unlock()
 	m.running.Set(m.running.Value() + 1)

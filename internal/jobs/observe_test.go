@@ -216,15 +216,13 @@ func TestSSEGapDetection(t *testing.T) {
 	}
 }
 
-// TestWatchdogAlertCapturesProfiles is the auto-profiling acceptance
-// test: a forced watchdog alert on a running job must produce pprof
-// heap and CPU captures in the flight-recorder directory, next to the
-// event-ring dump for the same alert.
-func TestWatchdogAlertCapturesProfiles(t *testing.T) {
+// TestWatchdogAlertDumpsFlightRecorder: a forced watchdog alert on a
+// running job writes the job's event ring to the flight-recorder
+// directory, named after the job and the alert kind.
+func TestWatchdogAlertDumpsFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	m, srv := newTestServer(t, Config{
-		Registry: telemetry.New(), EventRing: 64,
-		FlightDir: dir, AlertProfile: 20 * time.Millisecond,
+		Registry: telemetry.New(), EventRing: 64, FlightDir: dir,
 	})
 	snap := postJob(t, srv, `{"workload":"slow","method":"mc","seed":1,"n":4194304}`, http.StatusAccepted)
 	job, err := m.Get(snap.ID)
@@ -245,51 +243,59 @@ func TestWatchdogAlertCapturesProfiles(t *testing.T) {
 	// chain_stalled trigger.
 	job.Telemetry().Emit("gibbs.chain", map[string]any{"updates": 500, "acceptance": 0.0})
 
-	// Capture runs on its own goroutine (the CPU window blocks for
-	// AlertProfile); poll for both profile files.
-	var heap, cpu, dump string
+	// The watchdog dumps on its own goroutine; poll for the file.
+	dump := filepath.Join(dir, snap.ID+"-alert-chain_stalled.jsonl")
 	deadline = time.Now().Add(30 * time.Second)
-	for (heap == "" || cpu == "" || dump == "") && time.Now().Before(deadline) {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+	for {
+		if info, err := os.Stat(dump); err == nil && info.Size() > 0 {
+			break
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasPrefix(name, snap.ID+"-") || !strings.Contains(name, "chain_stalled") {
-				continue
-			}
-			// The CPU profile file exists (empty) while its sampling window
-			// is still open; only accept files with content.
-			if info, err := e.Info(); err != nil || info.Size() == 0 {
-				continue
-			}
-			switch {
-			case strings.HasSuffix(name, ".heap.pprof"):
-				heap = name
-			case strings.HasSuffix(name, ".cpu.pprof"):
-				cpu = name
-			case strings.HasSuffix(name, ".jsonl"):
-				dump = name
-			}
+		if time.Now().After(deadline) {
+			t.Fatalf("alert produced no flight-recorder event dump %s", dump)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if heap == "" || cpu == "" {
-		t.Fatalf("alert produced no pprof captures (heap %q, cpu %q) in %s", heap, cpu, dir)
-	}
-	if dump == "" {
-		t.Fatal("alert produced no flight-recorder event dump")
-	}
-	for _, name := range []string{heap, cpu, dump} {
-		info, err := os.Stat(filepath.Join(dir, name))
-		if err != nil || info.Size() == 0 {
-			t.Fatalf("capture %s missing or empty: %v", name, err)
-		}
 	}
 
 	if _, err := m.Cancel(snap.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, srv, snap.ID)
+}
+
+// TestServedJobCountsSolves: a served job's registry reaches the
+// metric's transistor-level solver, so the job's metrics and trace carry
+// the spice counters, and the stage spans' solves add up to the
+// registry's.
+func TestServedJobCountsSolves(t *testing.T) {
+	m := NewManager(Config{})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		m.Drain(ctx)
+	})
+	job, err := m.Submit(Request{Workload: "readcurrent", Method: "g-s", Seed: 1, K: 200, N: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("job did not finish")
+	}
+	if err := job.Err(); err != nil {
+		t.Fatal(err)
+	}
+	solves := job.Telemetry().Scope("spice").Counter("solves_total").Value()
+	if solves == 0 {
+		t.Fatal("the served job's registry counted no spice solves")
+	}
+	var stages float64
+	for _, s := range job.Telemetry().TraceData().Snapshot() {
+		if s.Name == "stage1" || s.Name == "stage2" {
+			stages += s.Counters["spice.solves_total"]
+		}
+	}
+	if stages != float64(solves) {
+		t.Fatalf("stage1+stage2 spans count %v spice solves, the registry %d", stages, solves)
+	}
 }

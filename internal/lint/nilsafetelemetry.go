@@ -17,8 +17,8 @@ import (
 // The obslog package adopts the same contract for its *Logger (library
 // code logs unconditionally; a nil logger is "logging off"), so the
 // analyzer covers both packages. The telemetry types the dist daemons
-// use (SpanSnapshot, MetricPoint, Profiler) live in telemetry and are
-// checked by the same sweep.
+// use (SpanSnapshot, MetricPoint) live in telemetry and are checked by
+// the same sweep.
 var NilSafeTelemetry = &Analyzer{
 	Name: "nilsafetelemetry",
 	Doc: "every exported method on a telemetry or obslog pointer-receiver " +

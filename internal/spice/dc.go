@@ -124,8 +124,8 @@ type DCOptions struct {
 	Warm *OperatingPoint
 	// Telemetry, when non-nil, records per-solve metrics (strategy
 	// fallbacks, Newton iterations, residuals, wall time) into the
-	// "spice" scope and emits fallback warning events. Nil is a no-op:
-	// the solve path pays only a nil check.
+	// "spice" scope and emits an event for each failed solve. Nil is a
+	// no-op: the solve path pays only a nil check.
 	Telemetry *telemetry.Registry
 	// NoBranchCurrents skips the post-convergence recovery of eliminated
 	// sources' branch currents (they read as zero via VSource.Current).
@@ -205,9 +205,10 @@ const stallWindow = 8
 //
 // Telemetry sees every call as one solve, whichever attempts it took:
 // one solves_total or unconverged_total count, one solve_seconds (when
-// timed) and newton_iterations observation, and a "spice.fallback"
-// event only when gmin or source stepping converged. A solve opens no
-// span; the trace's stage spans slice these counters.
+// timed) and newton_iterations observation, and a fallback_gmin_total or
+// fallback_source_total count when gmin or source stepping converged.
+// Only a failed solve emits an event ("spice.unconverged"). A solve
+// opens no span; the trace's stage spans slice these counters.
 func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*OperatingPoint) bool, opts *DCOptions) (*OperatingPoint, error) {
 	o := opts.defaults()
 	tel := c.dcTel(o.Telemetry)
@@ -237,20 +238,12 @@ func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*
 	tel.newtonIters.Observe(float64(op.iters))
 	tel.residual.Observe(op.residual)
 	switch op.strategy {
-	case StrategyNewton:
-		return op, nil
 	case StrategyWarm:
 		tel.warmHits.Inc()
-		return op, nil
 	case StrategyGmin:
 		tel.gminFalls.Inc()
 	case StrategySource:
 		tel.sourceFalls.Inc()
-	}
-	if o.Telemetry.Enabled() {
-		o.Telemetry.Emit(wire.EvSpiceFallback, map[string]any{
-			"strategy": op.strategy.String(), "newton_iterations": op.iters,
-		})
 	}
 	return op, nil
 }

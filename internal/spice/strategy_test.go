@@ -99,6 +99,38 @@ func TestSolveTelemetry(t *testing.T) {
 	}
 }
 
+// TestGminRescueCountedNotEmitted: a solve that gmin stepping rescues
+// is counted in fallback_gmin_total and publishes no event, even on a
+// registry with a bus. The node settles at 3.33 V, more than MaxIter
+// damped steps of maxStep from 0 V, so plain Newton runs out of
+// iterations while each gmin stage has a shorter way to go.
+func TestGminRescueCountedNotEmitted(t *testing.T) {
+	var buf strings.Builder
+	reg := telemetry.New()
+	reg.SetBus(telemetry.NewLogBus(0, &buf))
+	c := NewCircuit()
+	c.AddVSource("vin", "in", "0", 5.0)
+	c.AddResistor("r1", "in", "mid", 1000)
+	c.AddResistor("r2", "mid", "0", 2000)
+	op, err := c.SolveDC(&DCOptions{Telemetry: reg, MaxIter: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.Strategy() != StrategyGmin {
+		t.Fatalf("strategy = %v, want %v", op.Strategy(), StrategyGmin)
+	}
+	s := reg.Scope("spice")
+	if got := s.Counter("fallback_gmin_total").Value(); got != 1 {
+		t.Fatalf("fallback_gmin_total = %d, want 1", got)
+	}
+	if got := s.Counter("solves_total").Value(); got != 1 {
+		t.Fatalf("solves_total = %d, want 1", got)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a rescued solve emitted events:\n%s", buf.String())
+	}
+}
+
 // TestUnconvergedTelemetry drives the full escalation chain to failure: a
 // current source into a node whose only DC path to ground is the 1e-12 S
 // gmin shunt wants ~1e9 V, far beyond maxStep×MaxIter for plain Newton,

@@ -19,7 +19,9 @@ import (
 //	newton_iterations         Newton iterations per solve, all attempts
 //	residual                  max-|KCL| residual at convergence
 //
-// plus the rare events "spice.fallback" and "spice.unconverged".
+// plus the event "spice.unconverged" for a solve that failed. A solve
+// rescued by gmin or source stepping is only counted: the counters are
+// what the watchdog and the trace's stage spans read.
 
 // Bucket layouts, precomputed so the per-solve path never allocates.
 var (

@@ -41,7 +41,7 @@ import (
 //
 //	seq    bus-local sequence number (0-based, no gaps)
 //	t_ms   wall milliseconds since the bus was created
-//	event  the event name, dot-namespaced by layer ("spice.fallback",
+//	event  the event name, dot-namespaced by layer ("spice.unconverged",
 //	       "gibbs.chain", "progress", "run.done", …)
 //
 // merged with the publisher's fields. Keys are emitted in sorted order

@@ -20,8 +20,13 @@ import (
 //	               running estimate ("progress" events; report:
 //	               max-weight fraction > WeightBlowupFrac)
 //	newton_storm   the SPICE solver is living on its gmin/source
-//	               fallbacks (spice counters read at "progress" and
-//	               "spice.fallback" events)
+//	               fallbacks (spice counters read at every event)
+//
+// The solver publishes no event of its own, so the spice counters are
+// sampled at every event the watchdog sees: phases that publish no
+// progress (the Algorithm 4 search, MNIS training, a worker's leased
+// range) are judged at the run's next event, and subset simulation,
+// which publishes no progress at all, only at "run.done".
 //
 // Each alert fires once per kind per watchdog: a typed "health.<kind>"
 // event is emitted on the registry's bus, the "health" metric
@@ -176,13 +181,8 @@ func (w *Watchdog) observe(ev Event) {
 				Seq: ev.Seq,
 			})
 		}
-		w.checkNewtonStorm(ev.Seq)
-	case wire.EvSpiceFallback:
-		// A fallback is the only moment the fallback ratio can rise, and
-		// phases without progress events (the Algorithm 4 search, MNIS
-		// training) still solve.
-		w.checkNewtonStorm(ev.Seq)
 	}
+	w.checkNewtonStorm(ev.Seq)
 }
 
 // checkNewtonStorm reads the solver counters: a solve population living

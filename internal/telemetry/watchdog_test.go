@@ -87,18 +87,19 @@ func TestWatchdogNewtonStorm(t *testing.T) {
 	waitAlert(t, alerts, "newton_storm")
 }
 
-// TestWatchdogNewtonStormOnFallback covers the phases that solve but
-// publish no progress (the Algorithm 4 search, MNIS training): the
-// fallback event itself samples the solver counters.
-func TestWatchdogNewtonStormOnFallback(t *testing.T) {
+// TestWatchdogNewtonStormWithoutProgress covers the phases that solve
+// but publish no progress (the Algorithm 4 search, MNIS training): the
+// solver emits no event of its own, so the next event of any kind
+// samples its counters.
+func TestWatchdogNewtonStormWithoutProgress(t *testing.T) {
 	reg, _, alerts := watchdogHarness(t)
 	s := reg.Scope("spice")
 	s.Counter("solves_total").Add(1000)
 	s.Counter("fallback_gmin_total").Add(400)
 	s.Counter("fallback_source_total").Add(300)
-	reg.Emit("spice.fallback", map[string]any{"strategy": "gmin", "newton_iterations": 40})
+	reg.Emit("stage1.start_point", map[string]any{"sims": 120})
 	if a := waitAlert(t, alerts, "newton_storm"); a.Seq != 0 {
-		t.Errorf("trigger seq %d, want 0 (the fallback event)", a.Seq)
+		t.Errorf("trigger seq %d, want 0 (the stage1.start_point event)", a.Seq)
 	}
 }
 

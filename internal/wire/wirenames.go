@@ -33,9 +33,8 @@ const (
 	EvStage1Done       = "stage1.done"
 	EvStage2Start      = "stage2.start"
 
-	// SPICE solver fallbacks, emitted by internal/spice.
+	// A DC solve that exhausted every strategy, emitted by internal/spice.
 	EvSpiceUnconverged = "spice.unconverged"
-	EvSpiceFallback    = "spice.fallback"
 
 	// Estimator completion snapshot, emitted by internal/mc.
 	EvEstimatorDone = "estimator.done"

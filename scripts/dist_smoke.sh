@@ -18,16 +18,24 @@ JOBSPEC='{"workload":"readcurrent","method":"g-s","seed":7,"k":500,"n":60000}'
 
 fail() { echo "dist_smoke: FAIL: $*" >&2; exit 1; }
 
+# On exit, stop every daemon started; a passing run removes $WORK, a
+# failing one keeps it for inspection and prints its path.
+PIDS=()
+cleanup() {
+  local rc=$?
+  for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
+  if [ "$rc" -eq 0 ]; then
+    rm -rf "$WORK"
+  else
+    echo "dist_smoke: work directory kept: $WORK" >&2
+  fi
+}
+trap cleanup EXIT
+
 go build -o "$WORK/sramserverd" ./cmd/sramserverd
 go build -o "$WORK/sramworkerd" ./cmd/sramworkerd
 go build -o "$WORK/sramfail" ./cmd/sramfail
 go build -o "$WORK/loadtest" ./cmd/loadtest
-
-PIDS=()
-cleanup() {
-  for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-}
-trap cleanup EXIT
 
 start_server() { # args: extra server flags
   "$WORK/sramserverd" -addr "$ADDR" -drain-timeout 30s "$@" &
@@ -194,6 +202,4 @@ wait "$SERVER_PID" || fail "server exited non-zero after drain"
 grep -q 'drain crossing' "$WORK/lt3.out" || fail "loadtest did not run in drain mode"
 echo "dist_smoke: drain crossing OK (zero lost jobs, clean rejections)"
 
-trap - EXIT
-cleanup
 echo "dist_smoke: PASS"

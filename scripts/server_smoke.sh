@@ -22,12 +22,25 @@ PF_HI=1e-5
 
 fail() { echo "server_smoke: FAIL: $*" >&2; exit 1; }
 
+# On exit, stop a server still running; a passing run removes $WORK, a
+# failing one keeps it for inspection and prints its path.
+SERVER_PID=
+cleanup() {
+  local rc=$?
+  [ -z "$SERVER_PID" ] || kill "$SERVER_PID" 2>/dev/null || true
+  if [ "$rc" -eq 0 ]; then
+    rm -rf "$WORK"
+  else
+    echo "server_smoke: work directory kept: $WORK" >&2
+  fi
+}
+trap cleanup EXIT
+
 go build -o "$BIN" ./cmd/sramserverd
 "$BIN" -addr "$ADDR" -drain-timeout 30s \
   -telemetry "$WORK/events.jsonl" -trace "$WORK/trace.json" \
   -flight-dir "$WORK/flight" -sse-heartbeat 500ms &
 SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 
 for _ in $(seq 1 100); do
   curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
@@ -162,7 +175,7 @@ kill -TERM "$SERVER_PID"
 RC=0
 wait "$SERVER_PID" || RC=$?
 [ "$RC" -eq 0 ] || fail "server exited $RC on SIGTERM"
-trap - EXIT
+SERVER_PID=
 
 # The drain must have flushed the JSONL event log and written the span
 # trace: every event line parses, and job lifecycle events are present.
