@@ -41,6 +41,8 @@ type solvePlan struct {
 	// forced transfer-curve point needs only half the cell's transistor
 	// evaluations this way. Branch recovery still stamps every device.
 	active []Device
+	// isFree marks the full-system indices listed in free.
+	isFree []bool
 }
 
 // newtonWorkspace holds the per-circuit numeric scratch space so the
@@ -95,12 +97,12 @@ func (c *Circuit) buildPlan() *solvePlan {
 	for _, v := range kept {
 		p.free = append(p.free, v.branch)
 	}
-	isFree := make([]bool, c.NumUnknowns())
+	p.isFree = make([]bool, c.NumUnknowns())
 	for _, i := range p.free {
-		isFree[i] = true
+		p.isFree[i] = true
 	}
 	for _, d := range c.devices {
-		if stampsFreeRow(d, isFree) {
+		if stampsFreeRow(d, p.isFree) {
 			p.active = append(p.active, d)
 		}
 	}
