@@ -38,7 +38,9 @@ func linear3() mc.Metric { return &surrogate.Linear{W: []float64{1, 1, 1}, B: 7}
 // reachable bit for bit: at Chains: 1 the two-stage flow (Algorithm 4
 // start, K=200 samples or a Stage1Budget, N=2000) reproduces the Gibbs
 // samples, Pf, RelErr99 and stage-1 cost recorded before the chains were
-// split, at 1 and 2 workers.
+// split, at 1 and 2 workers. The readcurrent rows' samples, Pf and
+// RelErr99 were re-recorded when softplusSq moved to one exponential,
+// which moves only low bits; their stage-1 costs did not move.
 func TestChainsOnePinned(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -57,13 +59,13 @@ func TestChainsOnePinned(t *testing.T) {
 		{"linear/G-S", linear3, Spherical, 11, 200, 0,
 			"75a884f415d71316df3309847cfa26ee391124397ef7b2e83a60223ca6a92eec", 0x3efad4ebfcdb4495, 0x3fac5fa161bc11d9, 2357, 200},
 		{"readcurrent/G-C", readCurrent, Cartesian, 3, 200, 0,
-			"faf9f0cffcdea638ecba4f437f69f30bdb0d0fb87f0ac75670132ab8c563e989", 0x3ec603dffdadd84a, 0x3fc0bd7f4c4b2fa3, 1915, 200},
+			"d5a32dce0596ad868784f4c2c014f9df0092cd3d9cb83cc5ad39f994dbc7150e", 0x3ec603dffdadd84f, 0x3fc0bd7f4c4b2fac, 1915, 200},
 		{"readcurrent/G-S", readCurrent, Spherical, 3, 200, 0,
-			"63cb013556782fc655728789722421f2086017b471fdd4fb9405f056b980fdc8", 0x3ec5da6e8af24224, 0x3fb57077382b4225, 2324, 200},
+			"cbb23b6ceddfcc007234d108c574479f6850d41719c1b5ea9504d6d85471f980", 0x3ec5da6e8af24296, 0x3fb57077382b4309, 2324, 200},
 		{"linear/G-C/budget", linear3, Cartesian, 11, 1000, 800,
 			"08bf6b14a59bf4a4a4c625e758da5072ab959f3515976c6426956dbf7c233a63", 0x3ef7098aec25cca0, 0x3fd71f65b1ff8733, 800, 79},
 		{"readcurrent/G-S/budget", readCurrent, Spherical, 3, 1000, 1500,
-			"f24f0967fcb0169cfb82a0d47051da98d005e10df99f20acb00f300cfb201e98", 0x3ec5a8ae5708b554, 0x3fb5519c64b4d195, 1502, 126},
+			"b234123588c6d4ed43901286fd5692d533825563dfd531f003cce0fffd8a16df", 0x3ec5a8ae5708b5d7, 0x3fb5519c64b4d2d6, 1502, 126},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2} {

@@ -220,8 +220,8 @@ func TestPMOSMirror(t *testing.T) {
 // TestMOSFETMemoIsExact: the softplus memo must never show. Every Eval
 // on a device with a history returns, bit for bit, the outputs of a
 // fresh device at the same inputs, through repeated calls, repeats of
-// only the forward or only the reverse argument, both ±34 switch points
-// of softplusSq, signed zeros (an argument of exactly +0 included),
+// only the forward or only the reverse argument, softplusSq arguments
+// out to |u| ≈ 60 on both sides, signed zeros (an argument of exactly +0 included),
 // subnormal, infinite and NaN voltages, and ΔVth, VT0 and Vt changes
 // between calls at the same voltages. Bits are compared, so NaN
 // outputs must match too.

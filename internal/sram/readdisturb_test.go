@@ -71,9 +71,10 @@ func foldSamples() [][]float64 {
 // ReadCurrentWorkload().Value over foldSamples, in order, on amd64. It
 // was recorded by running this test, with a placeholder digest, against
 // the solver of commit 196a434 (the parent of the Newton stall exit) and
-// copying the digest from the failure message. A change that moves these bits on
-// purpose records the new digest here and says so in CHANGES.md.
-const foldDigest = "5a71dd5fb6611a58eb7c807b629c701d0d44620dd04e211a09fd4b2d000de93a"
+// copying the digest from the failure message, and re-recorded the same
+// way when softplusSq moved to one exponential. A change that moves these
+// bits on purpose records the new digest here and says so in CHANGES.md.
+const foldDigest = "96f5b60e3722feac80281970fd64437d4c0a516370c1c7670cd46e01d30e001f"
 
 // TestReadCurrentFoldBitsPinned: convergence work in the solver (the
 // stall exit, the gmin ladder) must not move a single read-current value

@@ -212,9 +212,9 @@ func TestEstimateBitsPinned(t *testing.T) {
 	}{
 		{MC, "059fb9de70eac220769092b8fc7500199547f8b417c8a3af11415d4021b183e4"},
 		{MIS, "beb232aaffc9f00084457a67d62754c61f6fcc0c367a9e5c1c3b9fd61f02cdd9"},
-		{MNIS, "f49bd8e1892d50ca1ebba8839de26caa29b08168fe28eaa2a0b093b80a979cf3"},
-		{GC, "d710271e8f57d5c5cec40a6f851185ccf428ff8be0360d67030f572d7f8ca2f8"},
-		{GS, "a8453d94c5aebaf93f14371ffcb04c317e948eaafa9bfcfc5d8ae2e26c10cae9"},
+		{MNIS, "15f38dbc704d114254e2504d44712c6c8f12bcea74e395c530a16e4a11beadf8"},
+		{GC, "a6c8c89add04f57d25f27e7b2cf5d65080d19d230288f901c4a3de93447951c0"},
+		{GS, "cdba1c15389cb29cf71f1c7e7b328d0d854fa93d443d07ab549476d2f88c0b39"},
 		{Blockade, "bd53296a7bfce2f1c0259cd58190c46ea5f9f3499c6ca7a8cf76fc9e3dba11aa"},
 		{Subset, "f1d100c3159f0d3a95196a27a1852a3da323d20accf38527e86147330bbc0aa1"},
 	} {
