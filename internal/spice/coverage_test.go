@@ -213,12 +213,5 @@ func TestCapacitorStampInactiveIsOpen(t *testing.T) {
 	}
 }
 
-func TestPinStampName(t *testing.T) {
-	p := &pinStamp{}
-	if p.Name() == "" {
-		t.Fatal("pin stamp must have a name")
-	}
-}
-
 // zeroMat builds a zeroed Jacobian for direct stamp tests.
 func zeroMat(n int) *linalg.Matrix { return linalg.NewMatrix(n, n) }

@@ -133,6 +133,10 @@ type DCOptions struct {
 	// only consume voltages set this to drop one full device stamp per
 	// solve.
 	NoBranchCurrents bool
+
+	// icPins holds nodes at their initial conditions (a transient's
+	// t = 0 solve); see solveWithPinnedNodes.
+	icPins []nodePin
 }
 
 // Newton's fixed tolerances. A solve converges once its damped voltage
@@ -169,15 +173,15 @@ func (o *DCOptions) defaults() DCOptions {
 // (Strategy), the Newton iterations consumed and the residual at
 // convergence. It is SolveDCFrom without a warm start.
 func (c *Circuit) SolveDC(opts *DCOptions) (*OperatingPoint, error) {
-	return c.SolveDCFrom(nil, 0, nil, opts)
+	return c.SolveDCFrom(nil, nil, opts)
 }
 
-// DefaultWarmMaxIter is the Newton budget for a warm-start attempt. Warm
+// warmMaxIter is the Newton budget for a warm-start attempt. Warm
 // starts that are going to converge do so in a handful of iterations;
 // anything still wandering after this budget is cheaper to restart cold
 // than to keep polishing. A warm attempt that stalls (8 iterations
 // without a lower residual) stops before the budget runs out.
-const DefaultWarmMaxIter = 40
+const warmMaxIter = 40
 
 // stallWindow is how many consecutive Newton iterations an attempt may
 // spend without lowering its best max-|KCL| residual before it gives up.
@@ -190,14 +194,14 @@ const DefaultWarmMaxIter = 40
 const stallWindow = 8
 
 // SolveDCFrom computes the DC operating point, first attempting damped
-// Newton from the anchor solution with a warmIter iteration budget
-// (<= 0 selects DefaultWarmMaxIter). A converged warm attempt must also
-// pass guard (when non-nil) — guards reject warm solutions that left the
-// intended basin of a bistable circuit. On any warm failure the solve
-// falls back to SolveDC's cold escalation, the returned operating point
-// counts the warm attempt's iterations as well, and the fallback is
-// recorded in the "spice" telemetry scope (warm_fallback_total); warm
-// successes record warm_hit_total and report StrategyWarm.
+// Newton from the anchor solution within warmMaxIter iterations. A
+// converged warm attempt must also pass guard (when non-nil) — guards
+// reject warm solutions that left the intended basin of a bistable
+// circuit. On any warm failure the solve falls back to SolveDC's cold
+// escalation, the returned operating point counts the warm attempt's
+// iterations as well, and the fallback is recorded in the "spice"
+// telemetry scope (warm_fallback_total); warm successes record
+// warm_hit_total and report StrategyWarm.
 //
 // A nil anchor (or one sized for a different topology) skips straight to
 // the cold escalation without counting a fallback: the caller had no
@@ -209,7 +213,7 @@ const stallWindow = 8
 // fallback_source_total count when gmin or source stepping converged.
 // Only a failed solve emits an event ("spice.unconverged"). A solve
 // opens no span; the trace's stage spans slice these counters.
-func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*OperatingPoint) bool, opts *DCOptions) (*OperatingPoint, error) {
+func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, guard func(*OperatingPoint) bool, opts *DCOptions) (*OperatingPoint, error) {
 	o := opts.defaults()
 	tel := c.dcTel(o.Telemetry)
 	sw := c.startSolveClock(tel, o.Telemetry)
@@ -217,7 +221,7 @@ func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*
 	var err error
 	warmIters := 0
 	if anchor != nil && len(anchor.x) == c.NumUnknowns() {
-		if op, warmIters = c.warmDC(anchor, warmIter, guard, o); op == nil {
+		if op, warmIters = c.warmDC(anchor, guard, o); op == nil {
 			tel.warmFalls.Inc()
 		}
 	}
@@ -249,14 +253,11 @@ func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, warmIter int, guard func(*
 }
 
 // warmDC is SolveDCFrom's warm attempt: damped Newton from the anchor
-// within the warm iteration budget. It returns the accepted operating
+// within warmMaxIter iterations. It returns the accepted operating
 // point, or nil when Newton failed or guard rejected the result, and the
 // iterations spent either way.
-func (c *Circuit) warmDC(anchor *OperatingPoint, warmIter int, guard func(*OperatingPoint) bool, o DCOptions) (*OperatingPoint, int) {
-	o.MaxIter = warmIter
-	if o.MaxIter <= 0 {
-		o.MaxIter = DefaultWarmMaxIter
-	}
+func (c *Circuit) warmDC(anchor *OperatingPoint, guard func(*OperatingPoint) bool, o DCOptions) (*OperatingPoint, int) {
+	o.MaxIter = warmMaxIter
 	c.indexBranches()
 	x := linalg.CopyVec(anchor.x)
 	st, err := c.newton(x, &o, gminFloor, 1.0, stallWindow)
@@ -293,6 +294,9 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 			if idx >= 0 {
 				x[idx] = v
 			}
+		}
+		for _, p := range o.icPins {
+			x[p.idx] = p.v
 		}
 	}
 
@@ -366,13 +370,16 @@ type newtonStats struct {
 // nodes pinned by single-ended voltage sources are set once up front and
 // their branch currents recovered after convergence, which shrinks the
 // factored system from NumUnknowns to a handful of genuinely nonlinear
-// voltages. A positive stall gives up with ErrNoConvergence once that many
-// consecutive iterations have not lowered the best residual so far; the
-// convergence test runs first, so a converging iterate is never cut off.
+// voltages. The initial-condition pins in o.icPins stamp their
+// conductances after the devices. A positive stall gives up with
+// ErrNoConvergence once that many consecutive iterations have not lowered
+// the best residual so far; the convergence test runs first, so a
+// converging iterate is never cut off.
 func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64, stall int) (newtonStats, error) {
 	plan, ws := c.solverState()
 	f, jFull, jRed := ws.f, ws.jFull, ws.jRed
 	neg, dx := ws.neg, ws.dx
+	pins := o.icPins
 
 	// Temporarily scale sources for source stepping.
 	//reprolint:ignore floateq srcScale is assigned from the stepping schedule, never computed; 1.0 is the exact "no scaling" sentinel
@@ -405,6 +412,10 @@ func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64, stal
 		jFull.Zero()
 		for _, d := range plan.active {
 			d.Stamp(x, f, jFull)
+		}
+		for _, p := range pins {
+			f[p.idx] += icConductance * (x[p.idx] - p.v)
+			jFull.Add(p.idx, p.idx, icConductance)
 		}
 		// gmin shunts keep the Jacobian nonsingular with off devices.
 		// Pinned rows never enter the factored system, so only free

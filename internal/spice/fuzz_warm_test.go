@@ -66,7 +66,7 @@ func FuzzSolveDCFrom(f *testing.F) {
 			for k, m := range mosfets {
 				m.DeltaVth = row[k]
 			}
-			op, err := c.SolveDCFrom(anchor, 0, guard, nil)
+			op, err := c.SolveDCFrom(anchor, guard, nil)
 			if (op == nil) != (err != nil) {
 				t.Fatalf("op/err disagree: %v / %v", op, err)
 			}

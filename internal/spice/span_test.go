@@ -103,7 +103,7 @@ func TestSolveDCFromOpensNoSpan(t *testing.T) {
 	}
 	opts := &DCOptions{Telemetry: reg}
 	for i := 0; i < 3; i++ {
-		if _, err := c.SolveDCFrom(cold, 0, nil, opts); err != nil {
+		if _, err := c.SolveDCFrom(cold, nil, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,8 @@ package spice
 import (
 	"math"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 // RC discharge: V(t) = V0·e^{−t/RC}, the canonical transient check.
@@ -219,18 +221,20 @@ func TestTranFloatingCapHolds(t *testing.T) {
 	}
 }
 
-// TestPinnedSolveReusesPlan: the pinned t = 0 solve puts the pin device
-// on the cached plan's active list for that solve only, so a transient
-// with initial conditions rebuilds neither the solve plan nor the Newton
-// workspace, and a second run's waveform is bit for bit the first's.
-// The pins sit on a free node, on a source-driven node (which stamps no
-// free row), and on both.
+// TestPinnedSolveReusesPlan: the pinned t = 0 solve holds its nodes by
+// a Newton term, so a transient with initial conditions changes neither
+// the device list nor the cached plan during the solve, rebuilds neither
+// the plan nor the Newton workspace, and a second run's waveform is bit
+// for bit the first's. The pins sit on a free node, on a source-driven
+// node (which stamps no free row), and on both.
 func TestPinnedSolveReusesPlan(t *testing.T) {
 	for _, ic := range []map[string]float64{{"n": 1}, {"in": 1}, {"n": 1, "in": 1}} {
 		c := NewCircuit()
 		c.AddVSource("vin", "in", "0", 0.3)
 		c.AddResistor("r", "in", "n", 1e3)
 		c.AddCapacitor("c", "n", "0", 1e-9)
+		probe := &sizeProbe{c: c}
+		c.add(probe)
 		run := func() []float64 {
 			t.Helper()
 			var vs []float64
@@ -249,10 +253,52 @@ func TestPinnedSolveReusesPlan(t *testing.T) {
 		if c.plan != plan || c.ws != ws || len(c.plan.active) != active {
 			t.Fatalf("ic %v: plan or workspace rebuilt, or active list changed (%d → %d devices)", ic, active, len(c.plan.active))
 		}
+		if len(probe.seen) == 0 {
+			t.Fatalf("ic %v: the probe device never stamped", ic)
+		}
+		for _, n := range probe.seen {
+			if n != [2]int{len(c.devices), active} {
+				t.Fatalf("ic %v: a stamp saw %d devices and %d active, want %d and %d", ic, n[0], n[1], len(c.devices), active)
+			}
+		}
 		for i := range first {
 			if math.Float64bits(first[i]) != math.Float64bits(again[i]) {
 				t.Fatalf("ic %v: value %d is %v on a fresh circuit, %v on the reused one", ic, i, first[i], again[i])
 			}
 		}
+	}
+}
+
+// sizeProbe is a device that stamps nothing and records, at every
+// stamp, the length of its circuit's device list and of its cached
+// plan's active list. An unknown device type is always active.
+type sizeProbe struct {
+	c    *Circuit
+	seen [][2]int
+}
+
+func (p *sizeProbe) Name() string { return "probe" }
+
+func (p *sizeProbe) Stamp(x []float64, f []float64, j *linalg.Matrix) {
+	p.seen = append(p.seen, [2]int{len(p.c.devices), len(p.c.plan.active)})
+}
+
+// TestInitialConditionsLeaveCallerGuess: SolveTran holds its initial
+// conditions in its own options, never in the caller's InitialGuess map.
+func TestInitialConditionsLeaveCallerGuess(t *testing.T) {
+	c := NewCircuit()
+	c.AddResistor("r", "n", "0", 1e3)
+	c.AddCapacitor("c", "n", "0", 1e-9)
+	g := map[string]float64{}
+	err := c.SolveTran(TranOptions{
+		Stop: 1e-6, Step: 1e-7,
+		DC:                &DCOptions{InitialGuess: g},
+		InitialConditions: map[string]float64{"n": 0.7},
+	}, func(TranPoint) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g) != 0 {
+		t.Fatalf("the caller's initial guess became %v, want it empty", g)
 	}
 }

@@ -48,7 +48,7 @@ func TestWarmStartProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
-		warm, err := c.SolveDCFrom(nominal, 0, nil, nil)
+		warm, err := c.SolveDCFrom(nominal, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
 		}
@@ -88,7 +88,7 @@ func TestWarmStartDivergentFallsBack(t *testing.T) {
 		bad.x[i] = 1e6
 	}
 	fallsBefore := reg.Scope("spice").Counter("warm_fallback_total").Value()
-	op, err := c.SolveDCFrom(bad, 0, nil, opts)
+	op, err := c.SolveDCFrom(bad, nil, opts)
 	if err != nil {
 		t.Fatalf("divergent warm start must recover cold: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestWarmStartGuardRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := c.SolveDCFrom(cold.Clone(), 0, nil, nil)
+	warm, err := c.SolveDCFrom(cold.Clone(), nil, nil)
 	if err != nil || warm.Strategy() != StrategyWarm {
 		t.Fatalf("unguarded warm solve: %v, %v", warm, err)
 	}
@@ -128,7 +128,7 @@ func TestWarmStartGuardRejection(t *testing.T) {
 	reg.SetTrace(tr)
 	_, span := telemetry.StartSpan(context.Background(), reg, "test")
 	never := func(*OperatingPoint) bool { return false }
-	op, err := c.SolveDCFrom(cold.Clone(), 0, never, &DCOptions{Telemetry: reg})
+	op, err := c.SolveDCFrom(cold.Clone(), never, &DCOptions{Telemetry: reg})
 	span.End()
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestWarmStartNilAnchorIsNotAFallback(t *testing.T) {
 	c, _ := inverterChain()
 	reg := telemetry.New()
 	opts := &DCOptions{Telemetry: reg}
-	if _, err := c.SolveDCFrom(nil, 0, nil, opts); err != nil {
+	if _, err := c.SolveDCFrom(nil, nil, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Scope("spice").Counter("warm_fallback_total").Value(); got != 0 {

@@ -1,8 +1,8 @@
 // Package sram models the paper's test vehicle: a 6-T SRAM cell whose
 // stability and timing metrics (read noise margin, write noise margin,
-// read current, access time, write delay) are extracted with
-// transistor-level simulation (package spice) by one implementation
-// each: the Metric engine.
+// read current, access time) are extracted with transistor-level
+// simulation (package spice) by one implementation each: the Metric
+// engine.
 //
 // Transistor naming follows the paper's Fig. 5 usage:
 //

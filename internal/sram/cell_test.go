@@ -51,9 +51,12 @@ func TestNominalMargins(t *testing.T) {
 	if rs < 0.15 || rs > 0.35 {
 		t.Fatalf("nominal read SNM %v outside plausible range", rs)
 	}
-	hs := rawValue(t, &Metric{Cell: c, Kind: Hold}, zero)
-	if hs <= rs {
-		t.Fatalf("hold SNM %v must exceed read SNM %v", hs, rs)
+	hold, err := c.NoiseMargins(HoldConfig, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hold.Eye0 <= rs {
+		t.Fatalf("hold SNM %v must exceed read SNM %v", hold.Eye0, rs)
 	}
 	wm := rawValue(t, &Metric{Cell: c, Kind: WNM}, zero)
 	if wm < 0.2 || wm > 0.6 {
@@ -80,21 +83,18 @@ func TestNominalEyesSymmetric(t *testing.T) {
 }
 
 // NoiseMargins traces the butterfly with the engine's own sweep, so its
-// state-0 eye is bit-identical to the RNM (read) and Hold metrics' raw
-// value.
+// state-0 read eye is bit-identical to the RNM metric's raw value.
 func TestNoiseMarginsMatchMetricRaw(t *testing.T) {
 	c := Default90nm()
 	d := [NumTransistors]float64{0.03, -0.02, 0.01, 0, 0.02, -0.01}
-	for cfg, kind := range map[BiasConfig]MetricKind{ReadConfig: RNM, HoldConfig: Hold} {
-		m := &Metric{Cell: c, Kind: kind}
-		for _, dv := range [][NumTransistors]float64{zero, d} {
-			s, err := c.NoiseMargins(cfg, dv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if raw := rawValue(t, m, dv); s.Eye0 != raw {
-				t.Fatalf("%v at %v: NoiseMargins eye %v != %v raw %v", cfg, dv, s.Eye0, kind, raw)
-			}
+	m := &Metric{Cell: c, Kind: RNM}
+	for _, dv := range [][NumTransistors]float64{zero, d} {
+		s, err := c.NoiseMargins(ReadConfig, dv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw := rawValue(t, m, dv); s.Eye0 != raw {
+			t.Fatalf("at %v: NoiseMargins eye %v != rnm raw %v", dv, s.Eye0, raw)
 		}
 	}
 }
@@ -211,7 +211,7 @@ func TestReadFlipCollapsesCurrent(t *testing.T) {
 }
 
 func TestMetricMarginConvention(t *testing.T) {
-	m := NewReadCurrentMetric(FastRead90nm(), ReadCurrentSpec)
+	m := ReadCurrentWorkload()
 	if m.Dim() != 2 {
 		t.Fatalf("read-current dim = %d", m.Dim())
 	}
@@ -312,11 +312,8 @@ func TestEyeSquareDegenerate(t *testing.T) {
 // racing on its engine free list and its once-computed anchor — must
 // reproduce sequential evaluation bit for bit.
 func TestMetricConcurrentUse(t *testing.T) {
-	hold := func() *Metric {
-		return &Metric{Cell: Default90nm(), Kind: Hold, Spec: 0.08, Which: AllTransistors()}
-	}
 	for _, newMetric := range []func() *Metric{
-		RNMWorkload, WNMWorkload, ReadCurrentWorkload, hold,
+		RNMWorkload, WNMWorkload, ReadCurrentWorkload,
 		DualReadCurrentWorkload, AccessTimeWorkload,
 	} {
 		ref := newMetric()

@@ -69,8 +69,8 @@ func TestStringers(t *testing.T) {
 		t.Fatal("unknown config should still print")
 	}
 	for k, want := range map[MetricKind]string{
-		RNM: "rnm", WNM: "wnm", ReadCurrent: "readcurrent", Hold: "hold", DualRead: "dualread",
-		AccessTime: "access", WriteDelay: "writedelay",
+		RNM: "rnm", WNM: "wnm", ReadCurrent: "readcurrent", DualRead: "dualread",
+		AccessTime: "access",
 	} {
 		if k.String() != want {
 			t.Fatalf("MetricKind %d prints %q", k, k.String())
@@ -88,9 +88,7 @@ func TestMetricErrorValueFloors(t *testing.T) {
 		ReadCurrent: 0,
 		DualRead:    0,
 		RNM:         -cell.VDD,
-		Hold:        -cell.VDD,
-		AccessTime:  (&TranSpec{}).defaults().Stop,
-		WriteDelay:  (&TranSpec{}).defaults().Stop,
+		AccessTime:  accessStop,
 	}
 	for kind, want := range cases {
 		m := &Metric{Cell: cell, Kind: kind, Which: []int{M1}}

@@ -53,7 +53,6 @@ func equivalenceSamples(seed int64, n, dim int) [][]float64 {
 // licenses the estimators to dispatch whole chunks to the batch kernel
 // without perturbing any published number.
 func TestBatchScalarBitIdentical(t *testing.T) {
-	holdMetric := &Metric{Cell: Default90nm(), Kind: Hold, Spec: 0.08, Which: AllTransistors()}
 	cases := []struct {
 		name string
 		m    batchMetric
@@ -63,7 +62,6 @@ func TestBatchScalarBitIdentical(t *testing.T) {
 		{"dualread", DualReadCurrentWorkload(), 64},
 		{"rnm", RNMWorkload(), 24},
 		{"wnm", WNMWorkload(), 24},
-		{"hold", holdMetric, 16},
 		{"access", AccessTimeWorkload(), 24},
 	}
 	for _, tc := range cases {
@@ -97,8 +95,15 @@ func TestBatchScalarBitIdentical(t *testing.T) {
 // the same initial guess on the engine's own templates, ±6σ corners
 // included. There is no cold production path to compare against, so
 // this test is the guard any new warm-start policy or anchor must pass.
+// The hold case runs the rnm engine's warm sweeps on hold-configuration
+// templates, the sweeps behind NoiseMargins(HoldConfig, ·).
 func TestWarmStartsMatchColdSolves(t *testing.T) {
-	holdMetric := &Metric{Cell: Default90nm(), Kind: Hold, Spec: 0.08, Which: AllTransistors()}
+	match := func(t *testing.T, x []float64, warm, cold float64) {
+		t.Helper()
+		if math.Abs(warm-cold) > 1e-12*math.Abs(cold) {
+			t.Fatalf("x=%v: warm %v vs cold %v (rel %.3g)", x, warm, cold, math.Abs(warm-cold)/math.Abs(cold))
+		}
+	}
 	cases := []struct {
 		name string
 		m    *Metric
@@ -107,7 +112,6 @@ func TestWarmStartsMatchColdSolves(t *testing.T) {
 		{"readcurrent", ReadCurrentWorkload(), 64},
 		{"dualread", DualReadCurrentWorkload(), 64},
 		{"rnm", RNMWorkload(), 24},
-		{"hold", holdMetric, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,12 +134,43 @@ func TestWarmStartsMatchColdSolves(t *testing.T) {
 				if err != nil {
 					t.Fatalf("x=%v: cold: %v", x, err)
 				}
-				if math.Abs(warm-cold) > 1e-12*math.Abs(cold) {
-					t.Fatalf("x=%v: warm %v vs cold %v (rel %.3g)", x, warm, cold, math.Abs(warm-cold)/math.Abs(cold))
-				}
+				match(t, x, warm, cold)
 			}
 		})
 	}
+	t.Run("hold", func(t *testing.T) {
+		t.Parallel()
+		m := &Metric{Cell: Default90nm(), Kind: RNM, Which: AllTransistors()}
+		e := &metricEngine{}
+		var err error
+		if e.g1, err = newSweepTemplate(m.Cell, HoldConfig, "q", "qb"); err != nil {
+			t.Fatal(err)
+		}
+		if e.g2, err = newSweepTemplate(m.Cell, HoldConfig, "qb", "q"); err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range equivalenceSamples(11, 16, m.Dim()) {
+			d := sigmaScaled(m.Cell, x)
+			warm, err := m.snmSample(e, d[:])
+			if err != nil {
+				t.Fatalf("x=%v: %v", x, err)
+			}
+			cold, err := coldRaw(m, e, d)
+			if err != nil {
+				t.Fatalf("x=%v: cold: %v", x, err)
+			}
+			match(t, x, warm, cold)
+		}
+	})
+}
+
+// sigmaScaled maps six normalized coordinates to per-transistor ΔVth.
+func sigmaScaled(c *Cell, x []float64) [NumTransistors]float64 {
+	var d [NumTransistors]float64
+	for j := range d {
+		d[j] = c.SigmaVth * x[j]
+	}
+	return d
 }
 
 // coldRaw recomputes m's raw value at ΔVth d with every operating point
@@ -316,7 +351,10 @@ func bitsDigest(vs []float64) string {
 // against the solver of commit e775068, by running this test with
 // placeholder digests and copying each one from the failure message.
 // Every digest but wnm's was re-recorded the same way when softplusSq
-// moved to one exponential, which moves only low bits.
+// moved to one exponential, which moves only low bits. The hold digest
+// pins NoiseMargins(HoldConfig, ·).Eye0 over the same samples; it was
+// recorded at commit 6cda05f, where those eyes equalled the raw values
+// of a Hold metric kind bit for bit.
 // Work that must not move a value (a memo, cheaper bookkeeping) keeps
 // every digest; a change that moves these bits on purpose records new
 // digests here and says so in CHANGES.md. Readcurrent is pinned by
@@ -327,19 +365,15 @@ func TestValueBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	holdMetric := &Metric{Cell: Default90nm(), Kind: Hold, Spec: 0.08, Which: AllTransistors()}
-	writeMetric := &Metric{Cell: Default90nm(), Kind: WriteDelay, Which: []int{M3, M5}}
 	cases := []struct {
 		name   string
 		m      *Metric
 		digest string
 	}{
 		{"rnm", RNMWorkload(), "ea3e1cbb2236111728967bcd8ea3b8d23277f3c863a8057bf6aa40e7627eba38"},
-		{"hold", holdMetric, "0937ad8ba1c87553e1fb025a433688607495822be27a46f28bbc0ca0744cb45d"},
 		{"wnm", WNMWorkload(), "8653a498326a59b5c561113c568025e15475b780107f5c85307effdbd8e68926"},
 		{"dualread", DualReadCurrentWorkload(), "d5ee1e896b7f8b350ea24c390e293d7eab006e6fc96c1dc38616e7d9a0071a73"},
 		{"access", AccessTimeWorkload(), "9d16242fec8b3a8996f286f57f0817f999a2cd076a1f8240265ea7590b46f730"},
-		{"writedelay", writeMetric, "b51c9313af36c74e4b065ac4c9fb6d41a537e9b4ade52290811d984df336f295"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -354,4 +388,21 @@ func TestValueBitsPinned(t *testing.T) {
 			}
 		})
 	}
+	t.Run("hold", func(t *testing.T) {
+		t.Parallel()
+		c := Default90nm()
+		xs := equivalenceSamples(11, 256, NumTransistors)
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			s, err := c.NoiseMargins(HoldConfig, sigmaScaled(c, x))
+			if err != nil {
+				t.Fatalf("x=%v: %v", x, err)
+			}
+			out[i] = s.Eye0
+		}
+		const want = "791b8100326c4f50e57c6133dfeee7195612ce6cfc5465b646a682bb4ad91ee0"
+		if got := bitsDigest(out); got != want {
+			t.Errorf("hold eye bits over %d samples: digest %s, want %s", len(xs), got, want)
+		}
+	})
 }

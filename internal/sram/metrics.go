@@ -25,8 +25,6 @@ const (
 	// ReadCurrent: |I(M3)| (the series M3–M1 read path) at the read
 	// operating point with the cell holding a 0 at Q.
 	ReadCurrent
-	// Hold: retention margin (state-0 eye with the word line off).
-	Hold
 	// DualRead: min(I_read0 through M3, I_read1 through M4 on the
 	// mirrored cell). Over the access pair (ΔVth3, ΔVth4) its failure
 	// region is two orthogonal half-plane lobes joined at the far corner:
@@ -34,13 +32,10 @@ const (
 	DualRead
 	// AccessTime: the read delay of a stored 0 through floating
 	// precharged bitlines, from the WL edge until the bitline
-	// differential reaches Bench.Sense. The transient closes the §V-B
-	// loop: "the read current directly impacts the discharge speed of
-	// bit lines during a read operation".
+	// differential reaches 100 mV. The transient closes the §V-B loop:
+	// "the read current directly impacts the discharge speed of bit
+	// lines during a read operation".
 	AccessTime
-	// WriteDelay: BL driven low into a cell storing 1, from the WL edge
-	// until Q falls through VDD/2.
-	WriteDelay
 )
 
 func (k MetricKind) String() string {
@@ -51,14 +46,10 @@ func (k MetricKind) String() string {
 		return "wnm"
 	case ReadCurrent:
 		return "readcurrent"
-	case Hold:
-		return "hold"
 	case DualRead:
 		return "dualread"
 	case AccessTime:
 		return "access"
-	case WriteDelay:
-		return "writedelay"
 	default:
 		return fmt.Sprintf("MetricKind(%d)", int(k))
 	}
@@ -66,10 +57,9 @@ func (k MetricKind) String() string {
 
 // Metric adapts a cell metric to the mc.Metric margin convention: the
 // sample fails when the margin is negative. The margin is the metric
-// value minus Spec, except for the timing kinds, which fail high: their
-// margin is Spec minus the delay. Variation coordinates are
-// standard-Normal; coordinate j drives transistor Which[j] with
-// ΔVth = SigmaVth·x_j.
+// value minus Spec, except for AccessTime, which fails high: its margin
+// is Spec minus the delay. Variation coordinates are standard-Normal;
+// coordinate j drives transistor Which[j] with ΔVth = SigmaVth·x_j.
 //
 // Metrics are safe for concurrent use and must not be copied after first
 // use: evaluation leans on a shared engine free list and a once-computed
@@ -80,9 +70,6 @@ type Metric struct {
 	// Spec is the pass/fail threshold in the metric's own unit (volts
 	// for margins, amperes for read current, seconds for delays).
 	Spec float64
-	// Bench tunes the transient test bench of the timing kinds
-	// (nil = defaults).
-	Bench *TranSpec
 	// Which lists the transistors exposed as variation coordinates; the
 	// remaining transistors stay at nominal ΔVth = 0.
 	Which []int
@@ -101,30 +88,6 @@ type Metric struct {
 
 // AllTransistors is the full 6-dimensional variation space.
 func AllTransistors() []int { return []int{M1, M2, M3, M4, M5, M6} }
-
-// NewRNMMetric builds the paper's §V-A read-noise-margin workload: all six
-// ΔVth as variation coordinates, failing when RNM < spec.
-func NewRNMMetric(cell *Cell, spec float64) *Metric {
-	return &Metric{Cell: cell, Kind: RNM, Spec: spec, Which: AllTransistors()}
-}
-
-// NewWNMMetric builds the §V-A write-margin workload.
-func NewWNMMetric(cell *Cell, spec float64) *Metric {
-	return &Metric{Cell: cell, Kind: WNM, Spec: spec, Which: AllTransistors()}
-}
-
-// NewReadCurrentMetric builds the §V-B read-current workload: a 2-D
-// variation space over {ΔVth1, ΔVth3} (driver and access of the read
-// path), failing when the read current drops below ith amperes.
-func NewReadCurrentMetric(cell *Cell, ith float64) *Metric {
-	return &Metric{
-		Cell: cell, Kind: ReadCurrent, Spec: ith,
-		Which: []int{M1, M3},
-		// Read currents are µA-scale; rescale so margins are O(1) for
-		// the response-surface solver.
-		Scale: 1e6,
-	}
-}
 
 // Dim implements mc.Metric.
 func (m *Metric) Dim() int { return len(m.Which) }
@@ -170,7 +133,7 @@ func (m *Metric) ValueBatch(xs [][]float64, out []float64) {
 		if errs[i] != nil || math.IsNaN(raw) || math.IsInf(raw, 0) {
 			raw = m.errorValue()
 		}
-		if m.Kind == AccessTime || m.Kind == WriteDelay {
+		if m.Kind == AccessTime {
 			out[i] = (m.Spec - raw) * scale
 		} else {
 			out[i] = (raw - m.Spec) * scale
@@ -202,8 +165,8 @@ func (m *Metric) errorValue() float64 {
 		return WriteTripFloor // write never succeeds
 	case ReadCurrent, DualRead:
 		return 0 // no read current at all
-	case AccessTime, WriteDelay:
-		return m.Bench.defaults().Stop // the cell never resolves
+	case AccessTime:
+		return accessStop // the cell never resolves
 	default:
 		return -m.Cell.VDD // fully collapsed noise margin
 	}

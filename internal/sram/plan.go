@@ -26,15 +26,16 @@ import (
 //
 //	readcurrent/dualread  warm from the nominal read operating point,
 //	                      guarded to the intended storage basin
-//	rnm/hold              each transfer-curve point warms from the same
-//	                      point of the nominal butterfly sweep
+//	rnm                   each transfer-curve point warms from the
+//	                      secant prediction of the sample's own two
+//	                      previous points
 //	wnm                   never warm-started: the write-trip bisection
 //	                      probes a bistable circuit near its bifurcation,
 //	                      where warm continuation would track the
 //	                      vanishing state-1 branch past the trip point
 //	                      and bias the margin (hysteresis); probes stay
 //	                      cold and gain only template/workspace reuse
-//	access/writedelay     template reuse plus the two-rate integrator
+//	access                template reuse plus the two-rate integrator
 //	                      schedule; the transient itself warm-chains
 //	                      step to step as it always has
 
@@ -95,7 +96,7 @@ func newSweepTemplate(c *Cell, cfg BiasConfig, forced, measured string) (*sweepT
 // concurrent callers each hold their own.
 type metricEngine struct {
 	read   *cellTemplate // readcurrent / dualread / wnm
-	tran   *cellTemplate // access / writedelay
+	tran   *cellTemplate // access
 	g1, g2 *sweepTemplate
 	c1, c2 curve // per-sample transfer-curve buffers
 
@@ -114,13 +115,8 @@ func (m *Metric) newEngine() *metricEngine {
 		if e.err == nil {
 			e.g2, e.err = newSweepTemplate(m.Cell, ReadConfig, "qb", "q")
 		}
-	case Hold:
-		e.g1, e.err = newSweepTemplate(m.Cell, HoldConfig, "q", "qb")
-		if e.err == nil {
-			e.g2, e.err = newSweepTemplate(m.Cell, HoldConfig, "qb", "q")
-		}
-	case AccessTime, WriteDelay:
-		e.tran = m.Cell.buildTran(m.Bench.defaults(), m.Kind == WriteDelay)
+	case AccessTime:
+		e.tran = m.Cell.buildTran()
 	}
 	return e
 }
@@ -193,9 +189,9 @@ func (m *Metric) ensureAnchor() {
 				InitialGuess: readGuess(c), Telemetry: c.Telemetry,
 			})
 		}
-		// RNM and Hold need no anchor: their transfer-curve sweeps
-		// warm-chain each grid point from the sample's own previous
-		// point (see sweepCurve), which is deterministic per sample by
+		// RNM needs no anchor: its transfer-curve sweeps warm-chain
+		// each grid point from the sample's own previous points (see
+		// sweepCurve), which is deterministic per sample by
 		// construction.
 	})
 }
@@ -220,7 +216,7 @@ func (m *Metric) readCurrentBatch(t *cellTemplate, rows [][]float64, out []float
 	}
 	for i, row := range rows {
 		t.setDvth(row)
-		op, err := t.ckt.SolveDCFrom(m.anchor, 0, guard, opts)
+		op, err := t.ckt.SolveDCFrom(m.anchor, guard, opts)
 		if err != nil {
 			outErrs[i] = fmt.Errorf("sram: read-current operating point: %w", err)
 			continue
@@ -270,7 +266,7 @@ func (m *Metric) rawBatch(e *metricEngine, rows [][]float64, out []float64, outE
 				out[i] = ia[i]
 			}
 		}
-	case RNM, Hold:
+	case RNM:
 		for i, row := range rows {
 			out[i], outErrs[i] = m.snmSample(e, row)
 		}
@@ -278,8 +274,8 @@ func (m *Metric) rawBatch(e *metricEngine, rows [][]float64, out []float64, outE
 		for i, row := range rows {
 			out[i], outErrs[i] = m.writeSample(e, row)
 		}
-	case AccessTime, WriteDelay:
-		m.runTranBatch(e.tran, rows, out, outErrs)
+	case AccessTime:
+		m.accessTimeBatch(e.tran, rows, out, outErrs)
 	default:
 		for i := range rows {
 			outErrs[i] = fmt.Errorf("sram: unknown metric kind %v", m.Kind)
@@ -336,7 +332,7 @@ func sweepCurve(c *Cell, t *sweepTemplate, row []float64, out *curve) error {
 		if prev2 != nil {
 			anchor = prev.PredictFrom(prev2)
 		}
-		op, err := t.ckt.SolveDCFrom(anchor, 0, nil, opts)
+		op, err := t.ckt.SolveDCFrom(anchor, nil, opts)
 		if err != nil {
 			return fmt.Errorf("sram: %s transfer curve point %d: %w", t.name, i, err)
 		}

@@ -141,8 +141,8 @@ type Curve struct {
 // TransferCurves returns the two butterfly curves in the given
 // configuration: g1 maps a forced Q to the resulting QB, g2 maps a forced
 // QB to the resulting Q. They are traced with the engine's sweep
-// templates and continuation (sweepCurve), so they are exactly the curves
-// the RNM and Hold metrics extract their eyes from.
+// templates and continuation (sweepCurve), so in the read configuration
+// they are exactly the curves the RNM metric extracts its eye from.
 func TransferCurves(c *Cell, cfg BiasConfig, dvth [NumTransistors]float64) (g1, g2 *Curve, err error) {
 	var cs [2]curve
 	for i, nodes := range [2][2]string{{"q", "qb"}, {"qb", "q"}} {
@@ -173,8 +173,7 @@ func (s SNM) Min() float64 {
 }
 
 // NoiseMargins extracts both butterfly eyes in the given configuration.
-// Eye0 in the read (hold) configuration is the RNM (Hold) metric's raw
-// value.
+// Eye0 in the read configuration is the RNM metric's raw value.
 func (c *Cell) NoiseMargins(cfg BiasConfig, dvth [NumTransistors]float64) (SNM, error) {
 	c1, c2, err := TransferCurves(c, cfg, dvth)
 	if err != nil {

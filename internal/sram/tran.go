@@ -2,70 +2,38 @@ package sram
 
 import "repro/internal/spice"
 
-// The transient bench behind the timing kinds (AccessTime, WriteDelay):
-// they simulate the actual bitline discharge and write transition
-// instead of using the static read current as a proxy.
+// The transient bench behind the AccessTime kind: it simulates the
+// actual bitline discharge instead of using the static read current as
+// a proxy.
 
-// TranSpec holds the transient test-bench parameters.
-type TranSpec struct {
-	// CBit is the bitline capacitance in farads (default 10 fF).
-	CBit float64
-	// CCell is the internal storage-node capacitance (default 0.2 fF).
-	CCell float64
-	// Step and Stop are the integration step and end time (defaults
-	// 2 ps and 1 ns).
-	Step, Stop float64
-	// WLEdge is when the word line rises (default 50 ps, 20 ps ramp).
-	WLEdge float64
-	// Sense is the bitline differential that ends a read (default
-	// 100 mV).
-	Sense float64
-}
+// The access bench's fixed settings: the bitline and storage-node
+// capacitances, the integration step and end time, the word-line edge
+// (a 20 ps ramp) and the bitline differential that ends a read. They are
+// typed float64 constants, so each derived value such as
+// accessWLEdge/5 rounds to float64 operation by operation, exactly as
+// run-time arithmetic on float64 variables does; an untyped expression
+// would round once and can land one ulp away.
+const (
+	accessCBit   float64 = 10e-15
+	accessCCell  float64 = 0.2e-15
+	accessStep   float64 = 2e-12
+	accessStop   float64 = 1e-9
+	accessWLEdge float64 = 50e-12
+	accessSense  float64 = 0.1
+)
 
-func (s *TranSpec) defaults() TranSpec {
-	d := TranSpec{CBit: 10e-15, CCell: 0.2e-15, Step: 2e-12, Stop: 1e-9, WLEdge: 50e-12, Sense: 0.1}
-	if s == nil {
-		return d
-	}
-	out := *s
-	if out.CBit <= 0 {
-		out.CBit = d.CBit
-	}
-	if out.CCell <= 0 {
-		out.CCell = d.CCell
-	}
-	if out.Step <= 0 {
-		out.Step = d.Step
-	}
-	if out.Stop <= 0 {
-		out.Stop = d.Stop
-	}
-	if out.WLEdge <= 0 {
-		out.WLEdge = d.WLEdge
-	}
-	if out.Sense <= 0 {
-		out.Sense = d.Sense
-	}
-	return out
-}
-
-// buildTran assembles the nominal cell with capacitive bitlines as a
-// template with its six transistors indexed M1..M6. When driveBL is true
-// the bitlines are driven by sources, BL low and BLB high (write);
-// otherwise they float on their precharge capacitors (read sensing).
-func (c *Cell) buildTran(spec TranSpec, driveBL bool) *cellTemplate {
+// buildTran assembles the nominal cell of the access bench, its
+// bitlines floating on their precharge capacitors, as a template with
+// its six transistors indexed M1..M6.
+func (c *Cell) buildTran() *cellTemplate {
 	ckt := spice.NewCircuit()
 	ckt.AddVSource("vdd", "vdd", "0", c.VDD)
 	wl := ckt.AddVSource("vwl", "wl", "0", 0)
-	wl.Waveform = spice.StepWaveform(0, c.VDD, spec.WLEdge, 20e-12)
-	if driveBL {
-		ckt.AddVSource("vbl", "bl", "0", 0)
-		ckt.AddVSource("vblb", "blb", "0", c.VDD)
-	}
-	ckt.AddCapacitor("cbl", "bl", "0", spec.CBit)
-	ckt.AddCapacitor("cblb", "blb", "0", spec.CBit)
-	ckt.AddCapacitor("cq", "q", "0", spec.CCell)
-	ckt.AddCapacitor("cqb", "qb", "0", spec.CCell)
+	wl.Waveform = spice.StepWaveform(0, c.VDD, accessWLEdge, 20e-12)
+	ckt.AddCapacitor("cbl", "bl", "0", accessCBit)
+	ckt.AddCapacitor("cblb", "blb", "0", accessCBit)
+	ckt.AddCapacitor("cq", "q", "0", accessCCell)
+	ckt.AddCapacitor("cqb", "qb", "0", accessCCell)
 
 	return &cellTemplate{ckt: ckt, ms: [NumTransistors]*spice.MOSFET{
 		M1: ckt.AddMOSFET("m1", "q", "qb", "0", "0", c.Driver),
@@ -77,77 +45,55 @@ func (c *Cell) buildTran(spec TranSpec, driveBL bool) *cellTemplate {
 	}}
 }
 
-// runTranBatch integrates each row's transient on the engine's bench,
-// one SolveTran per row, and extracts the per-sample delay of the
-// metric's timing kind: the crossing time minus the WL edge, or the
-// remaining window Stop − WLEdge on no crossing (an access or write
-// failure), which keeps the metric finite and monotone. The crossing is
-// linearly interpolated between the bracketing time points, which keeps
-// the metric smooth in the mismatch variables (no step-quantization
-// plateaus, which would break binary search and model fits). The
-// integrator runs a two-rate step schedule — coarse steps across the
-// quiescent pre-wordline lead-in, fine steps once the cell is active —
-// and the crossing detector stops each run as soon as its delay is
-// resolved. errs[i] reports sample i's solve failure.
-func (m *Metric) runTranBatch(b *cellTemplate, rows [][]float64, delays []float64, errs []error) {
+// accessTimeBatch integrates each row's read transient on the engine's
+// bench, one SolveTran per row, and extracts the per-sample access time:
+// the time the bitline differential crosses accessSense, minus the WL
+// edge, or the remaining window accessStop − accessWLEdge on no crossing
+// (an access failure), which keeps the metric finite and monotone. The
+// crossing is linearly interpolated between the bracketing time points,
+// which keeps the metric smooth in the mismatch variables (no
+// step-quantization plateaus, which would break binary search and model
+// fits). The integrator runs a two-rate step schedule — coarse steps
+// across the quiescent pre-wordline lead-in, fine steps once the cell is
+// active — and the crossing detector stops each run as soon as its delay
+// is resolved. errs[i] reports sample i's solve failure.
+func (m *Metric) accessTimeBatch(b *cellTemplate, rows [][]float64, delays []float64, errs []error) {
 	c := m.Cell
-	s := m.Bench.defaults()
 	opts := spice.TranOptions{
-		Stop: s.Stop, Step: s.Step, Method: spice.BackwardEuler,
+		Stop: accessStop, Step: accessStep, Method: spice.BackwardEuler,
 		// Only node voltages are read, per step and per crossing.
 		DC: &spice.DCOptions{Telemetry: c.Telemetry, NoBranchCurrents: true},
+		// The cell stores a 0 behind bitlines precharged to VDD.
+		InitialConditions: map[string]float64{
+			"bl": c.VDD, "blb": c.VDD, "q": 0, "qb": c.VDD,
+		},
 		// Nothing moves before the word line rises, so the lead-in is
 		// integrated at a fifth of the resolution; the fine step takes
 		// over exactly at the WL edge (the first waveform breakpoint).
-		CoarseStep:  s.WLEdge / 5,
-		CoarseUntil: s.WLEdge,
+		CoarseStep:  accessWLEdge / 5,
+		CoarseUntil: accessWLEdge,
 	}
 	// Crossing state of the row being integrated: its index and the
-	// previous time point, reset to (0, v0) before each run.
+	// previous time point, reset to (0, 0) before each run.
 	var i int
-	var prevT, prevV, v0 float64
-	var fn func(p spice.TranPoint) bool
-	switch m.Kind {
-	case AccessTime:
-		opts.InitialConditions = map[string]float64{
-			"bl": c.VDD, "blb": c.VDD, "q": 0, "qb": c.VDD,
-		}
-		fn = func(p spice.TranPoint) bool {
-			d := p.OP.Voltage("blb") - p.OP.Voltage("bl")
-			if p.T > s.WLEdge && d >= s.Sense {
-				t := p.T
-				if d > prevV {
-					t = prevT + (s.Sense-prevV)*(p.T-prevT)/(d-prevV)
-				}
-				delays[i] = t - s.WLEdge
-				return false
+	var prevT, prevV float64
+	fn := func(p spice.TranPoint) bool {
+		d := p.OP.Voltage("blb") - p.OP.Voltage("bl")
+		if p.T > accessWLEdge && d >= accessSense {
+			t := p.T
+			if d > prevV {
+				t = prevT + (accessSense-prevV)*(p.T-prevT)/(d-prevV)
 			}
-			prevT, prevV = p.T, d
-			return true
+			delays[i] = t - accessWLEdge
+			return false
 		}
-	case WriteDelay:
-		opts.InitialConditions = map[string]float64{
-			"q": c.VDD, "qb": 0, "bl": 0, "blb": c.VDD,
-		}
-		v0 = c.VDD
-		fn = func(p spice.TranPoint) bool {
-			q := p.OP.Voltage("q")
-			if p.T > s.WLEdge && q < 0.5*c.VDD {
-				t := p.T
-				if q < prevV {
-					t = prevT + (prevV-0.5*c.VDD)*(p.T-prevT)/(prevV-q)
-				}
-				delays[i] = t - s.WLEdge
-				return false
-			}
-			prevT, prevV = p.T, q
-			return true
-		}
+		prevT, prevV = p.T, d
+		return true
 	}
 	for i = range rows {
 		b.setDvth(rows[i])
-		delays[i] = s.Stop - s.WLEdge
-		prevT, prevV = 0, v0
+		delays[i] = accessStop - accessWLEdge
+		prevT, prevV = 0, 0
 		errs[i] = b.ckt.SolveTran(opts, fn)
 	}
 }

@@ -30,35 +30,8 @@ func TestAccessTimeSaturatesOnDeadCell(t *testing.T) {
 	var d [NumTransistors]float64
 	d[M3] = 1.0 // access never turns on
 	at := rawValue(t, &Metric{Cell: FastRead90nm(), Kind: AccessTime}, d)
-	s := (&TranSpec{}).defaults()
-	if at != s.Stop-s.WLEdge {
+	if at != accessStop-accessWLEdge {
 		t.Fatalf("dead cell should saturate at the window: %v", at)
-	}
-}
-
-func TestWriteDelayNominalAndSensitivity(t *testing.T) {
-	write := &Metric{Cell: Default90nm(), Kind: WriteDelay}
-	wd0 := rawValue(t, write, zero)
-	if wd0 <= 0 || wd0 > 200e-12 {
-		t.Fatalf("nominal write delay %v outside plausible range", wd0)
-	}
-	// Weaker access slows the write.
-	var d [NumTransistors]float64
-	d[M3] = 0.12
-	wd1 := rawValue(t, write, d)
-	if wd1 <= wd0 {
-		t.Fatalf("weak access should slow the write: %v -> %v", wd0, wd1)
-	}
-}
-
-func TestWriteDelayUnwritableSaturates(t *testing.T) {
-	var d [NumTransistors]float64
-	d[M3] = 0.8
-	d[M5] = -0.5
-	wd := rawValue(t, &Metric{Cell: Default90nm(), Kind: WriteDelay}, d)
-	s := (&TranSpec{}).defaults()
-	if wd != s.Stop-s.WLEdge {
-		t.Fatalf("unwritable cell should saturate: %v", wd)
 	}
 }
 

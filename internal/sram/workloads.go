@@ -45,20 +45,32 @@ func FastRead90nm() *Cell {
 	return c
 }
 
-// RNMWorkload is the §V-A read-noise-margin experiment: 6-D variation
-// space on the stable cell.
-func RNMWorkload() *Metric { return NewRNMMetric(Default90nm(), RNMSpec) }
+// RNMWorkload is the §V-A read-noise-margin experiment: all six ΔVth as
+// variation coordinates on the stable cell, failing when RNM < RNMSpec.
+func RNMWorkload() *Metric {
+	return &Metric{Cell: Default90nm(), Kind: RNM, Spec: RNMSpec, Which: AllTransistors()}
+}
 
 // WNMWorkload is the §V-A write-margin experiment: 6-D variation space on
 // the stable cell.
-func WNMWorkload() *Metric { return NewWNMMetric(Default90nm(), WNMSpec) }
+func WNMWorkload() *Metric {
+	return &Metric{Cell: Default90nm(), Kind: WNM, Spec: WNMSpec, Which: AllTransistors()}
+}
 
 // ReadCurrentWorkload is the single-path read-current experiment: 2-D
-// variation space {ΔVth1, ΔVth3} on the fast-read cell. Its failure
-// region is the mildly non-convex banana of Fig. 13's style; all four
-// methods eventually converge on it (the easier regime of §V-B).
+// variation space {ΔVth1, ΔVth3} (driver and access of the read path)
+// on the fast-read cell, failing when the read current drops below
+// ReadCurrentSpec. Its failure region is the mildly non-convex banana of
+// Fig. 13's style; all four methods eventually converge on it (the
+// easier regime of §V-B).
 func ReadCurrentWorkload() *Metric {
-	return NewReadCurrentMetric(FastRead90nm(), ReadCurrentSpec)
+	return &Metric{
+		Cell: FastRead90nm(), Kind: ReadCurrent, Spec: ReadCurrentSpec,
+		Which: []int{M1, M3},
+		// Read currents are µA-scale; rescale so margins are O(1) for
+		// the response-surface solver.
+		Scale: 1e6,
+	}
 }
 
 // DualReadCurrentWorkload is the headline §V-B experiment of this
