@@ -41,20 +41,6 @@ type dcTelemetry struct {
 	residual               *telemetry.Histogram
 }
 
-// dcTel returns the solve-metric handles for reg, memoized on the
-// circuit: repeated solves against the same registry (sweeps, batches)
-// resolve the scope and metric names once instead of per solve.
-func (c *Circuit) dcTel(reg *telemetry.Registry) dcTelemetry {
-	if reg == nil {
-		return dcTelemetry{}
-	}
-	if c.telReg != reg {
-		c.telCache = newDCTelemetry(reg)
-		c.telReg = reg
-	}
-	return c.telCache
-}
-
 // solveClockPeriod is the sampling period of the per-solve wall-time
 // stopwatch: batch workloads run tens of thousands of ~100µs solves,
 // where two clock reads per solve are a measurable fraction of the
@@ -74,6 +60,20 @@ func (c *Circuit) startSolveClock(tel dcTelemetry, reg *telemetry.Registry) tele
 		return telemetry.Stopwatch{}
 	}
 	return tel.solveSeconds.Start()
+}
+
+// dcTel returns the solve-metric handles for reg, memoized on the
+// circuit: repeated solves against the same registry (sweeps, batches)
+// resolve the scope and metric names once instead of per solve.
+func (c *Circuit) dcTel(reg *telemetry.Registry) dcTelemetry {
+	if reg == nil {
+		return dcTelemetry{}
+	}
+	if c.telReg != reg {
+		c.telCache = newDCTelemetry(reg)
+		c.telReg = reg
+	}
+	return c.telCache
 }
 
 func newDCTelemetry(reg *telemetry.Registry) dcTelemetry {
