@@ -76,7 +76,7 @@ func cartesianChain(ctx context.Context, run *chainRun, metric mc.Metric, start 
 		}
 		copy(pts[0], x)
 		copy(pts[1], x)
-		u, v, st, probes := failureIntervalStat(probe, x[m], -zeta, zeta, &run.o)
+		u, v, st, probes := failureIntervalStat(probe, x[m], -zeta, zeta, normalLaw, &run.o)
 		if st != intervalNone {
 			x[m] = stat.TruncNormSample(u, v, uniform01(run.rng))
 		}

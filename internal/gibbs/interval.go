@@ -3,6 +3,8 @@ package gibbs
 import (
 	"math"
 	"time"
+
+	"repro/internal/stat"
 )
 
 // intervalStatus classifies one interval search, the chain-telemetry
@@ -61,8 +63,9 @@ const forkMinProbe = 20 * time.Microsecond
 //
 // When the failure region touches a bound, that bound is returned as the
 // boundary (the paper's "bound the high-probability failure region by
-// constraining x_m within [−ζ, ζ]").
-func failureIntervalStat(probe func(side int, t float64) float64, t0, lo, hi float64, o *Options) (u, v float64, st intervalStatus, probes int) {
+// constraining x_m within [−ζ, ζ]"). law is the coordinate's 1-D law,
+// which ends an edge's walk where too little of it is left (see expand).
+func failureIntervalStat(probe func(side int, t float64) float64, t0, lo, hi float64, law coordLaw, o *Options) (u, v float64, st intervalStatus, probes int) {
 	if t0 < lo {
 		t0 = lo
 	}
@@ -105,8 +108,8 @@ func failureIntervalStat(probe func(side int, t float64) float64, t0, lo, hi flo
 		v = expand(func(t float64) float64 {
 			probes++
 			return probe(1, t)
-		}, t0, y0, hi, +expandStep, o.Bisections)
-		u = expand(lower, t0, y0, lo, -expandStep, o.Bisections)
+		}, t0, y0, hi, +expandStep, o.Bisections, law)
+		u = expand(lower, t0, y0, lo, -expandStep, o.Bisections, law)
 		return u, v, st, probes
 	}
 	// The goroutine gets its start, margin and refinement count as
@@ -119,22 +122,62 @@ func failureIntervalStat(probe func(side int, t float64) float64, t0, lo, hi flo
 		edge <- expand(func(t float64) float64 {
 			upperProbes++
 			return probe(1, t)
-		}, from, margin, hi, expandStep, bisections)
+		}, from, margin, hi, expandStep, bisections, law)
 	}(t0, y0, o.Bisections)
-	u = expand(lower, t0, y0, lo, -expandStep, o.Bisections)
+	u = expand(lower, t0, y0, lo, -expandStep, o.Bisections, law)
 	v = <-edge
 	return u, v, st, probes + upperProbes
+}
+
+// tailCut is the share of a walk's mass below which expand stops
+// walking: once the law's mass between a failing probe and the bound is
+// at most tailCut of the mass between the walk's start and that probe,
+// the probe is the edge. Refinement already misplaces an edge by up to
+// 1/2^Bisections of its bracket, several percent of the conditional's
+// mass on a steep tail, so a mass this small moves nothing the chain
+// resolves; and stage 2 weights by f/g, so the cut only shapes the
+// proposal.
+const tailCut = 1e-3
+
+// coordLaw is the 1-D law of a coordinate that expand walks, given as
+// its mass beyond t: above t when up, below t otherwise. An
+// inverse-transform draw from the interval samples the same law.
+type coordLaw func(t float64, up bool) float64
+
+// normalLaw is N(0, 1), the law of a Cartesian coordinate and of an
+// orientation coordinate α_m.
+func normalLaw(t float64, up bool) float64 {
+	if up {
+		return stat.NormSF(t)
+	}
+	return stat.NormCDF(t)
+}
+
+// chiLaw is Chi(k), the law of the spherical radius in k dimensions.
+func chiLaw(k int) coordLaw {
+	c := stat.Chi{K: k}
+	return func(t float64, up bool) float64 {
+		if up {
+			return c.SF(t)
+		}
+		return c.CDF(t)
+	}
 }
 
 // expand walks from the failing point t0 (margin y0) toward bound in
 // geometrically growing steps until a probe passes or the bound is hit,
 // then refines the edge between the last failing point and the passing
-// one. A positive step walks up, negative walks down.
-func expand(probe func(float64) float64, t0, y0, bound, step float64, bisections int) float64 {
+// one. A positive step walks up, negative walks down. A failing probe
+// past which law leaves at most tailCut of the walked mass before the
+// bound ends the walk and is returned as the edge; a mass that reads NaN
+// never ends it. Either way the edge is t0 or a probe seen to fail.
+func expand(probe func(float64) float64, t0, y0, bound, step float64, bisections int, law coordLaw) float64 {
+	up := step > 0
+	q0, qBound := law(t0, up), law(bound, up)
 	tFail, yFail := t0, y0
 	for {
 		tn := tFail + step
-		if (step > 0 && tn >= bound) || (step < 0 && tn <= bound) {
+		if (up && tn >= bound) || (!up && tn <= bound) {
 			y := probe(bound)
 			if y < 0 {
 				return bound
@@ -144,6 +187,9 @@ func expand(probe func(float64) float64, t0, y0, bound, step float64, bisections
 		y := probe(tn)
 		if !(y < 0) {
 			return refine(probe, tFail, yFail, tn, y, bisections)
+		}
+		if q := law(tn, up); q-qBound <= tailCut*(q0-q) {
+			return tn
 		}
 		tFail, yFail = tn, y
 		step *= 2

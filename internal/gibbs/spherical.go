@@ -99,6 +99,7 @@ func sphericalChain(ctx context.Context, run *chainRun, metric mc.Metric, r floa
 	}
 
 	samples := make([][]float64, 0, run.k)
+	radiusLaw := chiLaw(dim)
 	coord := -1 // -1 = radius, 0..M-1 = α index, cycled in Algorithm 2 order
 	// Each side of an interval search probes its own copy of alpha (the
 	// two edges may be searched at once); r and alpha change only after
@@ -121,11 +122,11 @@ func sphericalChain(ctx context.Context, run *chainRun, metric mc.Metric, r floa
 		}
 		copy(as[0], alpha)
 		copy(as[1], alpha)
-		t0, lo, hi := r, 0.0, rmax
+		t0, lo, hi, law := r, 0.0, rmax, radiusLaw
 		if coord >= 0 {
-			t0, lo, hi = alpha[coord], -zeta, zeta
+			t0, lo, hi, law = alpha[coord], -zeta, zeta, normalLaw
 		}
-		u, v, st, probes := failureIntervalStat(probe, t0, lo, hi, &run.o)
+		u, v, st, probes := failureIntervalStat(probe, t0, lo, hi, law, &run.o)
 		if st != intervalNone {
 			if coord == -1 {
 				r = stat.TruncChiSample(dim, u, v, uniform01(run.rng))

@@ -213,8 +213,8 @@ func TestEstimateBitsPinned(t *testing.T) {
 		{MC, "059fb9de70eac220769092b8fc7500199547f8b417c8a3af11415d4021b183e4"},
 		{MIS, "beb232aaffc9f00084457a67d62754c61f6fcc0c367a9e5c1c3b9fd61f02cdd9"},
 		{MNIS, "15f38dbc704d114254e2504d44712c6c8f12bcea74e395c530a16e4a11beadf8"},
-		{GC, "a6c8c89add04f57d25f27e7b2cf5d65080d19d230288f901c4a3de93447951c0"},
-		{GS, "cdba1c15389cb29cf71f1c7e7b328d0d854fa93d443d07ab549476d2f88c0b39"},
+		{GC, "123280fdd43a01f9b2158dc87b5a39efc92a1db1bead7d3ce90b379ccc2fc150"},
+		{GS, "c91429d3babfce75e3efa4b658687fa99c4c955a162bae80d54feded770c9da4"},
 		{Blockade, "bd53296a7bfce2f1c0259cd58190c46ea5f9f3499c6ca7a8cf76fc9e3dba11aa"},
 		{Subset, "f1d100c3159f0d3a95196a27a1852a3da323d20accf38527e86147330bbc0aa1"},
 	} {
