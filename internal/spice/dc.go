@@ -214,6 +214,12 @@ const stallWindow = 8
 // Only a failed solve emits an event ("spice.unconverged"). A solve
 // opens no span; the trace's stage spans slice these counters.
 func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, guard func(*OperatingPoint) bool, opts *DCOptions) (*OperatingPoint, error) {
+	return c.solveDCFrom(anchor, guard, opts, nil, nil)
+}
+
+// solveDCFrom is SolveDCFrom whose cold escalation solves in x and
+// returns its solution in into (see solveDC).
+func (c *Circuit) solveDCFrom(anchor *OperatingPoint, guard func(*OperatingPoint) bool, opts *DCOptions, x []float64, into *OperatingPoint) (*OperatingPoint, error) {
 	o := opts.defaults()
 	tel := c.dcTel(o.Telemetry)
 	sw := c.startSolveClock(tel, o.Telemetry)
@@ -226,7 +232,7 @@ func (c *Circuit) SolveDCFrom(anchor *OperatingPoint, guard func(*OperatingPoint
 		}
 	}
 	if op == nil {
-		if op, err = c.solveDC(&o); err == nil {
+		if op, err = c.solveDC(&o, x, into); err == nil {
 			op.iters += warmIters
 		}
 	}
@@ -275,17 +281,26 @@ func (c *Circuit) warmDC(anchor *OperatingPoint, guard func(*OperatingPoint) boo
 // solveDC runs the cold strategy escalation; o must already have
 // defaults applied. Only the first plain Newton stops on a stall; each
 // gmin stage, the final solve at gminFloor and each source step run to
-// convergence or to o.MaxIter.
-func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
+// convergence or to o.MaxIter. The plain Newton solves in x, which it
+// overwrites, and the solution is returned in op, so a caller that
+// solves over and over (a transient's steps) reuses both; a nil x or op
+// is allocated. x must not alias o.Warm's vector.
+func (c *Circuit) solveDC(o *DCOptions, x []float64, op *OperatingPoint) (*OperatingPoint, error) {
 	c.indexBranches()
 	n := c.NumUnknowns()
-	x := make([]float64, n)
+	if x == nil {
+		x = make([]float64, n)
+	}
+	if op == nil {
+		op = new(OperatingPoint)
+	}
 	if o.Warm != nil {
 		if len(o.Warm.x) != n {
 			return nil, fmt.Errorf("spice: warm start size %d does not match system size %d", len(o.Warm.x), n)
 		}
 		copy(x, o.Warm.x)
 	} else {
+		clear(x)
 		for name, v := range o.InitialGuess {
 			idx, ok := c.nodeIndex[name]
 			if !ok {
@@ -302,8 +317,9 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 
 	totalIters := 0
 	if st, err := c.newton(x, o, gminFloor, 1.0, stallWindow); err == nil {
-		return &OperatingPoint{circuit: c, x: x, strategy: StrategyNewton,
-			iters: st.iters, residual: st.residual}, nil
+		*op = OperatingPoint{circuit: c, x: x, strategy: StrategyNewton,
+			iters: st.iters, residual: st.residual}
+		return op, nil
 	} else {
 		totalIters += st.iters
 	}
@@ -323,8 +339,9 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 		st, err := c.newton(xg, o, gminFloor, 1.0, 0)
 		totalIters += st.iters
 		if err == nil {
-			return &OperatingPoint{circuit: c, x: xg, strategy: StrategyGmin,
-				iters: totalIters, residual: st.residual}, nil
+			*op = OperatingPoint{circuit: c, x: xg, strategy: StrategyGmin,
+				iters: totalIters, residual: st.residual}
+			return op, nil
 		}
 	}
 
@@ -354,8 +371,9 @@ func (c *Circuit) solveDC(o *DCOptions) (*OperatingPoint, error) {
 			step *= 1.5
 		}
 	}
-	return &OperatingPoint{circuit: c, x: xs, strategy: StrategySource,
-		iters: totalIters, residual: residual}, nil
+	*op = OperatingPoint{circuit: c, x: xs, strategy: StrategySource,
+		iters: totalIters, residual: residual}
+	return op, nil
 }
 
 // newtonStats reports one Newton attempt: the iterations consumed and

@@ -138,16 +138,17 @@ type TranOptions struct {
 	CoarseUntil float64
 }
 
-// TranPoint is the solution at one time point.
+// TranPoint is the solution at one time point. SolveTran reuses the
+// steps' operating point, so OP is valid only until fn returns.
 type TranPoint struct {
 	T  float64
 	OP *OperatingPoint
 }
 
 // SolveTran runs a fixed-step transient analysis, calling fn after every
-// accepted step (including t = 0). fn returning false stops early
-// without error. Sources with a Waveform follow it; others hold their DC
-// value.
+// accepted step (including t = 0); the point's OP is valid until fn
+// returns. fn returning false stops early without error. Sources with a
+// Waveform follow it; others hold their DC value.
 func (c *Circuit) SolveTran(opts TranOptions, fn func(TranPoint) bool) error {
 	if opts.Stop <= 0 || opts.Step <= 0 {
 		return errors.New("spice: transient needs positive Stop and Step")
@@ -217,6 +218,11 @@ func (c *Circuit) SolveTran(opts TranOptions, fn func(TranPoint) bool) error {
 		}
 	}
 
+	// Each step solves in bufs[0], into the one step operating point,
+	// and then swaps the buffers, so a step never solves in the buffer
+	// that holds its warm start.
+	bufs := [2][]float64{make([]float64, len(op.x)), make([]float64, len(op.x))}
+	stepOP := new(OperatingPoint)
 	first := true
 	for _, seg := range segs {
 		h := seg.h
@@ -248,7 +254,7 @@ func (c *Circuit) SolveTran(opts TranOptions, fn func(TranPoint) bool) error {
 			}
 			local := dc
 			local.Warm = op
-			next, err := c.SolveDC(&local)
+			next, err := c.solveDCFrom(nil, nil, &local, bufs[0], stepOP)
 			if err != nil {
 				return fmt.Errorf("spice: transient step at t=%.3g: %w", t, err)
 			}
@@ -258,6 +264,7 @@ func (c *Circuit) SolveTran(opts TranOptions, fn func(TranPoint) bool) error {
 				states[k].v = v
 			}
 			op = next
+			bufs[0], bufs[1] = bufs[1], bufs[0]
 			first = false
 			if !fn(TranPoint{T: t, OP: op}) {
 				return nil

@@ -76,3 +76,15 @@ func TestTranMetricDimPanics(t *testing.T) {
 	}()
 	m.Value([]float64{0})
 }
+
+// TestAccessValueAllocs bounds the allocations of one access Value at
+// the nominal point. Its 21 transient steps solve into SolveTran's two
+// step buffers and one operating point, so the count does not grow with
+// the steps (it was 47 when every step allocated a vector and a point).
+func TestAccessValueAllocs(t *testing.T) {
+	m := AccessTimeWorkload()
+	x := make([]float64, m.Dim())
+	if n := testing.AllocsPerRun(20, func() { m.Value(x) }); n > 10 {
+		t.Fatalf("an access Value makes %v allocations, want at most 10", n)
+	}
+}
