@@ -22,6 +22,7 @@ import (
 	"repro/internal/stat"
 	"repro/internal/surrogate"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // benchMethod runs one scaled method configuration and reports Pf and
@@ -620,7 +621,10 @@ func BenchmarkChiQuantile(b *testing.B) {
 }
 
 // BenchmarkGibbsSample measures the cost of one Gibbs coordinate update
-// (bracketing + bisection + truncated draw) on a cheap analytic metric.
+// (bracketing + refinement + truncated draw) on a cheap analytic metric,
+// whose probes cost nanoseconds, and per 200-update spherical chain on
+// readcurrent, whose probes are DC solves that cost more the deeper they
+// go.
 func BenchmarkGibbsSample(b *testing.B) {
 	lin := &surrogate.Linear{W: []float64{1, 1}, B: 5}
 	b.Run("cartesian", func(b *testing.B) {
@@ -638,5 +642,35 @@ func BenchmarkGibbsSample(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// One K = 200 chain (one chain, the caller's goroutine) from
+	// readcurrent's Algorithm 4 point, found before the timer starts.
+	// Every simulation but the chain's start check is an interval-search
+	// probe; warm fallbacks are the solves whose warm start failed and
+	// fell back to the cold path.
+	b.Run("readcurrent-spherical", func(b *testing.B) {
+		const k = 200
+		ctx := context.Background()
+		metric := sram.ReadCurrentWorkload()
+		start, err := model.FindFailurePointContext(ctx, metric, nil, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg := telemetry.New()
+		metric.SetTelemetry(reg)
+		falls := reg.Scope(wire.ScopeSpice).Counter("warm_fallback_total")
+		falls0 := falls.Value()
+		var sims int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			counter := mc.NewCounter(metric)
+			if _, err := gibbs.SphericalChainContext(ctx, counter, start, k, &gibbs.Options{Chains: 1}, rand.New(rand.NewSource(1))); err != nil {
+				b.Fatal(err)
+			}
+			sims += counter.Count()
+		}
+		updates := float64(k * b.N)
+		b.ReportMetric(float64(sims-int64(b.N))/updates, "probes/update")
+		b.ReportMetric(float64(falls.Value()-falls0)/updates, "warm_fallbacks/update")
 	})
 }
