@@ -37,9 +37,11 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/sramserverd
+# The job runs about half a second on a 2-vCPU host, so the heartbeat
+# period must be well under that for the stream to carry one.
 "$BIN" -addr "$ADDR" -drain-timeout 30s \
   -telemetry "$WORK/events.jsonl" -trace "$WORK/trace.json" \
-  -flight-dir "$WORK/flight" -sse-heartbeat 500ms &
+  -flight-dir "$WORK/flight" -sse-heartbeat 100ms &
 SERVER_PID=$!
 
 for _ in $(seq 1 100); do
