@@ -1,10 +1,8 @@
 // Command spicecli runs the circuit-simulation substrate on a
-// SPICE-flavored netlist file: DC operating points, DC sweeps and
-// transient analyses.
+// SPICE-flavored netlist file: DC operating points and DC sweeps.
 //
 //	spicecli -op circuit.sp
-//	spicecli -sweep vin:0:1:51 circuit.sp
-//	spicecli -tran 1n:10p -probe out circuit.sp
+//	spicecli -sweep vin:0:1:51 -probe out circuit.sp
 //
 // See internal/spice.ParseNetlist for the accepted netlist syntax.
 package main
@@ -27,7 +25,6 @@ func main() {
 	var (
 		doOP     = flag.Bool("op", false, "print the DC operating point")
 		sweep    = flag.String("sweep", "", "DC sweep: SOURCE:START:STOP:STEPS")
-		tran     = flag.String("tran", "", "transient: STOP:STEP (seconds, suffixes ok)")
 		probe    = flag.String("probe", "", "comma-separated nodes to print (default: all)")
 		teleOut  = flag.String("telemetry", "", "write structured solver events (JSONL) to this file")
 		traceOut = flag.String("trace", "", "write a span trace to this file (Chrome trace JSON, or JSONL with a .jsonl suffix)")
@@ -35,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: spicecli [-op] [-sweep src:a:b:n] [-tran stop:step] [-probe nodes] netlist.sp")
+		fmt.Fprintln(os.Stderr, "usage: spicecli [-op] [-sweep src:a:b:n] [-probe nodes] netlist.sp")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -65,9 +62,7 @@ func main() {
 	}()
 	dc := &spice.DCOptions{Telemetry: cli.Registry}
 
-	ran := false
-	if *doOP || (*sweep == "" && *tran == "") {
-		ran = true
+	if *doOP || *sweep == "" {
 		op, err := ckt.SolveDC(dc)
 		if err != nil {
 			fatal(err)
@@ -80,7 +75,6 @@ func main() {
 			op.Strategy(), op.NewtonIterations(), op.Residual())
 	}
 	if *sweep != "" {
-		ran = true
 		parts := strings.Split(*sweep, ":")
 		if len(parts) != 4 {
 			fatal(fmt.Errorf("bad -sweep %q", *sweep))
@@ -108,36 +102,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *tran != "" {
-		ran = true
-		parts := strings.Split(*tran, ":")
-		if len(parts) != 2 {
-			fatal(fmt.Errorf("bad -tran %q", *tran))
-		}
-		stop, err1 := spice.ParseValue(parts[0])
-		step, err2 := spice.ParseValue(parts[1])
-		if err1 != nil || err2 != nil {
-			fatal(fmt.Errorf("bad -tran %q", *tran))
-		}
-		fmt.Printf("%12s", "t")
-		for _, n := range nodes {
-			fmt.Printf(" %12s", "V("+n+")")
-		}
-		fmt.Println()
-		err = ckt.SolveTran(spice.TranOptions{Stop: stop, Step: step, Method: spice.Trapezoidal, DC: dc},
-			func(p spice.TranPoint) bool {
-				fmt.Printf("%12.5g", p.T)
-				for _, n := range nodes {
-					fmt.Printf(" %12.5g", p.OP.Voltage(n))
-				}
-				fmt.Println()
-				return true
-			})
-		if err != nil {
-			fatal(err)
-		}
-	}
-	_ = ran
 	if cli.Registry != nil {
 		fmt.Println()
 		cli.Registry.WriteTable(os.Stdout)

@@ -49,8 +49,10 @@ func TestOperatingPointUnknownNodePanics(t *testing.T) {
 }
 
 func TestMOSFETCurrentAtOP(t *testing.T) {
+	const rd = 1e3
 	c := NewCircuit()
-	c.AddVSource("vd", "d", "0", 1.0)
+	c.AddVSource("vd", "s", "0", 1.0)
+	c.AddResistor("rd", "s", "d", rd)
 	c.AddVSource("vg", "g", "0", 0.8)
 	m := c.AddMOSFET("m1", "d", "g", "0", "0", nmosModel())
 	op, err := c.SolveDC(nil)
@@ -62,10 +64,10 @@ func TestMOSFETCurrentAtOP(t *testing.T) {
 	if i < 1e-6 || i > 1e-3 {
 		t.Fatalf("implausible drain current %v", i)
 	}
-	// Must equal the source branch current (KCL through the ammeter).
-	vd, _ := c.VSourceByName("vd")
-	if math.Abs(vd.Current(op)+i) > 1e-9 {
-		t.Fatalf("branch current %v vs device current %v", vd.Current(op), i)
+	// Must equal the current through the series resistor (KCL at the
+	// drain, to the solver's residual tolerance).
+	if ir := (op.Voltage("s") - op.Voltage("d")) / rd; math.Abs(ir-i) > 1e-9 {
+		t.Fatalf("resistor current %v vs device current %v", ir, i)
 	}
 }
 

@@ -118,22 +118,16 @@ type DCOptions struct {
 	// InitialGuess seeds node voltages by name. Nodes not listed start at
 	// 0 V. This is how callers select a bistable cell's state.
 	InitialGuess map[string]float64
-	// Warm, if non-nil, seeds the full unknown vector from a previous
-	// solution of the same circuit (used by sweeps); it overrides
-	// InitialGuess.
-	Warm *OperatingPoint
 	// Telemetry, when non-nil, records per-solve metrics (strategy
 	// fallbacks, Newton iterations, residuals, wall time) into the
 	// "spice" scope and emits an event for each failed solve. Nil is a
 	// no-op: the solve path pays only a nil check.
 	Telemetry *telemetry.Registry
-	// NoBranchCurrents skips the post-convergence recovery of eliminated
-	// sources' branch currents (they read as zero via VSource.Current).
-	// Node voltages are unaffected bit-for-bit. Sweep-heavy callers that
-	// only consume voltages set this to drop one full device stamp per
-	// solve.
-	NoBranchCurrents bool
 
+	// warm, if non-nil, seeds the cold path's unknown vector from the
+	// previous solution of the same circuit (a sweep's previous point, a
+	// transient's previous step); it overrides InitialGuess.
+	warm *OperatingPoint
 	// icPins holds nodes at their initial conditions (a transient's
 	// t = 0 solve); see solveWithPinnedNodes.
 	icPins []nodePin
@@ -284,7 +278,7 @@ func (c *Circuit) warmDC(anchor *OperatingPoint, guard func(*OperatingPoint) boo
 // convergence or to o.MaxIter. The plain Newton solves in x, which it
 // overwrites, and the solution is returned in op, so a caller that
 // solves over and over (a transient's steps) reuses both; a nil x or op
-// is allocated. x must not alias o.Warm's vector.
+// is allocated. x must not alias o.warm's vector.
 func (c *Circuit) solveDC(o *DCOptions, x []float64, op *OperatingPoint) (*OperatingPoint, error) {
 	c.indexBranches()
 	n := c.NumUnknowns()
@@ -294,11 +288,8 @@ func (c *Circuit) solveDC(o *DCOptions, x []float64, op *OperatingPoint) (*Opera
 	if op == nil {
 		op = new(OperatingPoint)
 	}
-	if o.Warm != nil {
-		if len(o.Warm.x) != n {
-			return nil, fmt.Errorf("spice: warm start size %d does not match system size %d", len(o.Warm.x), n)
-		}
-		copy(x, o.Warm.x)
+	if o.warm != nil {
+		copy(x, o.warm.x)
 	} else {
 		clear(x)
 		for name, v := range o.InitialGuess {
@@ -386,13 +377,12 @@ type newtonStats struct {
 // newton runs damped Newton iteration in place on x with the given gmin
 // shunt and source scale factor. It solves only the plan's free unknowns:
 // nodes pinned by single-ended voltage sources are set once up front and
-// their branch currents recovered after convergence, which shrinks the
-// factored system from NumUnknowns to a handful of genuinely nonlinear
-// voltages. The initial-condition pins in o.icPins stamp their
-// conductances after the devices. A positive stall gives up with
-// ErrNoConvergence once that many consecutive iterations have not lowered
-// the best residual so far; the convergence test runs first, so a
-// converging iterate is never cut off.
+// their branch currents held at zero, which shrinks the factored system
+// from NumUnknowns to a handful of genuinely nonlinear voltages. The
+// initial-condition pins in o.icPins stamp their conductances after the
+// devices. A positive stall gives up with ErrNoConvergence once that many
+// consecutive iterations have not lowered the best residual so far; the
+// convergence test runs first, so a converging iterate is never cut off.
 func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64, stall int) (newtonStats, error) {
 	plan, ws := c.solverState()
 	f, jFull, jRed := ws.f, ws.jFull, ws.jRed
@@ -415,8 +405,8 @@ func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64, stal
 	}
 
 	// Pin eliminated nodes to their (possibly scaled) source values and
-	// hold their branch currents at zero until recovery. Warm starts may
-	// have seeded nonzero branch currents; they are not unknowns here.
+	// hold their branch currents at zero. Warm starts may have seeded
+	// nonzero branch currents; they are not unknowns here.
 	for _, pin := range plan.pins {
 		x[pin.node] = pin.sign * pin.vs.E
 		x[pin.vs.branch] = 0
@@ -480,9 +470,6 @@ func (c *Circuit) newton(x []float64, o *DCOptions, gmin, srcScale float64, stal
 			x[ia] += scale * dx[a]
 		}
 		if maxDx*scale < vTol && maxRes < iTol {
-			if !o.NoBranchCurrents {
-				c.recoverPinnedBranches(plan, ws, x)
-			}
 			return newtonStats{iters: iter + 1, residual: maxRes}, nil
 		}
 		for _, ia := range plan.free {
@@ -523,9 +510,7 @@ func (c *Circuit) Sweep(sourceName string, start, stop float64, steps int, opts 
 		v := start + (stop-start)*float64(i)/float64(steps-1)
 		src.E = v
 		local := o
-		if warm != nil {
-			local.Warm = warm
-		}
+		local.warm = warm
 		op, err := c.SolveDC(&local)
 		if err != nil {
 			return fmt.Errorf("spice: sweep %s=%.4f: %w", sourceName, v, err)

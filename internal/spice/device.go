@@ -73,31 +73,6 @@ func StepWaveform(v0, v1, tStep, tRise float64) func(float64) float64 {
 // Name returns the device name.
 func (v *VSource) Name() string { return v.name }
 
-// Stamp implements Device. The branch current x[branch] flows from the
-// plus terminal through the source to the minus terminal.
-func (v *VSource) Stamp(x []float64, f []float64, j *linalg.Matrix) {
-	i := x[v.branch]
-	if v.p >= 0 {
-		f[v.p] += i
-		j.Add(v.p, v.branch, 1)
-	}
-	if v.m >= 0 {
-		f[v.m] -= i
-		j.Add(v.m, v.branch, -1)
-	}
-	// Branch equation: V(p) − V(m) − E = 0.
-	f[v.branch] += voltageAt(x, v.p) - voltageAt(x, v.m) - v.E
-	if v.p >= 0 {
-		j.Add(v.branch, v.p, 1)
-	}
-	if v.m >= 0 {
-		j.Add(v.branch, v.m, -1)
-	}
-}
-
-// Current returns the branch current at a solved operating point.
-func (v *VSource) Current(op *OperatingPoint) float64 { return op.x[v.branch] }
-
 // ISource is an independent current source pushing I from plus to minus
 // through itself.
 type ISource struct {

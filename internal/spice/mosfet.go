@@ -234,13 +234,3 @@ func (t *MOSFET) Stamp(x []float64, f []float64, j *linalg.Matrix) {
 		}
 	}
 }
-
-// Current returns the drain current at a solved operating point. Like
-// Eval it updates the softplus memo, so it must not run on one MOSFET
-// from two goroutines at once.
-func (t *MOSFET) Current(op *OperatingPoint) float64 {
-	id, _, _, _, _ := t.Eval(
-		voltageAt(op.x, t.d), voltageAt(op.x, t.g),
-		voltageAt(op.x, t.s), voltageAt(op.x, t.b))
-	return id
-}

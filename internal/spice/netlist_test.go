@@ -1,7 +1,12 @@
 package spice
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -161,4 +166,114 @@ func TestParseNetlistFromReader(t *testing.T) {
 	if math.Abs(op.Voltage("a")-2) > 1e-9 {
 		t.Fatal("reader netlist broken")
 	}
+}
+
+// ciInverter is the inverter-plus-RC netlist that CI's spicecli step
+// runs.
+const ciInverter = `* CMOS inverter driving an RC load
+.model nch nmos vt0=0.32 kp=300u w=240n l=100n
+.model pch pmos vt0=0.35 kp=80u w=480n l=100n
+vdd vdd 0 1
+vin in 0 0.3
+mn out in 0 0 nch
+mp out in vdd vdd pch
+rl out load 10k
+cl load 0 10f
+.end
+`
+
+// TestNetlistSolveBitsPinned pins the Float64bits of every node voltage
+// (in sorted node order) that three netlist runs produce: the DC
+// operating point, a 51-point sweep of vin, and a backward-Euler
+// transient in which vin steps from 0.3 V to 0.9 V while the RC load,
+// started at 0 V by an initial condition, charges and then discharges.
+// The digests are bitsDigest values recorded on amd64; a change that
+// moves these bits on purpose records new ones and says so in
+// CHANGES.md.
+func TestNetlistSolveBitsPinned(t *testing.T) {
+	// The Go spec lets a compiler fuse x*y + z into one rounding, which
+	// moves low bits of the solves; amd64 never fuses.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	parse := func(t *testing.T) (*Circuit, []string) {
+		c, err := ParseNetlist(strings.NewReader(ciInverter))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := c.NodeNames()
+		sort.Strings(nodes)
+		return c, nodes
+	}
+	appendVoltages := func(vs []float64, op *OperatingPoint, nodes []string) []float64 {
+		for _, n := range nodes {
+			vs = append(vs, op.Voltage(n))
+		}
+		return vs
+	}
+	cases := []struct {
+		name   string
+		run    func(c *Circuit, nodes []string) ([]float64, error)
+		points int
+		digest string
+	}{
+		{"op", func(c *Circuit, nodes []string) ([]float64, error) {
+			op, err := c.SolveDC(nil)
+			if err != nil {
+				return nil, err
+			}
+			return appendVoltages(nil, op, nodes), nil
+		}, 1, "550397181e4cbd17914cd188a6a4c1b6dfc8ce848268638b8d97930884c815df"},
+		{"sweep", func(c *Circuit, nodes []string) ([]float64, error) {
+			var vs []float64
+			err := c.Sweep("vin", 0, 1, 51, nil, func(_ float64, op *OperatingPoint) bool {
+				vs = appendVoltages(vs, op, nodes)
+				return true
+			})
+			return vs, err
+		}, 51, "ac76ea425ee9c9b4ace0d3ec77fc7087dfaa6267199f539db6acf88b3719cd16"},
+		{"tran", func(c *Circuit, nodes []string) ([]float64, error) {
+			src, err := c.VSourceByName("vin")
+			if err != nil {
+				return nil, err
+			}
+			src.Waveform = StepWaveform(0.3, 0.9, 200e-12, 20e-12)
+			var vs []float64
+			err = c.SolveTran(TranOptions{
+				Stop: 500e-12, Step: 5e-12,
+				InitialConditions: map[string]float64{"load": 0},
+			}, func(p TranPoint) bool {
+				vs = appendVoltages(vs, p.OP, nodes)
+				return true
+			})
+			return vs, err
+		}, 101, "cb51d69c7864b6a4ed8fd133854300058da27dfe790ef285e9866ab80ff74163"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, nodes := parse(t)
+			vs, err := tc.run(c, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.points * len(nodes); len(vs) != want {
+				t.Fatalf("%d voltages, want %d", len(vs), want)
+			}
+			if got := bitsDigest(vs); got != tc.digest {
+				t.Errorf("node voltage bits over %d points: digest %s, want %s", tc.points, got, tc.digest)
+			}
+		})
+	}
+}
+
+// bitsDigest is the SHA-256, in hex, of the little-endian Float64bits
+// of vs, in order.
+func bitsDigest(vs []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

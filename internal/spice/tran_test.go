@@ -20,7 +20,7 @@ func TestTranRCDischarge(t *testing.T) {
 	c.AddCapacitor("c", "n", "0", cf)
 	var worst float64
 	err := c.SolveTran(TranOptions{
-		Stop: 3 * tau, Step: tau / 200, Method: Trapezoidal,
+		Stop: 3 * tau, Step: tau / 200,
 		InitialConditions: map[string]float64{"n": v0},
 	}, func(p TranPoint) bool {
 		want := v0 * math.Exp(-p.T/tau)
@@ -60,38 +60,6 @@ func TestTranRCCharge(t *testing.T) {
 	want := 1 - math.Exp(-5)
 	if math.Abs(last-want) > 0.01 {
 		t.Fatalf("RC charge endpoint %v, want %v", last, want)
-	}
-}
-
-// Backward Euler and trapezoidal must agree to first order and
-// trapezoidal must be more accurate on the smooth RC case.
-func TestTranMethodsAgree(t *testing.T) {
-	run := func(m Integration, step float64) float64 {
-		c := NewCircuit()
-		c.AddResistor("r", "n", "0", 1e3)
-		c.AddCapacitor("c", "n", "0", 1e-9)
-		tau := 1e-6
-		var at float64
-		err := c.SolveTran(TranOptions{
-			Stop: tau, Step: step, Method: m,
-			InitialConditions: map[string]float64{"n": 1},
-		}, func(p TranPoint) bool {
-			at = p.OP.Voltage("n")
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	want := math.Exp(-1)
-	be := run(BackwardEuler, 1e-8)
-	tr := run(Trapezoidal, 1e-8)
-	if math.Abs(be-want) > 0.01 || math.Abs(tr-want) > 0.01 {
-		t.Fatalf("methods disagree with analytic: BE %v, TR %v, want %v", be, tr, want)
-	}
-	if math.Abs(tr-want) > math.Abs(be-want) {
-		t.Fatalf("trapezoidal (%v) should beat backward Euler (%v)", tr-want, be-want)
 	}
 }
 

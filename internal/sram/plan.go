@@ -208,12 +208,7 @@ func (m *Metric) readCurrentBatch(t *cellTemplate, rows [][]float64, out []float
 		// path (which may legitimately land flipped) decides.
 		return op.Voltage("q") < 0.5*c.VDD
 	}
-	// The metric reads only node voltages (MOSFET.Current recomputes
-	// from them), so branch-current recovery is skipped.
-	opts := &spice.DCOptions{
-		InitialGuess: readGuess(c), Telemetry: c.Telemetry,
-		NoBranchCurrents: true,
-	}
+	opts := &spice.DCOptions{InitialGuess: readGuess(c), Telemetry: c.Telemetry}
 	for i, row := range rows {
 		t.setDvth(row)
 		op, err := t.ckt.SolveDCFrom(m.anchor, guard, opts)
@@ -317,12 +312,7 @@ func sweepCurve(c *Cell, t *sweepTemplate, row []float64, out *curve) error {
 	out.xs, out.ys = out.xs[:n], out.ys[:n]
 	orig := t.force.E
 	defer func() { t.force.E = orig }()
-	// Only the measured node voltage is read per point; skipping branch
-	// recovery drops one full device stamp from every grid solve.
-	opts := &spice.DCOptions{
-		InitialGuess: t.guess, Telemetry: c.Telemetry,
-		NoBranchCurrents: true,
-	}
+	opts := &spice.DCOptions{InitialGuess: t.guess, Telemetry: c.Telemetry}
 	var prev, prev2 *spice.OperatingPoint
 	for i := 0; i < n; i++ {
 		// The same grid formula as spice.Sweep.
@@ -360,8 +350,6 @@ func (m *Metric) writeSample(e *metricEngine, row []float64) (float64, error) {
 	opts := &spice.DCOptions{
 		InitialGuess: map[string]float64{"q": c.VDD, "qb": 0},
 		Telemetry:    c.Telemetry,
-		// Probes only compare V(q) against the trip threshold.
-		NoBranchCurrents: true,
 	}
 	flipped := func(bl float64) (bool, error) {
 		t.vbl.E = bl

@@ -60,9 +60,8 @@ func (c *Cell) buildTran() *cellTemplate {
 func (m *Metric) accessTimeBatch(b *cellTemplate, rows [][]float64, delays []float64, errs []error) {
 	c := m.Cell
 	opts := spice.TranOptions{
-		Stop: accessStop, Step: accessStep, Method: spice.BackwardEuler,
-		// Only node voltages are read, per step and per crossing.
-		DC: &spice.DCOptions{Telemetry: c.Telemetry, NoBranchCurrents: true},
+		Stop: accessStop, Step: accessStep,
+		DC: &spice.DCOptions{Telemetry: c.Telemetry},
 		// The cell stores a 0 behind bitlines precharged to VDD.
 		InitialConditions: map[string]float64{
 			"bl": c.VDD, "blb": c.VDD, "q": 0, "qb": c.VDD,
