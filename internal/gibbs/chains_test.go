@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -231,5 +232,38 @@ func TestChainsOneTelemetryStream(t *testing.T) {
 	}
 	if got := reg.Scope(wire.ScopeGibbs).Counter("updates_total").Value(); got != k {
 		t.Fatalf("updates_total = %d, want %d", got, k)
+	}
+}
+
+// TestPooledESSMatchesChainGauge cuts a pool of uneven chains (301
+// samples over 3 chains) back into its chains and requires the summed
+// ESS to be the chain_ess gauge's value, bit for bit, for both chain
+// functions. An empty pool has no chain to measure.
+func TestPooledESSMatchesChainGauge(t *testing.T) {
+	const k = 301
+	if _, err := PooledESS(nil, nil); !errors.Is(err, ErrShortChain) {
+		t.Fatalf("PooledESS of an empty pool: %v, want ErrShortChain", err)
+	}
+	for _, coord := range []Coord{Cartesian, Spherical} {
+		t.Run(coord.String(), func(t *testing.T) {
+			reg := telemetry.New()
+			opts := &Options{Chains: 3, Telemetry: reg}
+			chain := CartesianChainContext
+			if coord == Spherical {
+				chain = SphericalChainContext
+			}
+			samples, err := chain(context.Background(), linear3(), []float64{3, 3, 3}, k, opts, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := PooledESS(samples, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reg.Scope(wire.ScopeGibbs).Gauge("chain_ess").Value()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("PooledESS %v, chain_ess gauge %v", got, want)
+			}
+		})
 	}
 }

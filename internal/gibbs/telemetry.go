@@ -209,7 +209,7 @@ func (t *chainTelemetry) done(coord Coord, chains [][][]float64) {
 	t.gETA.Set(0)
 	s := t.reg.Scope(wire.ScopeGibbs)
 	s.Gauge("chain_acceptance").Set(acceptance)
-	if ess, tauMax, ok := chainsESS(chains); ok {
+	if ess, tauMax, err := chainsESS(chains); err == nil {
 		fields["ess"] = ess
 		fields["tau_max"] = tauMax
 		s.Gauge("chain_ess").Set(ess)
@@ -219,17 +219,17 @@ func (t *chainTelemetry) done(coord Coord, chains [][][]float64) {
 
 // chainsESS sums the chains' effective sample sizes and returns the
 // worst chain's integrated autocorrelation time (its length over its
-// ESS); ok is false when a chain is too short to measure.
-func chainsESS(chains [][][]float64) (ess, tauMax float64, ok bool) {
+// ESS); it fails when a chain is too short to measure.
+func chainsESS(chains [][][]float64) (ess, tauMax float64, err error) {
 	for _, c := range chains {
 		e, err := EffectiveSampleSize(c)
 		if err != nil {
-			return 0, 0, false
+			return 0, 0, err
 		}
 		ess += e
 		if tau := float64(len(c)) / e; tau > tauMax {
 			tauMax = tau
 		}
 	}
-	return ess, tauMax, true
+	return ess, tauMax, nil
 }

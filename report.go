@@ -48,7 +48,9 @@ type RunReport struct {
 	RHat     *float64 `json:"rhat,omitempty"`
 	RHatNote string   `json:"rhat_note,omitempty"`
 	// ChainESS is the autocorrelation-adjusted effective sample size of
-	// the Gibbs chain (Gibbs methods only).
+	// the first-stage Gibbs samples, summed over the chains: the value
+	// of the gibbs.chain event's ess and the gibbs_chain_ess gauge
+	// (Gibbs methods only).
 	ChainESS *float64 `json:"chain_ess,omitempty"`
 
 	// WeightESS is the Kish effective sample size of the second-stage
@@ -119,7 +121,7 @@ func buildReport(res *Result, o Options, totalSeconds float64) *RunReport {
 				r.warn(fmt.Sprintf("Gibbs chains disagree: split R-hat %.3f > 1.1 — the two stage-1 chains sample different parts of the failure region (for example, different lobes)", rhat))
 			}
 		}
-		if ess, err := gibbs.EffectiveSampleSize(res.GibbsSamples); err == nil {
+		if ess, err := gibbs.PooledESS(res.GibbsSamples, nil); err == nil {
 			r.ChainESS = &ess
 		}
 	}

@@ -2,11 +2,14 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/surrogate"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func TestRunReportAttached(t *testing.T) {
@@ -209,5 +212,51 @@ func TestSimsTo90Projection(t *testing.T) {
 	}
 	if simsTo90(&Result{Pf: 1e-6, StdErr: math.Inf(1), N: 100}) != 0 {
 		t.Fatal("infinite stderr must project 0")
+	}
+}
+
+// TestRunReportChainESSMatchesTelemetry requires the report's chain ESS
+// to be the value the chain telemetry publishes, bit for bit: the
+// gibbs_chain_ess gauge and the gibbs.chain event's ess both sum each
+// chain's own ESS. dualread seed 2 is a run whose two chains sit in
+// different lobes, where the ESS of the pool taken as one chain reads
+// less than half that sum.
+func TestRunReportChainESSMatchesTelemetry(t *testing.T) {
+	for _, m := range []Method{GS, GC} {
+		t.Run(string(m), func(t *testing.T) {
+			reg := NewTelemetry()
+			var buf strings.Builder
+			reg.SetBus(telemetry.NewLogBus(0, &buf))
+			res, err := Estimate(DualReadCurrentWorkload(), Options{
+				Method: m, K: 1000, N: 2000, Seed: 2, Workers: 2, Telemetry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Report.ChainESS == nil {
+				t.Fatal("Gibbs run must report a chain ESS")
+			}
+			got := *res.Report.ChainESS
+			gauge := reg.Scope(wire.ScopeGibbs).Gauge("chain_ess").Value()
+			if math.Float64bits(got) != math.Float64bits(gauge) {
+				t.Fatalf("report chain_ess %v, gibbs_chain_ess gauge %v", got, gauge)
+			}
+			var events []float64
+			for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+				var ev struct {
+					Event string   `json:"event"`
+					ESS   *float64 `json:"ess"`
+				}
+				if err := json.Unmarshal([]byte(line), &ev); err != nil {
+					t.Fatal(err)
+				}
+				if ev.Event == wire.EvGibbsChain && ev.ESS != nil {
+					events = append(events, *ev.ESS)
+				}
+			}
+			if len(events) != 1 || math.Float64bits(events[0]) != math.Float64bits(got) {
+				t.Fatalf("report chain_ess %v, gibbs.chain event ess %v", got, events)
+			}
+		})
 	}
 }
